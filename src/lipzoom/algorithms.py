@@ -7,6 +7,7 @@ consumed by the diagnostics module.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,9 +21,8 @@ from .environment import (
     RewardModel,
     RoundLedger,
     classical_sample,
-    qmc1_budget,
-    qmc2_budget,
     qmc_estimate,
+    query_budget,
 )
 from .geometry import ActiveRegion, Metric, Point, lattice, maximal_packing
 
@@ -74,6 +74,26 @@ class PolicyResult:
     stage_audits: list[StageAudit] = field(default_factory=list)
 
 
+def _finish(
+    ledger: RoundLedger,
+    stages_completed: int,
+    termination: Termination,
+    records: list[EstimateRecord],
+    stage_audits: list[StageAudit],
+) -> PolicyResult:
+    """Pad the ledger's checkpoints out to the horizon and package the run."""
+    ledger.finalize()
+    return PolicyResult(
+        checkpoints=ledger.checkpoints,
+        total_rounds=ledger.consumed,
+        final_regret=ledger.cumulative_regret,
+        stages_completed=stages_completed,
+        termination=termination,
+        estimate_records=records,
+        stage_audits=stage_audits,
+    )
+
+
 def _run_elimination(
     model: RewardModel,
     noise: NoiseModel,
@@ -84,7 +104,7 @@ def _run_elimination(
     variant: str,
     c1: float,
     c2: float,
-    checkpoint_every: int,
+    checkpoint_every: int | None,
     audits: bool,
 ) -> PolicyResult:
     ledger = RoundLedger(T, checkpoint_every)
@@ -131,16 +151,7 @@ def _run_elimination(
         eps_next = eps / 2.0
         arms = maximal_packing(region, metric, eps_next, spacing=eps_next / 4)
 
-    ledger.finalize()
-    return PolicyResult(
-        checkpoints=ledger.checkpoints,
-        total_rounds=ledger.consumed,
-        final_regret=ledger.cumulative_regret,
-        stages_completed=stages_completed,
-        termination=termination,
-        estimate_records=records,
-        stage_audits=stage_audits,
-    )
+    return _finish(ledger, stages_completed, termination, records, stage_audits)
 
 
 def run_qlae(
@@ -160,9 +171,9 @@ def run_qlae(
     within eps_m, drops points more than 3*eps_m below the best estimate
     and re-packs the surviving ball union at half the radius.
     """
-    ck = checkpoint_every or max(1, T // 100)
     return _run_elimination(
-        model, noise, oracle, metric, T, delta, "qmc1", c1, 2.0, ck, audits
+        model, noise, oracle, metric, T, delta, "qmc1", c1, 2.0,
+        checkpoint_every, audits,
     )
 
 
@@ -173,16 +184,20 @@ def run_qlae_bv(
     metric: Metric,
     T: int,
     delta: float,
+    c1: float = 2.0,
     c2: float = 2.0,
     checkpoint_every: int | None = None,
     audits: bool = False,
 ) -> PolicyResult:
-    """Adaptive elimination under bounded-variance (gaussian) noise."""
+    """Adaptive elimination under bounded-variance (gaussian) noise.
+
+    Stages with eps >= 4*sigma fall back to the qmc1 budget with c1.
+    """
     if noise.kind != NoiseKind.GAUSSIAN:
         raise ValueError("bounded-variance elimination requires gaussian noise")
-    ck = checkpoint_every or max(1, T // 100)
     return _run_elimination(
-        model, noise, oracle, metric, T, delta, "qmc2", 2.0, c2, ck, audits
+        model, noise, oracle, metric, T, delta, "qmc2", c1, c2,
+        checkpoint_every, audits,
     )
 
 
@@ -192,12 +207,39 @@ def select_arm(estimates: list[float], radii: list[float]) -> int:
     return int(np.argmax(idx))
 
 
-def _activation_spacing(dimension: int, grid_resolution: int | None) -> float:
-    if grid_resolution is not None:
-        if grid_resolution < 1:
+class _Cover:
+    """Zooming activation lattice with a count, per candidate, of the balls covering it.
+
+    Ball i is centred on the i-th activated candidate.
+    """
+
+    def __init__(self, metric: Metric, grid_resolution: int | None):
+        if grid_resolution is None:
+            grid_resolution = 512 if metric.dimension == 1 else 64
+        elif grid_resolution < 1:
             raise ValueError("grid_resolution must be >= 1")
-        return 1.0 / grid_resolution
-    return 1.0 / 512 if dimension == 1 else 1.0 / 64
+        self.metric = metric
+        self.cand = lattice(metric.dimension, 1.0 / grid_resolution)
+        self.count = np.zeros(len(self.cand), dtype=np.int32)
+        self._dist: list[np.ndarray] = []  # candidate distances to each centre
+        self._inside: list[np.ndarray] = []  # candidates within each radius
+
+    def activate(self) -> Point | None:
+        """Open a radius-1 ball on the first uncovered candidate and return it, or None."""
+        if self.count.all():
+            return None
+        j = int(np.argmin(self.count))
+        dist = self.metric.pairwise(self.cand, self.cand[j : j + 1])[:, 0]
+        self._dist.append(dist)
+        self._inside.append(dist <= 1.0)
+        self.count += self._inside[-1]
+        return tuple(float(v) for v in self.cand[j])
+
+    def set_radius(self, i: int, r: float) -> None:
+        inside = self._dist[i] <= r
+        self.count += inside
+        self.count -= self._inside[i]
+        self._inside[i] = inside
 
 
 def _run_zooming(
@@ -211,38 +253,24 @@ def _run_zooming(
     c1: float,
     c2: float,
     grid_resolution: int | None,
-    checkpoint_every: int,
+    checkpoint_every: int | None,
     audits: bool,
 ) -> PolicyResult:
     ledger = RoundLedger(T, checkpoint_every)
-    cand = lattice(metric.dimension, _activation_spacing(metric.dimension, grid_resolution))
-    if len(cand) == 0:
-        raise ValueError("activation grid is empty")
-
+    cover = _Cover(metric, grid_resolution)
     points: list[Point] = []
     radii: list[float] = []
     estimates: list[float] = []  # unplayed arms sit at 0, consistent with eps=1
-    dist_cols: list[np.ndarray] = []  # candidate-to-arm distances
     records: list[EstimateRecord] = []
     stage_audits: list[StageAudit] = []
-    termination = Termination.STAGE_CAP
-    stages_completed = 0
 
-    for s in range(1, T + 1):  # the stage count never exceeds the horizon
-        # activation: first lattice candidate not covered by any confidence ball
-        if points:
-            covered = np.zeros(len(cand), dtype=bool)
-            for col, r in zip(dist_cols, radii):
-                covered |= col <= r
-            uncovered = np.flatnonzero(~covered)
-        else:
-            uncovered = np.arange(len(cand))
-        if len(uncovered) > 0:
-            y = tuple(float(v) for v in cand[uncovered[0]])
+    # every stage plays at least one round, so the horizon ends the loop
+    for s in itertools.count(1):
+        y = cover.activate()
+        if y is not None:
             points.append(y)
             radii.append(1.0)
             estimates.append(0.0)
-            dist_cols.append(metric.pairwise(cand, cand[uncovered[0] : uncovered[0] + 1])[:, 0])
 
         if audits:
             stage_audits.append(StageAudit(s, tuple(zip(points, radii))))
@@ -250,32 +278,19 @@ def _run_zooming(
         i = select_arm(estimates, radii)
         radii[i] /= 2.0
         eps = radii[i]
-        if variant == "qmc2" and eps < 4 * noise.sigma:
-            budget = qmc2_budget(eps, noise.sigma, delta / T, c2)
-        else:
-            budget = qmc1_budget(eps, delta / T, c1)
-        if ledger.consumed + budget > T:
-            termination = Termination.HORIZON
+        cover.set_radius(i, eps)
+        if ledger.consumed + query_budget(eps, delta / T, noise, variant, c1, c2) > T:
             break
         est, _, _ = qmc_estimate(
             oracle, model, noise, points[i], eps, delta / T, ledger,
             variant=variant, c1=c1, c2=c2,
         )
         estimates[i] = est
-        stages_completed = s
         if audits:
             records.append(EstimateRecord(s, points[i], eps, est, model.mu(points[i])))
 
-    ledger.finalize()
-    return PolicyResult(
-        checkpoints=ledger.checkpoints,
-        total_rounds=ledger.consumed,
-        final_regret=ledger.cumulative_regret,
-        stages_completed=stages_completed,
-        termination=termination,
-        estimate_records=records,
-        stage_audits=stage_audits,
-    )
+    # stage s did not fit in the horizon
+    return _finish(ledger, s - 1, Termination.HORIZON, records, stage_audits)
 
 
 def run_qzooming(
@@ -297,10 +312,9 @@ def run_qzooming(
     halve its radius and re-estimate it at the new accuracy.  Terminates
     before any stage whose budget would exceed the horizon.
     """
-    ck = checkpoint_every or max(1, T // 100)
     return _run_zooming(
         model, noise, oracle, metric, T, delta, "qmc1", c1, 2.0,
-        grid_resolution, ck, audits,
+        grid_resolution, checkpoint_every, audits,
     )
 
 
@@ -311,26 +325,22 @@ def run_qzooming_bv(
     metric: Metric,
     T: int,
     delta: float,
+    c1: float = 2.0,
     c2: float = 2.0,
     grid_resolution: int | None = None,
     checkpoint_every: int | None = None,
     audits: bool = False,
 ) -> PolicyResult:
-    """Stage-based zooming under bounded-variance (gaussian) noise."""
+    """Stage-based zooming under bounded-variance (gaussian) noise.
+
+    Stages with eps >= 4*sigma fall back to the qmc1 budget with c1.
+    """
     if noise.kind != NoiseKind.GAUSSIAN:
         raise ValueError("bounded-variance zooming requires gaussian noise")
-    ck = checkpoint_every or max(1, T // 100)
     return _run_zooming(
-        model, noise, oracle, metric, T, delta, "qmc2", 2.0, c2,
-        grid_resolution, ck, audits,
+        model, noise, oracle, metric, T, delta, "qmc2", c1, c2,
+        grid_resolution, checkpoint_every, audits,
     )
-
-
-def classical_radius(n: int, T: int) -> float:
-    """Confidence radius sqrt(2 ln T / n), with radius 1 for an unplayed arm."""
-    if n == 0:
-        return 1.0
-    return math.sqrt(2.0 * math.log(T) / n)
 
 
 def run_classical_zooming(
@@ -348,56 +358,31 @@ def run_classical_zooming(
     arm maximizing the running mean plus twice its confidence radius, and
     updates that arm's statistics.
     """
-    ck = checkpoint_every or max(1, T // 100)
-    ledger = RoundLedger(T, ck)
-    cand = lattice(metric.dimension, _activation_spacing(metric.dimension, grid_resolution))
-    if len(cand) == 0:
-        raise ValueError("activation grid is empty")
-
+    ledger = RoundLedger(T, checkpoint_every)
+    cover = _Cover(metric, grid_resolution)
     log_t = 2.0 * math.log(T)
     points: list[Point] = []
     gaps: list[float] = []
     counts = np.zeros(0, dtype=np.int64)
     sums = np.zeros(0)
-    radii = np.zeros(0)
     index = np.zeros(0)
-    dist_cols: list[np.ndarray] = []
-    cov_cols: list[np.ndarray] = []
-    covered_count = np.zeros(len(cand), dtype=np.int32)
 
     for _ in range(T):
-        if (covered_count == 0).any():
-            j = int(np.argmax(covered_count == 0))
-            y = tuple(float(v) for v in cand[j])
+        y = cover.activate()
+        if y is not None:
             points.append(y)
             gaps.append(model.gap(y))
             counts = np.append(counts, 0)
             sums = np.append(sums, 0.0)
-            radii = np.append(radii, 1.0)
             index = np.append(index, 2.0)  # mean 0, radius 1
-            col = metric.pairwise(cand, cand[j : j + 1])[:, 0]
-            dist_cols.append(col)
-            cov = col <= 1.0
-            cov_cols.append(cov)
-            covered_count += cov
 
         i = int(np.argmax(index))
         y_draw = classical_sample(model, noise, points[i], rng)
         counts[i] += 1
         sums[i] += y_draw
         r = math.sqrt(log_t / counts[i])
-        radii[i] = r
         index[i] = sums[i] / counts[i] + 2.0 * r
-        new_cov = dist_cols[i] <= r
-        covered_count += new_cov.astype(np.int32) - cov_cols[i].astype(np.int32)
-        cov_cols[i] = new_cov
+        cover.set_radius(i, r)
         ledger.consume(1, gaps[i])
 
-    ledger.finalize()
-    return PolicyResult(
-        checkpoints=ledger.checkpoints,
-        total_rounds=ledger.consumed,
-        final_regret=ledger.cumulative_regret,
-        stages_completed=T,
-        termination=Termination.HORIZON,
-    )
+    return _finish(ledger, T, Termination.HORIZON, [], [])

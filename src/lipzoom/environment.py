@@ -163,6 +163,30 @@ def qmc2_budget(eps: float, sigma: float, delta: float, c2: float = 2.0) -> int:
     return max(1, math.ceil(value))
 
 
+def query_budget(
+    eps: float,
+    delta: float,
+    noise: NoiseModel,
+    variant: str = "qmc1",
+    c1: float = 2.0,
+    c2: float = 2.0,
+) -> int:
+    """Queries charged by one oracle call at accuracy eps and failure probability delta.
+
+    The qmc1 formula, or for variant="qmc2" the qmc2 formula, falling back
+    to qmc1 when eps >= 4*sigma, where the bounded-variance guarantee does
+    not apply.
+    """
+    if variant == "qmc2":
+        if noise.kind != NoiseKind.GAUSSIAN:
+            raise EnvironmentError_("qmc2 variant requires gaussian noise")
+        if eps < 4 * noise.sigma:
+            return qmc2_budget(eps, noise.sigma, delta, c2)
+    elif variant != "qmc1":
+        raise EnvironmentError_(f"unknown qmc variant {variant!r}")
+    return qmc1_budget(eps, delta, c1)
+
+
 class OracleMode(str, Enum):
     CONTRACT = "contract"
     EMPIRICAL = "empirical"
@@ -186,10 +210,14 @@ class QuantumOracleSim:
 
 @dataclass
 class RoundLedger:
-    """Accounting of played rounds and cumulative regret against the horizon."""
+    """Accounting of played rounds and cumulative regret against the horizon.
+
+    `checkpoint_every=None` records a checkpoint every max(1, horizon // 100)
+    rounds.
+    """
 
     horizon: int
-    checkpoint_every: int
+    checkpoint_every: int | None = None
     consumed: int = 0
     cumulative_regret: float = 0.0
     checkpoints: list[tuple[int, float]] = field(default_factory=list)
@@ -197,6 +225,8 @@ class RoundLedger:
     def __post_init__(self):
         if self.horizon < 1:
             raise EnvironmentError_(f"horizon must be >= 1, got {self.horizon}")
+        if self.checkpoint_every is None:
+            self.checkpoint_every = max(1, self.horizon // 100)
         if self.checkpoint_every < 1:
             raise EnvironmentError_("checkpoint_every must be >= 1")
 
@@ -246,25 +276,13 @@ def qmc_estimate(
 ) -> tuple[float, int, bool]:
     """One simulated quantum mean-estimation call.
 
-    Returns (estimate, queries_used, horizon_exhausted).  The budget is the
-    qmc1 formula, or the qmc2 formula for variant="qmc2" (falling back to
-    qmc1 when eps >= 4*sigma, where the bounded-variance guarantee does not
-    apply).  Every query is one played round charged gap(x) regret.  When
-    the horizon truncates the budget the exhausted flag is set and the
-    estimate carries no accuracy contract; callers discard it.
+    Returns (estimate, queries_used, horizon_exhausted).  The budget is
+    `query_budget(eps, delta, noise, variant, c1, c2)`.  Every query is one
+    played round charged gap(x) regret.  When the horizon truncates the
+    budget the exhausted flag is set and the estimate carries no accuracy
+    contract; callers discard it.
     """
-    if variant == "qmc2":
-        if noise.kind != NoiseKind.GAUSSIAN:
-            raise EnvironmentError_("qmc2 variant requires gaussian noise")
-        if eps < 4 * noise.sigma:
-            budget = qmc2_budget(eps, noise.sigma, delta, c2)
-        else:
-            budget = qmc1_budget(eps, delta, c1)
-    elif variant == "qmc1":
-        budget = qmc1_budget(eps, delta, c1)
-    else:
-        raise EnvironmentError_(f"unknown qmc variant {variant!r}")
-
+    budget = query_budget(eps, delta, noise, variant, c1, c2)
     if ledger.remaining <= 0:
         return math.nan, 0, True
     used = ledger.consume(budget, model.gap(x))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -60,15 +59,6 @@ class Metric:
         if self.kind == MetricKind.LINF or self.kind == MetricKind.ABSOLUTE:
             return diff.max(axis=2)
         return np.sqrt((diff * diff).sum(axis=2)) / np.sqrt(self.dimension)
-
-
-def make_point(coords: Sequence[float]) -> Point:
-    """Validate and freeze a coordinate vector as an arm."""
-    pt = tuple(float(c) for c in coords)
-    for c in pt:
-        if not (0.0 <= c <= 1.0):
-            raise GeometryError(f"coordinate {c} outside [0,1]")
-    return pt
 
 
 @dataclass(frozen=True)
@@ -150,17 +140,3 @@ def maximal_packing(
         d = metric.pairwise(cand, cand[i : i + 1])[:, 0]
         eligible &= d >= eps
     return accepted
-
-
-def is_covered(
-    y: Point,
-    active: Sequence[tuple[Point, float]],
-    metric: Metric,
-) -> bool:
-    """True iff some active (center, radius) closed ball contains y."""
-    for x, r in active:
-        if r <= 0:
-            raise GeometryError(f"ball radius must be positive, got {r}")
-        if metric.distance(x, y) <= r:
-            return True
-    return False

@@ -121,34 +121,18 @@ def run_single(config: ExperimentConfig, trial: int) -> algorithms.PolicyResult:
     noise = NoiseModel(NoiseKind(config.noise),
                        config.sigma if config.noise == "gaussian" else 0.0)
     rng = trial_rng(config.master_seed, trial)
-    ck = config.checkpoint_every or max(1, config.T // 100)
+    kwargs: dict = {"checkpoint_every": config.checkpoint_every}
+    if "zooming" in config.algorithm:
+        kwargs["grid_resolution"] = config.grid_resolution
     if config.algorithm == "classical_zooming":
-        return algorithms.run_classical_zooming(
-            model, noise, metric, config.T, rng,
-            grid_resolution=config.grid_resolution, checkpoint_every=ck,
-        )
-    oracle = QuantumOracleSim(OracleMode(config.qmc_mode), config.fault_injection, rng)
-    if config.algorithm == "qlae":
-        return algorithms.run_qlae(
-            model, noise, oracle, metric, config.T, config.delta,
-            c1=config.c1, checkpoint_every=ck, audits=config.audits,
-        )
-    if config.algorithm == "qlae_bv":
-        return algorithms.run_qlae_bv(
-            model, noise, oracle, metric, config.T, config.delta,
-            c2=config.c2, checkpoint_every=ck, audits=config.audits,
-        )
-    if config.algorithm == "qzooming":
-        return algorithms.run_qzooming(
-            model, noise, oracle, metric, config.T, config.delta,
-            c1=config.c1, grid_resolution=config.grid_resolution,
-            checkpoint_every=ck, audits=config.audits,
-        )
-    return algorithms.run_qzooming_bv(
-        model, noise, oracle, metric, config.T, config.delta,
-        c2=config.c2, grid_resolution=config.grid_resolution,
-        checkpoint_every=ck, audits=config.audits,
-    )
+        args: tuple = (model, noise, metric, config.T, rng)
+    else:
+        oracle = QuantumOracleSim(OracleMode(config.qmc_mode), config.fault_injection, rng)
+        args = (model, noise, oracle, metric, config.T, config.delta)
+        kwargs.update(c1=config.c1, audits=config.audits)
+        if config.algorithm.endswith("_bv"):
+            kwargs["c2"] = config.c2
+    return getattr(algorithms, f"run_{config.algorithm}")(*args, **kwargs)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[RegretTrace], Summary]:

@@ -7,7 +7,7 @@ import pytest
 
 from lipzoom.algorithms import (
     Termination,
-    classical_radius,
+    _Cover,
     run_classical_zooming,
     run_qlae,
     run_qlae_bv,
@@ -62,11 +62,42 @@ def test_select_arm_shift_invariance():
         assert base == shifted
 
 
-def test_classical_radius():
-    T = 1000
-    assert classical_radius(0, T) == 1.0
-    n = 2.0 * math.log(T)
-    assert classical_radius(int(round(n)), T) == pytest.approx(1.0, abs=0.01)
+@pytest.mark.parametrize("metric", [LINE, Metric(MetricKind.LINF, 2)])
+def test_cover_matches_brute_force(metric):
+    # reference: the first lattice candidate with no centre within its radius
+    rng = np.random.default_rng(21)
+    cover = _Cover(metric, None)
+    centres, radii = [], []
+    outcomes = {"activated": 0, "covered": 0}
+    for _ in range(300):
+        if centres:
+            d = metric.pairwise(cover.cand, np.asarray(centres))
+            covered = (d <= np.asarray(radii)).any(axis=1)
+        else:
+            covered = np.zeros(len(cover.cand), dtype=bool)
+        want = None
+        if not covered.all():
+            want = tuple(float(v) for v in cover.cand[np.argmin(covered)])
+        got = cover.activate()
+        assert got == want
+        if got is None:
+            outcomes["covered"] += 1
+        else:
+            outcomes["activated"] += 1
+            centres.append(got)
+            radii.append(1.0)
+        for _ in range(int(rng.integers(1, 4))):
+            i = int(rng.integers(len(centres)))
+            kind = rng.random()
+            if kind < 0.4:
+                r = radii[i] / 2.0  # the zooming halving, exact on the lattice
+            elif kind < 0.9:
+                r = radii[i] * rng.uniform(0.2, 1.0)
+            else:
+                r = rng.uniform(1.0, 5.0)  # sqrt(2 ln T) at n = 1 exceeds 1
+            cover.set_radius(i, r)
+            radii[i] = r
+    assert min(outcomes.values()) >= 10
 
 
 def test_qlae_eliminates_gap_one_arm_by_stage_three():

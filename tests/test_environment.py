@@ -204,6 +204,14 @@ def test_ledger_checkpoints_and_interpolation():
     assert led.checkpoints[-1] == (30, pytest.approx(10.0))
 
 
+def test_ledger_default_checkpoint_every():
+    for T in (1, 99, 100, 250, 50_000):
+        led = RoundLedger(T)
+        led.consume(T, 1.0)
+        ck = max(1, T // 100)
+        assert [t for t, _ in led.checkpoints] == list(range(ck, T + 1, ck))
+
+
 def test_ledger_truncation_and_finalize():
     led = RoundLedger(50, 10)
     assert led.consume(80, 0.5) == 50

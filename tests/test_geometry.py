@@ -9,9 +9,7 @@ from lipzoom.geometry import (
     GeometryError,
     Metric,
     MetricKind,
-    is_covered,
     lattice,
-    make_point,
     maximal_packing,
 )
 
@@ -55,14 +53,6 @@ def test_pairwise_matches_distance():
     for i in range(5):
         for j in range(4):
             assert d[i, j] == pytest.approx(m.distance(tuple(a[i]), tuple(b[j])))
-
-
-def test_make_point_bounds():
-    assert make_point([0.25, 1.0]) == (0.25, 1.0)
-    with pytest.raises(GeometryError):
-        make_point([1.2])
-    with pytest.raises(GeometryError):
-        make_point([-0.01, 0.5])
 
 
 def test_lattice_endpoints():
@@ -130,15 +120,6 @@ def test_packing_requires_fine_spacing():
 def test_packing_empty_region():
     m = Metric(MetricKind.ABSOLUTE, 1)
     assert maximal_packing(ActiveRegion((), 0.5), m, 0.5, spacing=1 / 8) == []
-
-
-def test_is_covered():
-    m = Metric(MetricKind.ABSOLUTE, 1)
-    assert is_covered((0.3,), [((0.25,), 0.1)], m)
-    assert is_covered((0.35,), [((0.25,), 0.1)], m)  # boundary inclusive
-    assert not is_covered((0.4,), [((0.25,), 0.1)], m)
-    with pytest.raises(GeometryError):
-        is_covered((0.3,), [((0.25,), 0.0)], m)
 
 
 # --- property-based checks: packing and maximality-implies-covering ---

@@ -1,0 +1,64 @@
+"""Golden output: the small sweep's CSVs are pinned byte for byte.
+
+A change that is meant to keep behaviour must keep these SHA-256 digests.
+They depend on numpy's PCG64 streams and float formatting, so a numpy
+release that changes either would need them re-recorded, with the reason
+stated.
+"""
+
+import hashlib
+
+from lipzoom.cli import cli_main
+
+SWEEP_ARGS = ["sweep", "--T", "5000", "--trials", "2", "--master-seed", "7"]
+
+GOLDEN = {
+    "classical_zooming_sine_bernoulli_summary.csv": "838f1cd0097feeaadbbcf6a87d2e9bd5fa5a9caceff09931c39d521f09af82e8",
+    "classical_zooming_sine_bernoulli_traces.csv": "6dd96d6c9e6b9c0220d0ad5ab9e7fce6222bafdf636b3d34435959823606fe26",
+    "classical_zooming_sine_gaussian_summary.csv": "3ed84b5faed077b9cdb24c710ac09feb9314d32d080c280459d81204170bef4e",
+    "classical_zooming_sine_gaussian_traces.csv": "b7cddc29ed0cc2d8b0fcc33eb8aa6ab5ae8a2080e2f2046c6b617dcf9dc34be5",
+    "classical_zooming_triangle_bernoulli_summary.csv": "782095e4940cffc5af74ca41bf9506fbb299d9123b8f70fa688c12a64def99a3",
+    "classical_zooming_triangle_bernoulli_traces.csv": "29ad5ec5d9b4ffe3205abc1cc8399f9dbefa56ba10dddd7264cd081809c214e0",
+    "classical_zooming_triangle_gaussian_summary.csv": "b0123aefa2aa3430bbf3ade1d9c228c35288e2b0a17521f871cbd12a3fb332a2",
+    "classical_zooming_triangle_gaussian_traces.csv": "56409eb7a75a7f8fcd49c3bd236a979c6500d254cc867e55a4731b2f8b7c1278",
+    "classical_zooming_twodim_bernoulli_summary.csv": "b87307e35ea4e575c7c926ee8807c0b534a0a30a795c91b6aff42da090e2613a",
+    "classical_zooming_twodim_bernoulli_traces.csv": "1b5f265e442d82d21fb428417dd72e254edbdb362327d8981faafd7bbe6d20fc",
+    "classical_zooming_twodim_gaussian_summary.csv": "e82f76b1fb694af3c1f2b2c3c43b0ee47139e2a56c04942ec17d23abd923cca5",
+    "classical_zooming_twodim_gaussian_traces.csv": "f1de3df63508212bf0a9385dab361a3b002a313e8fc4908c23ecac241a76447e",
+    "qlae_bv_sine_gaussian_summary.csv": "a454c3f8b1e9bc95cfd4bbcb1861381883c381221a24764bdf9861078d227e14",
+    "qlae_bv_sine_gaussian_traces.csv": "fa4a8eb31676d3cdea2999ba32e3653faf23b7e1562f43c6ce20f1dc225f7c2f",
+    "qlae_bv_triangle_gaussian_summary.csv": "ed5dfd042733e13450a9d2e755dfc318cc3beb4862b5a18e1a9b87723ffc3e41",
+    "qlae_bv_triangle_gaussian_traces.csv": "e99f17030796c88cbc6a98eb499d9ff5b83d69b1c380e7b70a45d3f60941b2e6",
+    "qlae_bv_twodim_gaussian_summary.csv": "6b4adfa146d79c8cc238b49818a8ccc5b4f8c3bd53251f8f51b44f919adc5381",
+    "qlae_bv_twodim_gaussian_traces.csv": "8045a4353480f939c75bbb05e1cc05922b1e910a467fb11a793b0826b7522ae2",
+    "qlae_sine_bernoulli_summary.csv": "d782df38187db80a7a530a98db4f37cb92bbdfc98124aeeff8e41febb98c1f54",
+    "qlae_sine_bernoulli_traces.csv": "583a2ccce4af935d0d36b1e7b83a454aa51c1237593b39bcbda139876402bdfe",
+    "qlae_triangle_bernoulli_summary.csv": "02f4332720ebe5d34cc0a7d327da142b441f3de61115e8ef00019061b86579ad",
+    "qlae_triangle_bernoulli_traces.csv": "ea8b4bb32a8d09570e1cd2ecb74412856fe38f00395af5eefe5ab78e2c8eade4",
+    "qlae_twodim_bernoulli_summary.csv": "576a553f4f5631d7ef413cedc2a87cef9a896df9c9cde2ffa066afdc0f3dc96e",
+    "qlae_twodim_bernoulli_traces.csv": "1ee0f399d1380fb4751ba91d174e3ceb6a51fd427d93395b9a98e0f7ed172b72",
+    "qzooming_bv_sine_gaussian_summary.csv": "dc3bff17155197ddfbab02def5ab57cf5f099a46323ab69a074329fd2b5b83a6",
+    "qzooming_bv_sine_gaussian_traces.csv": "6a0cd09398f2aa1fd28d446c2a8105471a774e1b69fc3344e873138c55dd202d",
+    "qzooming_bv_triangle_gaussian_summary.csv": "8731511dd72a30dde2e3c3ab4752b3f29ba314d3add4d6c58374e0892286771a",
+    "qzooming_bv_triangle_gaussian_traces.csv": "c58aec60729ccc129307cf16fc0412c378b5944ef7a996df2d39f5fdc5581f50",
+    "qzooming_bv_twodim_gaussian_summary.csv": "4d6754611e543b2b4ac5cf6754c7a976692fbb585b006279650b6f85fef8e397",
+    "qzooming_bv_twodim_gaussian_traces.csv": "d2a7d24f7e5d463d1e5f36caece7fa33cf507993b649c9cf12e9c056d037ee63",
+    "qzooming_sine_bernoulli_summary.csv": "934ad4690e572a5ba405fcb5fe010477557827b0fc4d48b6da606be7a874e28f",
+    "qzooming_sine_bernoulli_traces.csv": "fba1dfe19ee3358eba2a745d07a8511eee7435c26e2939b3adfdd24175c585aa",
+    "qzooming_triangle_bernoulli_summary.csv": "89c5fdbecf8f1136ab2867de3bd54a993d481059cbb093ca883f3d78d8826753",
+    "qzooming_triangle_bernoulli_traces.csv": "50f5cc3be8a4bc0312dea455acb33eb80d0a7b18db798cae46bdc631b93fd83e",
+    "qzooming_twodim_bernoulli_summary.csv": "c12288c2e500e1d9db21277c76e2bf9798cf736ceeb6d21ee93d8126d4efbf28",
+    "qzooming_twodim_bernoulli_traces.csv": "1924a373a8f9ac7f28a2f87be07116a0f13b48c2d6c684a94d10779eea4e58d1",
+}
+
+
+def test_small_sweep_csvs_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("LIPZOOM_SEED", raising=False)
+    assert cli_main(SWEEP_ARGS + ["--out", str(tmp_path)]) == 0
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.glob("*.csv"))
+    }
+    assert sorted(got) == sorted(GOLDEN)
+    changed = sorted(name for name in GOLDEN if got[name] != GOLDEN[name])
+    assert not changed, f"CSV bytes changed: {changed}"

@@ -22,6 +22,7 @@ from lipzoom.harness import (
     sweep_cells,
     trial_rng,
 )
+from lipzoom.environment import qmc1_budget, qmc2_budget
 
 FAST = ExperimentConfig(algorithm="qzooming", reward="triangle", noise="bernoulli",
                         T=5_000, trials=2, master_seed=7)
@@ -55,6 +56,23 @@ def test_trial_rng_streams_distinct_and_stable():
     c = trial_rng(7, 0).random(4)
     assert not np.allclose(a, b)
     assert np.array_equal(a, c)
+
+
+def test_bv_fallback_stages_use_c1():
+    # sigma = 0.1: stages with eps >= 4*sigma charge the qmc1 budget, set by c1
+    base = replace(FAST, noise="gaussian", sigma=0.1, trials=1, audits=True)
+    for alg in ("qlae_bv", "qzooming_bv"):
+        a = run_single(replace(base, algorithm=alg, c1=2.0), 0)
+        b = run_single(replace(base, algorithm=alg, c1=4.0), 0)
+        assert a.checkpoints != b.checkpoints
+    res = run_single(replace(base, algorithm="qzooming_bv", c1=4.0), 0)
+    delta = base.delta / base.T
+    charged = sum(
+        qmc1_budget(r.eps, delta, 4.0) if r.eps >= 0.4 else qmc2_budget(r.eps, 0.1, delta)
+        for r in res.estimate_records
+    )
+    assert any(r.eps >= 0.4 for r in res.estimate_records)
+    assert res.total_rounds == charged
 
 
 def test_run_single_repeatable():
