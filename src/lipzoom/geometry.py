@@ -5,6 +5,14 @@ diameter is at most 1.  Packings are built by a deterministic greedy sweep
 over a finite lattice of candidate points; because a maximal packing is
 automatically a covering, the returned points also cover every lattice
 candidate inside the region to within the packing radius.
+
+The sweep is windowed: a point within distance r of x lies within r (r*sqrt(d)
+for the rescaled L2 metric) of x on every axis, so region membership and
+greedy exclusion only evaluate distances to the lattice cells in an
+axis-aligned index window around each ball.  Cells outside the window are
+too far to change either decision, and cells inside it are tested with the
+same `Metric.pairwise` formula on the same coordinates as a scan over the
+whole lattice, so the packing is exactly the full scan's.
 """
 
 from __future__ import annotations
@@ -55,6 +63,11 @@ class Metric:
         """Distance matrix between rows of `a` (n,d) and rows of `b` (m,d)."""
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
+        if a.shape[1:] != (self.dimension,) or b.shape[1:] != (self.dimension,):
+            raise GeometryError(
+                f"point dimension mismatch: expected {self.dimension} columns, "
+                f"got shapes {a.shape} and {b.shape}"
+            )
         diff = np.abs(a[:, None, :] - b[None, :, :])
         if self.kind == MetricKind.LINF or self.kind == MetricKind.ABSOLUTE:
             return diff.max(axis=2)
@@ -88,6 +101,15 @@ class ActiveRegion:
         return (d <= self.radius).any(axis=1)
 
 
+def _axis(spacing: float) -> np.ndarray:
+    """Lattice coordinates along one axis: k*spacing, then 1.0 if short of it."""
+    n = int(np.floor(1.0 / spacing + 1e-12))
+    axis = np.arange(n + 1) * spacing
+    if axis[-1] < 1.0 - 1e-12:
+        axis = np.append(axis, 1.0)
+    return np.minimum(axis, 1.0)
+
+
 def lattice(dimension: int, spacing: float) -> np.ndarray:
     """Row-major lattice over [0,1]^d with the given spacing.
 
@@ -96,13 +118,24 @@ def lattice(dimension: int, spacing: float) -> np.ndarray:
     """
     if spacing <= 0:
         raise GeometryError(f"lattice spacing must be positive, got {spacing}")
-    n = int(np.floor(1.0 / spacing + 1e-12))
-    axis = np.arange(n + 1) * spacing
-    if axis[-1] < 1.0 - 1e-12:
-        axis = np.append(axis, 1.0)
-    axis = np.minimum(axis, 1.0)
+    axis = _axis(spacing)
     grids = np.meshgrid(*([axis] * dimension), indexing="ij")
     return np.stack(grids, axis=-1).reshape(-1, dimension)
+
+
+def _reach(metric: Metric, r: float) -> float:
+    """Per-axis half-width of a radius-r ball, with slack for rounding."""
+    scale = np.sqrt(metric.dimension) if metric.kind == MetricKind.L2 else 1.0
+    return r * scale + 1e-9
+
+
+def _window_distances(
+    grid: np.ndarray, window: tuple[slice, ...], point: np.ndarray, metric: Metric
+) -> np.ndarray:
+    """Distances from `point` to the lattice cells of `window`, shaped like it."""
+    pts = grid[window]
+    dist = metric.pairwise(pts.reshape(-1, pts.shape[-1]), point)
+    return dist.reshape(pts.shape[:-1])
 
 
 def maximal_packing(
@@ -118,6 +151,15 @@ def maximal_packing(
     >= eps from every previously accepted point.  The result is therefore
     a packing, and by maximality an eps-covering of every lattice candidate
     inside the region.
+
+    Only distances inside index windows are evaluated.  Membership ORs,
+    for each centre, the closed-ball test over the cells within the ball's
+    per-axis reach; each acceptance clears the eligible cells closer than
+    eps within its eps-reach, and a forward cursor finds the next eligible
+    cell, since the sweep never returns to an earlier one.  Cells outside
+    a window are out of reach on some axis, and cells inside are tested
+    with the same `Metric.pairwise` values as a whole-lattice scan, so the
+    points and their order are exactly that scan's.
     """
     if eps <= 0:
         raise GeometryError(f"packing radius must be positive, got {eps}")
@@ -127,16 +169,39 @@ def maximal_packing(
         )
     if not region.centers:
         return []
-    cand = lattice(metric.dimension, spacing)
-    mask = region.contains_many(cand, metric)
-    cand = cand[mask]
-    if len(cand) == 0:
-        return []
-    eligible = np.ones(len(cand), dtype=bool)
+    d = metric.dimension
+    grid = lattice(d, spacing)
+    axis = _axis(spacing)
+    grid = grid.reshape((len(axis),) * d + (d,))
+
+    centres = np.asarray(region.centers, dtype=float)
+    if centres.shape[1:] != (d,):
+        raise GeometryError(
+            f"centre dimension mismatch: expected {d}, got shape {centres.shape}"
+        )
+    reach = _reach(metric, region.radius)
+    starts = np.searchsorted(axis, centres - reach, "left").tolist()
+    stops = np.searchsorted(axis, centres + reach, "right").tolist()
+    eligible = np.zeros(grid.shape[:-1], dtype=bool)
+    for c, start, stop in zip(centres, starts, stops):
+        window = tuple(map(slice, start, stop))
+        eligible[window] |= _window_distances(grid, window, c, metric) <= region.radius
+
+    # eps-windows per axis index, clipped at the cube's faces by searchsorted
+    reach = _reach(metric, eps)
+    lo = np.searchsorted(axis, axis - reach, "left").tolist()
+    hi = np.searchsorted(axis, axis + reach, "right").tolist()
+    flat = eligible.reshape(-1)
     accepted: list[Point] = []
-    while eligible.any():
-        i = int(np.argmax(eligible))
-        accepted.append(tuple(float(v) for v in cand[i]))
-        d = metric.pairwise(cand, cand[i : i + 1])[:, 0]
-        eligible &= d >= eps
+    i = 0
+    while i < flat.size:
+        i += int(flat[i:].argmax())
+        if not flat[i]:
+            break
+        idx = np.unravel_index(i, eligible.shape)
+        p = grid[idx]
+        accepted.append(tuple(p.tolist()))
+        window = tuple(slice(lo[k], hi[k]) for k in idx)
+        eligible[window] &= _window_distances(grid, window, p, metric) >= eps
+        i += 1
     return accepted

@@ -9,9 +9,11 @@ from lipzoom.geometry import (
     GeometryError,
     Metric,
     MetricKind,
+    Point,
     lattice,
     maximal_packing,
 )
+from lipzoom.harness import ExperimentConfig, run_single
 
 
 def test_absolute_distance():
@@ -53,6 +55,32 @@ def test_pairwise_matches_distance():
     for i in range(5):
         for j in range(4):
             assert d[i, j] == pytest.approx(m.distance(tuple(a[i]), tuple(b[j])))
+
+
+def test_pairwise_rejects_dimension_mismatch():
+    m = Metric(MetricKind.LINF, 2)
+    with pytest.raises(GeometryError):
+        m.pairwise([[0.1, 0.9]], [[0.1]])
+    with pytest.raises(GeometryError):
+        m.pairwise([[0.1]], [[0.1, 0.9]])
+    with pytest.raises(GeometryError):
+        Metric(MetricKind.ABSOLUTE, 1).pairwise([[0.1, 0.9]], [[0.1, 0.9]])
+
+
+def test_contains_many_rejects_dimension_mismatch():
+    region = ActiveRegion(((0.5,),), 0.1)
+    with pytest.raises(GeometryError):
+        region.contains_many(np.array([[0.5, 0.5]]), Metric(MetricKind.LINF, 2))
+
+
+def test_packing_rejects_dimension_mismatch():
+    region = ActiveRegion(((0.5,),), 0.1)
+    with pytest.raises(GeometryError):
+        maximal_packing(region, Metric(MetricKind.LINF, 2), 0.5, 1 / 8)
+    with pytest.raises(GeometryError):
+        maximal_packing(
+            ActiveRegion(((0.5, 0.5),), 0.1), Metric(MetricKind.ABSOLUTE, 1), 0.5, 1 / 8
+        )
 
 
 def test_lattice_endpoints():
@@ -124,11 +152,13 @@ def test_packing_empty_region():
 
 # --- property-based checks: packing and maximality-implies-covering ---
 
-_metrics = st.sampled_from([
+_PACKING_METRICS = [
     Metric(MetricKind.ABSOLUTE, 1),
     Metric(MetricKind.LINF, 2),
     Metric(MetricKind.L2, 2),
-])
+]
+_METRIC_IDS = ["abs-1d", "linf-2d", "l2-2d"]
+_metrics = st.sampled_from(_PACKING_METRICS)
 
 
 @st.composite
@@ -165,3 +195,101 @@ def test_packing_properties(case):
         assert len(pts) > 0
         cover = metric.pairwise(inside, arr).min(axis=1)
         assert cover.max() < eps + 1e-12
+
+
+# --- windowed packing against the whole-lattice pairwise scan ---
+
+def _reference_packing(
+    region: ActiveRegion,
+    metric: Metric,
+    eps: float,
+    spacing: float,
+) -> list[Point]:
+    """Greedy maximal eps-packing of a ball-union region over a lattice.
+
+    Candidates are scanned in row-major order (lowest coordinates first);
+    a candidate is accepted iff it lies in the region and is at distance
+    >= eps from every previously accepted point.  The result is therefore
+    a packing, and by maximality an eps-covering of every lattice candidate
+    inside the region.
+    """
+    if eps <= 0:
+        raise GeometryError(f"packing radius must be positive, got {eps}")
+    if spacing > eps / 4 + 1e-12:
+        raise GeometryError(
+            f"lattice spacing {spacing} too coarse for eps={eps}; need <= eps/4"
+        )
+    if not region.centers:
+        return []
+    cand = lattice(metric.dimension, spacing)
+    mask = region.contains_many(cand, metric)
+    cand = cand[mask]
+    if len(cand) == 0:
+        return []
+    eligible = np.ones(len(cand), dtype=bool)
+    accepted: list[Point] = []
+    while eligible.any():
+        i = int(np.argmax(eligible))
+        accepted.append(tuple(float(v) for v in cand[i]))
+        d = metric.pairwise(cand, cand[i : i + 1])[:, 0]
+        eligible &= d >= eps
+    return accepted
+
+
+def _random_packing_case(rng, metric):
+    """Off-lattice centres, some near a face, with dyadic or non-dyadic spacing."""
+    d = metric.dimension
+    eps = 2.0 ** -int(rng.integers(1, 7))
+    # the reference costs (accepted points) x (region candidates), so in
+    # 2-D the radius is capped at 4 eps to keep the deep packings cheap
+    radius = float(rng.uniform(0.05, 0.5 if d == 1 else min(0.5, 4 * eps)))
+    centres = rng.random((int(rng.integers(1, 9)), d))
+    near_face = rng.random(centres.shape) < 0.25
+    k = int(near_face.sum())
+    centres[near_face] = rng.choice([0.0, 0.97], k) + 0.03 * rng.random(k)
+    spacing = eps / 4 if rng.random() < 0.5 else float(rng.uniform(eps / 8, eps / 4))
+    region = ActiveRegion(tuple(tuple(c) for c in centres.tolist()), radius)
+    return region, eps, spacing
+
+
+@pytest.mark.parametrize("metric, seed", zip(_PACKING_METRICS, [1, 2, 3]), ids=_METRIC_IDS)
+def test_packing_matches_reference_on_random_regions(metric, seed):
+    rng = np.random.default_rng(seed)
+    for case in range(180):
+        region, eps, spacing = _random_packing_case(rng, metric)
+        got = maximal_packing(region, metric, eps, spacing)
+        want = _reference_packing(region, metric, eps, spacing)
+        assert got == want, (case, region, eps, spacing)
+
+
+@pytest.mark.parametrize("metric", _PACKING_METRICS, ids=_METRIC_IDS)
+@pytest.mark.parametrize("eps", [0.5, 0.125, 1 / 16])
+def test_packing_matches_reference_on_whole_space(metric, eps):
+    region = ActiveRegion.whole_space(metric.dimension)
+    for spacing in (eps / 4, eps / 5.5):
+        want = _reference_packing(region, metric, eps, spacing)
+        assert maximal_packing(region, metric, eps, spacing) == want
+
+
+@pytest.mark.parametrize("metric", _PACKING_METRICS, ids=_METRIC_IDS)
+def test_packing_matches_reference_on_empty_regions(metric):
+    outside = ActiveRegion((tuple([2.0] * metric.dimension),), 0.1)
+    assert _reference_packing(outside, metric, 0.25, 1 / 16) == []
+    assert maximal_packing(outside, metric, 0.25, 1 / 16) == []
+
+
+def test_packing_matches_reference_on_qlae_survivor_regions():
+    # the stages of a deep qlae run: survivors at eps re-packed at eps/2
+    config = ExperimentConfig(
+        algorithm="qlae", reward="twodim", T=600_000, master_seed=7, audits=True
+    )
+    result = run_single(config, 0)
+    metric = config.metric()
+    stages = [a for a in result.stage_audits if a.survivors]
+    assert stages[-1].survivors[0][1] <= 1 / 32
+    for audit in stages:
+        eps = audit.survivors[0][1]
+        region = ActiveRegion(tuple(x for x, _ in audit.survivors), eps)
+        got = maximal_packing(region, metric, eps / 2, eps / 8)
+        assert got == _reference_packing(region, metric, eps / 2, eps / 8)
+        assert len(got) > 0

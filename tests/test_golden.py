@@ -1,4 +1,8 @@
-"""Golden output: the small sweep's CSVs are pinned byte for byte.
+"""Golden output: the small sweep's CSVs and two deep qlae runs are pinned byte for byte.
+
+At T=5000 qlae/twodim stops at the eps=1/8 packing (81 points); at T=6·10^5
+it reaches the eps=1/64 packing (355 points), so the deep pins cover the
+large packings the small sweep never builds.
 
 A change that is meant to keep behaviour must keep these SHA-256 digests.
 They depend on numpy's PCG64 streams and float formatting, so a numpy
@@ -7,6 +11,8 @@ stated.
 """
 
 import hashlib
+
+import pytest
 
 from lipzoom.cli import cli_main
 
@@ -62,3 +68,41 @@ def test_small_sweep_csvs_match_golden_digests(tmp_path, monkeypatch):
     assert sorted(got) == sorted(GOLDEN)
     changed = sorted(name for name in GOLDEN if got[name] != GOLDEN[name])
     assert not changed, f"CSV bytes changed: {changed}"
+
+
+DEEP_QLAE = ["--reward", "twodim", "--T", "600000", "--master-seed", "7"]
+
+DEEP_RUNS = {
+    ("qlae", "bernoulli"): {
+        "qlae_twodim_bernoulli_summary.csv": "64e4fd33d3619873e9d1fdfec22d7e00b0f84c597c7d5c1c60c8a5a4f6419436",
+        "qlae_twodim_bernoulli_traces.csv": "afec5ab633c6629b39bc6c4c8ef908b688a9c795fe078d284cb44934c2ea6749",
+    },
+    ("qlae_bv", "gaussian"): {
+        "qlae_bv_twodim_gaussian_summary.csv": "a8fcc5de5fcc66e5f7e1213b1d38ad69aae54ee195aa2f93954183b1da558964",
+        "qlae_bv_twodim_gaussian_traces.csv": "845383214fde541d0d40d98e0e6fab26de5d1d4a376238f34cb963a25bae21d7",
+    },
+}
+
+DEEP_AUDIT_STDOUT = (
+    "trial 0: estimates=656 clean-violations=0 gap-violations=0 survival-misses=0\n"
+    "clean-event violation fraction: 0.0000 over 656 estimates\n"
+)
+
+
+@pytest.mark.parametrize("algorithm, noise", sorted(DEEP_RUNS))
+def test_deep_qlae_run_csvs_match_golden_digests(algorithm, noise, tmp_path, monkeypatch):
+    monkeypatch.delenv("LIPZOOM_SEED", raising=False)
+    argv = ["run", "--algorithm", algorithm, "--noise", noise, "--trials", "1"]
+    assert cli_main(argv + DEEP_QLAE + ["--out", str(tmp_path)]) == 0
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.glob("*.csv"))
+    }
+    assert got == DEEP_RUNS[algorithm, noise]
+
+
+def test_deep_qlae_audit_stdout_matches_golden(capsys, monkeypatch):
+    monkeypatch.delenv("LIPZOOM_SEED", raising=False)
+    argv = ["audit", "--algorithm", "qlae", "--noise", "bernoulli"] + DEEP_QLAE
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == DEEP_AUDIT_STDOUT
