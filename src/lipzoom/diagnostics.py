@@ -4,12 +4,13 @@ dimension fits, clean-event and gap-bound lemma checks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .algorithms import EstimateRecord, StageAudit
 from .environment import RewardModel
-from .geometry import Metric, Point, lattice
+from .geometry import Metric, Point, _reach, lattice
 
 
 @dataclass(frozen=True)
@@ -40,14 +41,29 @@ class LemmaReport:
     survival_misses: int
 
 
+@lru_cache(maxsize=1)
+def _lattice_gaps(
+    model: RewardModel, dimension: int, spacing: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice and the gap of each of its points, both read-only.
+
+    A dimension fit asks for the near-optimal sets of one lattice at every
+    radius, so the per-point gap loop runs once per fit, not once per radius.
+    """
+    cand = lattice(dimension, spacing)
+    gaps = np.array([model.gap(tuple(p)) for p in cand])
+    cand.flags.writeable = False
+    gaps.flags.writeable = False
+    return cand, gaps
+
+
 def near_optimal_set(
     model: RewardModel, metric: Metric, r: float, spacing: float
 ) -> list[Point]:
-    """Lattice points whose optimality gap lies in [r, 2r)."""
+    """Lattice points whose optimality gap lies in [r, 2r), in row-major order."""
     if not (0 < r <= 1):
         raise ValueError(f"r must be in (0,1], got {r}")
-    cand = lattice(metric.dimension, spacing)
-    gaps = np.array([model.gap(tuple(p)) for p in cand])
+    cand, gaps = _lattice_gaps(model, metric.dimension, spacing)
     mask = (gaps >= r) & (gaps < 2 * r)
     return [tuple(p) for p in cand[mask]]
 
@@ -78,24 +94,46 @@ def _greedy_cover_count(
     coverage matrix; any point the subsample cannot reach gets itself as a
     center, so the result is always a valid cover count (an upper bound on
     the optimum, as for plain greedy).
+
+    `pts` must be sorted on its first column, as row-major lattice subsets
+    are.  A point farther than the ball's per-axis reach from a center on
+    that axis is outside the ball, so each ball is computed only over the
+    index window of points within reach, and equals the full-width one.
+    Each candidate's gain, the uncovered points its ball holds, is kept up
+    to date by subtracting the points each pick newly covers.
     """
     n = len(pts)
     stride = max(1, -(-n // cand_cap))
     cand = np.arange(0, n, stride)
+    # each point's index window of the points within reach on axis 0; both
+    # ends are non-decreasing, so the candidates whose window meets an index
+    # range [lo, hi) form one run of rows
+    x0 = pts[:, 0]
+    reach = _reach(metric, radius)
+    starts = np.searchsorted(x0, x0 - reach, "left")
+    stops = np.searchsorted(x0, x0 + reach, "right")
+    row_starts, row_stops = starts[cand], stops[cand]
     cover = np.zeros((len(cand), n), dtype=bool)
-    for lo in range(0, len(cand), 256):
-        sel = cand[lo:lo + 256]
-        cover[lo:lo + len(sel)] = metric.pairwise(pts[sel], pts) <= radius
+    windows = zip(cand.tolist(), row_starts.tolist(), row_stops.tolist())
+    for row, (c, lo, hi) in enumerate(windows):
+        cover[row, lo:hi] = metric.pairwise(pts[c], pts[lo:hi])[0] <= radius
+    gains = cover.sum(axis=1)
     uncovered = np.ones(n, dtype=bool)
     count = 0
     while uncovered.any():
-        gains = (cover & uncovered[None, :]).sum(axis=1)
         best = int(np.argmax(gains))
         if gains[best] == 0:
             j = int(np.argmax(uncovered))
-            uncovered &= ~(metric.pairwise(pts[j:j + 1], pts)[0] <= radius)
+            lo, hi = starts[j], stops[j]
+            ball = metric.pairwise(pts[j], pts[lo:hi])[0] <= radius
         else:
-            uncovered &= ~cover[best]
+            lo, hi = row_starts[best], row_stops[best]
+            ball = cover[best, lo:hi]
+        newly = uncovered[lo:hi] & ball
+        rows = slice(np.searchsorted(row_stops, lo, "right"),
+                     np.searchsorted(row_starts, hi, "left"))
+        gains[rows] -= np.count_nonzero(cover[rows, lo:hi] & newly, axis=1)
+        uncovered[lo:hi] &= ~ball
         count += 1
     return count
 

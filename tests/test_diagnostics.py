@@ -7,6 +7,7 @@ import pytest
 
 from lipzoom.algorithms import EstimateRecord, StageAudit
 from lipzoom.diagnostics import (
+    _greedy_cover_count,
     audit_clean_event,
     audit_qlae_lemmas,
     audit_qzooming_lemma,
@@ -16,7 +17,7 @@ from lipzoom.diagnostics import (
     zooming_number,
 )
 from lipzoom.environment import custom_model, sine_model, triangle_model, twodim_model
-from lipzoom.geometry import Metric, MetricKind
+from lipzoom.geometry import Metric, MetricKind, lattice
 
 LINE = Metric(MetricKind.ABSOLUTE, 1)
 
@@ -68,6 +69,71 @@ def test_zooming_number_2d_greedy_upper_bound():
     metric = Metric(MetricKind.LINF, 2)
     n = zooming_number(model, metric, 0.25, spacing=1 / 128, divisor=3)
     assert n >= 1
+
+
+# --- windowed incremental greedy cover against the dense greedy ---
+
+def _reference_greedy_cover_count(
+    pts: np.ndarray, metric: Metric, radius: float, cand_cap: int = 2048
+) -> int:
+    """Greedy set cover: centers restricted to the points themselves.
+
+    Candidate centers are subsampled to at most `cand_cap` to bound the
+    coverage matrix; any point the subsample cannot reach gets itself as a
+    center, so the result is always a valid cover count (an upper bound on
+    the optimum, as for plain greedy).
+    """
+    n = len(pts)
+    stride = max(1, -(-n // cand_cap))
+    cand = np.arange(0, n, stride)
+    cover = np.zeros((len(cand), n), dtype=bool)
+    for lo in range(0, len(cand), 256):
+        sel = cand[lo:lo + 256]
+        cover[lo:lo + len(sel)] = metric.pairwise(pts[sel], pts) <= radius
+    uncovered = np.ones(n, dtype=bool)
+    count = 0
+    while uncovered.any():
+        gains = (cover & uncovered[None, :]).sum(axis=1)
+        best = int(np.argmax(gains))
+        if gains[best] == 0:
+            j = int(np.argmax(uncovered))
+            uncovered &= ~(metric.pairwise(pts[j:j + 1], pts)[0] <= radius)
+        else:
+            uncovered &= ~cover[best]
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("cand_cap", [16, 64, 2048])
+@pytest.mark.parametrize(
+    "metric", [Metric(MetricKind.LINF, 2), Metric(MetricKind.L2, 2)], ids=["linf", "l2"]
+)
+def test_greedy_cover_matches_reference_on_lattice_subsets(metric, cand_cap):
+    rng = np.random.default_rng(cand_cap)
+    for case in range(20):
+        # row-major lattice subsets, as near_optimal_set returns them: a
+        # random annulus around a random peak, thinned at random
+        spacing = 1 / int(rng.choice([16, 32, 48]))
+        cand = lattice(2, spacing)
+        peak = rng.random(2)
+        dist = metric.pairwise(cand, peak)[:, 0]
+        r = float(rng.uniform(0.05, 0.4))
+        keep = (dist >= r) & (dist < 2 * r) & (rng.random(len(cand)) < 0.9)
+        pts = cand[keep]
+        if not len(pts):
+            continue
+        radius = r / int(rng.choice([2, 3, 14, 16]))
+        want = _reference_greedy_cover_count(pts, metric, radius, cand_cap)
+        assert _greedy_cover_count(pts, metric, radius, cand_cap) == want, case
+
+
+def test_greedy_cover_zero_gain_fallback():
+    # one candidate centre (the first point) reaches only itself, so the
+    # second point can only be covered by the zero-gain fallback
+    pts = np.array([[0.0, 0.0], [1.0, 1.0]])
+    metric = Metric(MetricKind.LINF, 2)
+    assert _reference_greedy_cover_count(pts, metric, 0.1, cand_cap=1) == 2
+    assert _greedy_cover_count(pts, metric, 0.1, cand_cap=1) == 2
 
 
 def test_fit_dimension_triangle_small():

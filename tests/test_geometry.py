@@ -57,6 +57,51 @@ def test_pairwise_matches_distance():
             assert d[i, j] == pytest.approx(m.distance(tuple(a[i]), tuple(b[j])))
 
 
+def _reference_pairwise(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance matrix between rows of `a` (n,d) and rows of `b` (m,d)."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    if a.shape[1:] != (metric.dimension,) or b.shape[1:] != (metric.dimension,):
+        raise GeometryError(
+            f"point dimension mismatch: expected {metric.dimension} columns, "
+            f"got shapes {a.shape} and {b.shape}"
+        )
+    diff = np.abs(a[:, None, :] - b[None, :, :])
+    if metric.kind == MetricKind.LINF or metric.kind == MetricKind.ABSOLUTE:
+        return diff.max(axis=2)
+    return np.sqrt((diff * diff).sum(axis=2)) / np.sqrt(metric.dimension)
+
+
+_PAIRWISE_METRICS = (
+    [Metric(MetricKind.ABSOLUTE, 1)]
+    + [Metric(MetricKind.LINF, d) for d in (1, 2, 3, 5)]
+    + [Metric(MetricKind.L2, d) for d in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "metric", _PAIRWISE_METRICS, ids=lambda m: f"{m.kind.value}-{m.dimension}d"
+)
+def test_pairwise_bit_identical_to_reference(metric):
+    rng = np.random.default_rng(metric.dimension)
+    d = metric.dimension
+    for _ in range(40):
+        n, m = (int(k) for k in rng.integers(1, 30, 2))
+        # points in [-0.5, 1.5]^d, so some lie off the cube; a third of `a`
+        # snapped to a 1/64 lattice, and rows of `b` shared with `a`
+        a = rng.uniform(-0.5, 1.5, (n, d))
+        b = rng.uniform(-0.5, 1.5, (m, d))
+        a[::3] = np.round(a[::3] * 64) / 64
+        k = min(n, m)
+        b[:k:2] = a[:k:2]
+        got = metric.pairwise(a, b)
+        want = _reference_pairwise(metric, a, b)
+        assert got.shape == want.shape == (n, m)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert np.array_equal(metric.pairwise(a[0], b), _reference_pairwise(metric, a[0], b))
+
+
 def test_pairwise_rejects_dimension_mismatch():
     m = Metric(MetricKind.LINF, 2)
     with pytest.raises(GeometryError):

@@ -106,3 +106,53 @@ def test_deep_qlae_audit_stdout_matches_golden(capsys, monkeypatch):
     argv = ["audit", "--algorithm", "qlae", "--noise", "bernoulli"] + DEEP_QLAE
     assert cli_main(argv) == 0
     assert capsys.readouterr().out == DEEP_AUDIT_STDOUT
+
+
+# `lipzoom dim` prints counts from the greedy cover (twodim) and the interval
+# sweep (triangle, sine).  At divisor 14 on twodim the subsampled candidate
+# centres leave points uncovered, so the cover's zero-gain fallback runs too.
+DIM_STDOUT = {
+    ("triangle", 3): (
+        "r=0.25  N_z=3\n"
+        "r=0.125  N_z=4\n"
+        "r=0.0625  N_z=4\n"
+        "r=0.03125  N_z=4\n"
+        "r=0.015625  N_z=4\n"
+        "r=0.0078125  N_z=4\n"
+        "fitted zooming dimension (divisor 3): 0.0593  (residual 0.0810)\n"
+    ),
+    ("sine", 3): (
+        "r=0.25  N_z=4\n"
+        "r=0.125  N_z=4\n"
+        "r=0.0625  N_z=4\n"
+        "r=0.03125  N_z=4\n"
+        "r=0.015625  N_z=6\n"
+        "r=0.0078125  N_z=8\n"
+        "fitted zooming dimension (divisor 3): 0.1930  (residual 0.1475)\n"
+    ),
+    ("twodim", 3): (
+        "r=0.25  N_z=37\n"
+        "r=0.125  N_z=56\n"
+        "r=0.0625  N_z=50\n"
+        "r=0.03125  N_z=53\n"
+        "r=0.015625  N_z=34\n"
+        "r=0.0078125  N_z=51\n"
+        "fitted zooming dimension (divisor 3): 0.0068  (residual 0.1892)\n"
+    ),
+    ("twodim", 14): (
+        "r=0.25  N_z=634\n"
+        "r=0.125  N_z=922\n"
+        "r=0.0625  N_z=528\n"
+        "r=0.03125  N_z=770\n"
+        "r=0.015625  N_z=193\n"
+        "r=0.0078125  N_z=51\n"
+        "fitted zooming dimension (divisor 14): 0.0000  (residual 0.5844)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("reward, divisor", sorted(DIM_STDOUT))
+def test_dim_stdout_matches_golden(reward, divisor, capsys, monkeypatch):
+    monkeypatch.delenv("LIPZOOM_SEED", raising=False)
+    assert cli_main(["dim", "--reward", reward, "--divisor", str(divisor)]) == 0
+    assert capsys.readouterr().out == DIM_STDOUT[reward, divisor]
