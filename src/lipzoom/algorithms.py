@@ -1,8 +1,10 @@
 """Bandit policies: quantum adaptive elimination, quantum zooming and a classical baseline.
 
-All five policies share the round ledger for regret accounting and can
-emit audit records (per-estimate accuracy and per-stage gap-bound data)
-consumed by the diagnostics module.
+Every policy runs until its next stage does not fit in the horizon T; there
+is no stage cap, and `PolicyResult.stages_completed` counts the stages that
+fit.  All five share the round ledger for regret accounting, and the quantum
+policies can emit audit records (per-estimate accuracy and per-stage
+gap-bound data) consumed by the diagnostics module.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -25,15 +26,6 @@ from .environment import (
     query_budget,
 )
 from .geometry import ActiveRegion, Metric, Point, lattice, maximal_packing
-
-# hard cap on elimination stages; eps = 2^-m underflows long after any
-# desk-scale horizon is exhausted, this just keeps tiny-T runs finite
-MAX_STAGES = 64
-
-
-class Termination(str, Enum):
-    HORIZON = "horizon_exhausted"
-    STAGE_CAP = "stage_cap_reached"
 
 
 @dataclass(frozen=True)
@@ -53,9 +45,10 @@ class StageAudit:
 
     For elimination runs `arms` is the active packing at stage start with
     the shared previous-stage radius, and `survivors` the post-elimination
-    set with the current radius.  For zooming runs `arms` carries each
-    active arm with its current confidence radius, taken before this
-    stage's halving of the selected arm.
+    set with the current radius; the stage the horizon cuts short has no
+    survivors.  For zooming runs `arms` carries each active arm with its
+    current confidence radius, taken before this stage's halving of the
+    selected arm.
     """
 
     stage: int
@@ -69,7 +62,6 @@ class PolicyResult:
     total_rounds: int
     final_regret: float
     stages_completed: int
-    termination: Termination
     estimate_records: list[EstimateRecord] = field(default_factory=list)
     stage_audits: list[StageAudit] = field(default_factory=list)
 
@@ -77,7 +69,6 @@ class PolicyResult:
 def _finish(
     ledger: RoundLedger,
     stages_completed: int,
-    termination: Termination,
     records: list[EstimateRecord],
     stage_audits: list[StageAudit],
 ) -> PolicyResult:
@@ -88,7 +79,6 @@ def _finish(
         total_rounds=ledger.consumed,
         final_regret=ledger.cumulative_regret,
         stages_completed=stages_completed,
-        termination=termination,
         estimate_records=records,
         stage_audits=stage_audits,
     )
@@ -113,45 +103,38 @@ def _run_elimination(
     arms = maximal_packing(region, metric, eps, spacing=eps / 4)
     records: list[EstimateRecord] = []
     stage_audits: list[StageAudit] = []
-    termination = Termination.STAGE_CAP
-    stages_completed = 0
 
-    for m in range(1, MAX_STAGES + 1):
+    # every estimate plays at least one round, so the horizon ends the loop
+    for m in itertools.count(1):
         eps = 2.0 ** -m
         if audits:
             stage_audits.append(
                 StageAudit(m, tuple((x, 2.0 ** -(m - 1)) for x in arms))
             )
-        estimates: dict[Point, float] = {}
-        exhausted = False
+        estimates: list[float] = []
         for x in arms:
             est, _, exhausted = qmc_estimate(
                 oracle, model, noise, x, eps, delta / T, ledger,
                 variant=variant, c1=c1, c2=c2,
             )
             if exhausted:
-                break
-            estimates[x] = est
+                # stage m did not fit in the horizon; its partial-budget
+                # estimates carry no contract, so no elimination runs on them
+                return _finish(ledger, m - 1, records, stage_audits)
+            estimates.append(est)
             if audits:
                 records.append(EstimateRecord(m, x, eps, est, model.mu(x)))
-        if exhausted:
-            # partial-budget estimates carry no contract: skip the update
-            termination = Termination.HORIZON
-            break
-        mu_max = max(estimates.values())
-        survivors = [x for x in arms if estimates[x] >= mu_max - 3.0 * eps]
+        mu_max = max(estimates)
+        survivors = [x for x, est in zip(arms, estimates) if est >= mu_max - 3.0 * eps]
         if audits:
             stage_audits[-1] = StageAudit(
                 m,
                 stage_audits[-1].arms,
                 tuple((x, eps) for x in survivors),
             )
-        stages_completed = m
         region = ActiveRegion(tuple(survivors), eps)
         eps_next = eps / 2.0
         arms = maximal_packing(region, metric, eps_next, spacing=eps_next / 4)
-
-    return _finish(ledger, stages_completed, termination, records, stage_audits)
 
 
 def run_qlae(
@@ -290,7 +273,7 @@ def _run_zooming(
             records.append(EstimateRecord(s, points[i], eps, est, model.mu(points[i])))
 
     # stage s did not fit in the horizon
-    return _finish(ledger, s - 1, Termination.HORIZON, records, stage_audits)
+    return _finish(ledger, s - 1, records, stage_audits)
 
 
 def run_qzooming(
@@ -385,4 +368,4 @@ def run_classical_zooming(
         cover.set_radius(i, r)
         ledger.consume(1, gaps[i])
 
-    return _finish(ledger, T, Termination.HORIZON, [], [])
+    return _finish(ledger, T, [], [])

@@ -17,6 +17,7 @@ from .harness import (
     NOISES,
     REWARDS,
     QMC_MODES,
+    SWEEP_DEFAULTS,
     emit_csv,
     emit_plot,
     run_experiment,
@@ -43,16 +44,18 @@ def _parse_config_file(path: str) -> dict:
             key, value = key.strip(), value.strip()
             if key not in types:
                 raise ConfigError([f"{path}:{lineno}: unknown config key {key!r}"])
-            if key in ("T", "trials", "master_seed", "grid_resolution", "checkpoint_every"):
-                out[key] = None if value.lower() == "none" else int(value)
-            elif key in ("sigma", "delta", "c1", "c2"):
-                out[key] = float(value)
-            elif key in ("fault_injection", "audits"):
-                if value.lower() not in _BOOL:
-                    raise ConfigError([f"{path}:{lineno}: bad boolean {value!r} for {key}"])
-                out[key] = _BOOL[value.lower()]
-            else:
-                out[key] = value
+            try:
+                if key in ("T", "trials", "master_seed", "grid_resolution", "checkpoint_every"):
+                    optional = key in ("grid_resolution", "checkpoint_every")
+                    out[key] = None if optional and value.lower() == "none" else int(value)
+                elif key in ("sigma", "delta", "c1", "c2"):
+                    out[key] = float(value)
+                elif key in ("fault_injection", "audits"):
+                    out[key] = _BOOL[value.lower()]
+                else:
+                    out[key] = value
+            except (KeyError, ValueError):
+                raise ConfigError([f"{path}:{lineno}: bad value {value!r} for {key}"]) from None
     return out
 
 
@@ -74,9 +77,7 @@ def _add_config_flags(p: argparse.ArgumentParser, with_algorithm: bool = True) -
                    action="store_true", default=None)
     p.add_argument("--no-fault-injection", dest="fault_injection", action="store_false")
     p.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
-    p.add_argument("--audits", action="store_true", default=None)
     p.add_argument("--config", metavar="FILE", help="key=value config file")
-    p.add_argument("--out", default="out", help="output directory")
 
 
 def _build_config(args: argparse.Namespace, defaults: ExperimentConfig) -> ExperimentConfig:
@@ -106,7 +107,6 @@ def _run_and_emit(config: ExperimentConfig, out: Path, label: str | None = None)
 
 def _cmd_run(args) -> int:
     config = _build_config(args, ExperimentConfig())
-    config.validate()
     out = Path(args.out)
     name, summary = _run_and_emit(config, out)
     emit_plot([(config.algorithm, summary)], out / f"{name}.svg")
@@ -115,12 +115,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base = _build_config(args, ExperimentConfig(T=50_000, trials=10, master_seed=7))
     out = Path(args.out)
-    cells = sweep_cells(base.T, base.trials, base.master_seed, base)
+    cells = sweep_cells(_build_config(args, SWEEP_DEFAULTS))
     panels: dict[tuple[str, str], list] = {}
     for config in cells:
-        config.validate()
         name, summary = _run_and_emit(config, out)
         panels.setdefault((config.reward, config.noise), []).append(
             (config.algorithm, summary)
@@ -160,11 +158,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    config = _build_config(args, ExperimentConfig())
-    if config.reward not in REWARDS:
-        raise ConfigError([f"reward must be one of {REWARDS}, got {config.reward!r}"])
-    model = REWARD_FACTORIES[config.reward]()
-    metric = config.metric()
+    model = REWARD_FACTORIES[args.reward]()
+    metric = ExperimentConfig(reward=args.reward).metric()
     spacing = 1.0 / 8192 if metric.dimension == 1 else 1.0 / 256
     divisor = args.divisor
     profile = diagnostics.fit_zooming_dimension(model, metric, spacing=spacing,
@@ -185,10 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment configuration")
     _add_config_flags(p_run)
+    p_run.add_argument("--out", default="out", help="output directory")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run all reward x noise panels")
     _add_config_flags(p_sweep, with_algorithm=False)
+    p_sweep.add_argument("--out", default="out", help="output directory")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_audit = sub.add_parser("audit", help="run with audits and report clean-event stats")
@@ -196,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.set_defaults(func=_cmd_audit)
 
     p_dim = sub.add_parser("dim", help="zooming-dimension diagnostic for a reward")
-    _add_config_flags(p_dim)
+    p_dim.add_argument("--reward", choices=REWARDS, default="triangle")
     p_dim.add_argument("--divisor", type=int, default=3, choices=(2, 3, 14, 16))
     p_dim.set_defaults(func=_cmd_dim)
     return parser

@@ -10,7 +10,7 @@ import numpy as np
 
 from .algorithms import EstimateRecord, StageAudit
 from .environment import RewardModel
-from .geometry import Metric, Point, _reach, lattice
+from .geometry import Metric, _reach, lattice
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,12 @@ def _lattice_gaps(
 
 def near_optimal_set(
     model: RewardModel, metric: Metric, r: float, spacing: float
-) -> list[Point]:
-    """Lattice points whose optimality gap lies in [r, 2r), in row-major order."""
+) -> np.ndarray:
+    """Lattice points with optimality gap in [r, 2r), an (n, d) array in row-major order."""
     if not (0 < r <= 1):
         raise ValueError(f"r must be in (0,1], got {r}")
     cand, gaps = _lattice_gaps(model, metric.dimension, spacing)
-    mask = (gaps >= r) & (gaps < 2 * r)
-    return [tuple(p) for p in cand[mask]]
+    return cand[(gaps >= r) & (gaps < 2 * r)]
 
 
 def _interval_cover_count(xs: np.ndarray, radius: float) -> int:
@@ -153,13 +152,12 @@ def zooming_number(
     if divisor not in (2, 3, 14, 16):
         raise ValueError(f"divisor must be one of 2, 3, 14, 16, got {divisor}")
     pts = near_optimal_set(model, metric, r, spacing)
-    if not pts:
+    if len(pts) == 0:
         return 0
-    arr = np.asarray(pts, dtype=float)
     radius = r / divisor
     if metric.dimension == 1:
-        return _interval_cover_count(arr[:, 0], radius)
-    return _greedy_cover_count(arr, metric, radius)
+        return _interval_cover_count(pts[:, 0], radius)
+    return _greedy_cover_count(pts, metric, radius)
 
 
 def fit_zooming_dimension(

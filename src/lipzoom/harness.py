@@ -288,18 +288,16 @@ def emit_plot(
     return path
 
 
-def sweep_cells(
-    T: int = 50_000,
-    trials: int = 10,
-    master_seed: int = 7,
-    base: ExperimentConfig | None = None,
-) -> list[ExperimentConfig]:
+SWEEP_DEFAULTS = ExperimentConfig(T=50_000, trials=10, master_seed=7)
+
+
+def sweep_cells(base: ExperimentConfig = SWEEP_DEFAULTS) -> list[ExperimentConfig]:
     """Configurations for the six (reward x noise) panels, three algorithms each.
 
+    Every cell is `base` with its algorithm, reward and noise replaced.
     Bernoulli panels pair the bounded-noise variants with the classical
     baseline; gaussian panels use the bounded-variance variants.
     """
-    base = base or ExperimentConfig()
     cells = []
     for reward in REWARDS:
         for noise in NOISES:
@@ -308,8 +306,5 @@ def sweep_cells(
             else:
                 algs = ("qlae_bv", "qzooming_bv", "classical_zooming")
             for alg in algs:
-                cells.append(replace(
-                    base, algorithm=alg, reward=reward, noise=noise,
-                    T=T, trials=trials, master_seed=master_seed,
-                ))
+                cells.append(replace(base, algorithm=alg, reward=reward, noise=noise))
     return cells

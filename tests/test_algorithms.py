@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lipzoom.algorithms import (
-    Termination,
     _Cover,
     run_classical_zooming,
     run_qlae,
@@ -24,11 +23,13 @@ from lipzoom.environment import (
     qmc1_budget,
     qmc2_budget,
     triangle_model,
+    twodim_model,
 )
 from lipzoom.geometry import Metric, MetricKind
 
 SIGMA = math.sqrt(0.1)
 LINE = Metric(MetricKind.ABSOLUTE, 1)
+SQUARE = Metric(MetricKind.LINF, 2)
 
 
 def _oracle(seed, fault=False):
@@ -124,11 +125,19 @@ def test_qlae_optimal_arm_survives():
             assert near <= eps_m + 1e-12
 
 
-def test_qlae_truncates_at_horizon_exactly():
-    model = triangle_model()
-    res = run_qlae(model, _bern(), _oracle(2), LINE, T=50, delta=0.05)
-    assert res.total_rounds == 50
-    assert res.termination is Termination.HORIZON
+@pytest.mark.parametrize("T", [1, 2, 3, 50, 20_000])
+@pytest.mark.parametrize("factory, metric", [(triangle_model, LINE), (twodim_model, SQUARE)],
+                         ids=["abs1d", "linf2d"])
+@pytest.mark.parametrize("run, noise", [(run_qlae, _bern), (run_qlae_bv, _gauss)],
+                         ids=["qlae", "qlae_bv"])
+def test_qlae_truncates_at_horizon_exactly(run, noise, factory, metric, T):
+    # elimination has no stage cap: it runs until a stage does not fit, and
+    # that last stage, cut short by the horizon, eliminates nothing
+    res = run(factory(), noise(), _oracle(2), metric, T=T, delta=0.05, audits=True)
+    assert res.total_rounds == T
+    assert [a.stage for a in res.stage_audits] == list(range(1, res.stages_completed + 2))
+    for a in res.stage_audits:
+        assert bool(a.survivors) == (a.stage <= res.stages_completed)
 
 
 def test_qlae_deterministic_given_seed():

@@ -1,14 +1,18 @@
 """Config validation, trial seeding, CSV/SVG emission and the CLI surface."""
 
+import importlib.util
 import os
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lipzoom.cli import cli_main
+from lipzoom.cli import build_parser, cli_main
 from lipzoom.harness import (
+    SWEEP_DEFAULTS,
     ConfigError,
     ExperimentConfig,
     RegretTrace,
@@ -144,7 +148,9 @@ def test_emit_plot_rejects_empty(tmp_path):
 
 
 def test_sweep_cells_structure():
-    cells = sweep_cells(1000, 2, 7)
+    assert sweep_cells() == sweep_cells(SWEEP_DEFAULTS)
+    assert {(c.T, c.trials, c.master_seed) for c in sweep_cells()} == {(50_000, 10, 7)}
+    cells = sweep_cells(replace(SWEEP_DEFAULTS, T=1000, trials=2))
     assert len(cells) == 18
     gauss = [c for c in cells if c.noise == "gaussian"]
     assert all(c.algorithm in ("qlae_bv", "qzooming_bv", "classical_zooming")
@@ -200,6 +206,40 @@ def test_cli_bad_config_file(tmp_path):
     cfg.write_text("no_such_key = 3\n")
     rc = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("line", ["T = 5e4", "T = none", "sigma = high",
+                                  "fault_injection = maybe"])
+def test_cli_bad_config_value_names_line(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"algorithm = qzooming\n{line}\n")
+    rc = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{cfg}:2: bad value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--audits"], ["sweep", "--audits"], ["audit", "--audits"], ["dim", "--audits"],
+    ["dim", "--T", "5"], ["audit", "--out", "x"],
+])
+def test_cli_rejects_flags_no_subcommand_reads(argv):
+    assert cli_main(argv) == 2
+
+
+def test_cli_accepts_benchmark_commands(monkeypatch):
+    # every CLI argument list the benchmark's workloads run must still parse;
+    # the worker script is imported as is and left without a bytecode cache
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "worker.py"
+    spec = importlib.util.spec_from_file_location("bench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    parser = build_parser()
+    for workload in worker.WORKLOADS:
+        ops = worker.build_ops(workload, 23, Path("unused"))
+        assert ops
+        for argv in ops:
+            parser.parse_args(argv)
 
 
 def test_cli_dim_subcommand(capsys):
