@@ -7,16 +7,13 @@ zooming dimension, which governs how hard a function is to optimize.
 
 from lipzoom.diagnostics import fit_zooming_dimension
 from lipzoom.environment import REWARD_FACTORIES
-from lipzoom.geometry import Metric, MetricKind
 
 
 def main():
     for name, factory in REWARD_FACTORIES.items():
         model = factory()
-        metric = (Metric(MetricKind.LINF, 2) if name == "twodim"
-                  else Metric(MetricKind.ABSOLUTE, 1))
-        spacing = 1 / 8192 if metric.dimension == 1 else 1 / 256
-        prof = fit_zooming_dimension(model, metric, spacing=spacing)
+        spacing = 1 / 8192 if model.metric.dimension == 1 else 1 / 256
+        prof = fit_zooming_dimension(model, model.metric, spacing=spacing)
         counts = ", ".join(f"{r:g}:{c}" for r, c in zip(prof.radii, prof.counts))
         print(f"{name:>8}: dim {prof.fitted_dimension:.3f} "
               f"(residual {prof.fit_residual:.3f})  counts {counts}")

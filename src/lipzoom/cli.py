@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -11,27 +10,28 @@ from pathlib import Path
 from . import diagnostics
 from .environment import REWARD_FACTORIES
 from .harness import (
-    ALGORITHMS,
+    CHOICES,
     ConfigError,
     ExperimentConfig,
-    NOISES,
-    REWARDS,
-    QMC_MODES,
     SWEEP_DEFAULTS,
     emit_csv,
     emit_plot,
     run_experiment,
     run_single,
-    summarize,
     sweep_cells,
 )
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# value parsers by field annotation; an `X | None` field also takes `none`
+# in a config file
+_PARSE = {"int": int, "float": float, "str": str, "bool": lambda v: _BOOL[v.lower()]}
+# the values a flag or config-file key sets: every field but `audits`, which
+# no output of run or sweep reads and which audit always turns on
+_SETTABLE = {f.name: f.type for f in fields(ExperimentConfig) if f.name != "audits"}
 
 
 def _parse_config_file(path: str) -> dict:
     """Flat key=value file with keys matching ExperimentConfig field names."""
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
     out: dict = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -42,41 +42,27 @@ def _parse_config_file(path: str) -> dict:
                 raise ConfigError([f"{path}:{lineno}: expected key=value, got {line!r}"])
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in types:
+            if key not in _SETTABLE:
                 raise ConfigError([f"{path}:{lineno}: unknown config key {key!r}"])
+            base, _, optional = _SETTABLE[key].partition(" | ")
             try:
-                if key in ("T", "trials", "master_seed", "grid_resolution", "checkpoint_every"):
-                    optional = key in ("grid_resolution", "checkpoint_every")
-                    out[key] = None if optional and value.lower() == "none" else int(value)
-                elif key in ("sigma", "delta", "c1", "c2"):
-                    out[key] = float(value)
-                elif key in ("fault_injection", "audits"):
-                    out[key] = _BOOL[value.lower()]
-                else:
-                    out[key] = value
+                out[key] = (None if optional and value.lower() == "none"
+                            else _PARSE[base](value))
             except (KeyError, ValueError):
                 raise ConfigError([f"{path}:{lineno}: bad value {value!r} for {key}"]) from None
     return out
 
 
 def _add_config_flags(p: argparse.ArgumentParser, with_algorithm: bool = True) -> None:
-    if with_algorithm:
-        p.add_argument("--algorithm", choices=ALGORITHMS)
-    p.add_argument("--reward", choices=REWARDS)
-    p.add_argument("--noise", choices=NOISES)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--T", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--master-seed", type=int, dest="master_seed")
-    p.add_argument("--c1", type=float)
-    p.add_argument("--c2", type=float)
-    p.add_argument("--grid-resolution", type=int, dest="grid_resolution")
-    p.add_argument("--qmc-mode", choices=QMC_MODES, dest="qmc_mode")
-    p.add_argument("--fault-injection", dest="fault_injection",
-                   action="store_true", default=None)
-    p.add_argument("--no-fault-injection", dest="fault_injection", action="store_false")
-    p.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
+    for name, annotation in _SETTABLE.items():
+        if name == "algorithm" and not with_algorithm:
+            continue
+        flag = "--" + name.replace("_", "-")
+        base = annotation.partition(" | ")[0]
+        if base == "bool":
+            p.add_argument(flag, action=argparse.BooleanOptionalAction)
+        else:
+            p.add_argument(flag, type=_PARSE[base], choices=CHOICES.get(name))
     p.add_argument("--config", metavar="FILE", help="key=value config file")
 
 
@@ -84,17 +70,10 @@ def _build_config(args: argparse.Namespace, defaults: ExperimentConfig) -> Exper
     overrides: dict = {}
     if getattr(args, "config", None):
         overrides.update(_parse_config_file(args.config))
-    # env seed sits between config file and explicit flags
-    env_seed = os.environ.get("LIPZOOM_SEED")
-    if env_seed is not None:
-        try:
-            overrides["master_seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError([f"LIPZOOM_SEED must be an integer, got {env_seed!r}"])
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
+    for name in _SETTABLE:
+        value = getattr(args, name, None)
         if value is not None:
-            overrides[f.name] = value
+            overrides[name] = value
     return replace(defaults, **overrides)
 
 
@@ -137,7 +116,6 @@ def _cmd_audit(args) -> int:
     if config.algorithm == "classical_zooming":
         raise ConfigError(["audit requires a quantum algorithm"])
     model = REWARD_FACTORIES[config.reward]()
-    metric = config.metric()
     total = viol = 0
     for trial in range(config.trials):
         result = run_single(config, trial)
@@ -145,13 +123,13 @@ def _cmd_audit(args) -> int:
         total += rep.total
         viol += rep.violations
         if config.algorithm.startswith("qlae"):
-            lem = diagnostics.audit_qlae_lemmas(result.stage_audits, model, metric)
-            print(f"trial {trial}: estimates={rep.total} clean-violations={rep.violations} "
-                  f"gap-violations={lem.gap_violations} survival-misses={lem.survival_misses}")
+            lem = diagnostics.audit_qlae_lemmas(result.stage_audits, model, model.metric)
+            misses = f" survival-misses={lem.survival_misses}"
         else:
-            lem = diagnostics.audit_qzooming_lemma(result.stage_audits, model)
-            print(f"trial {trial}: estimates={rep.total} clean-violations={rep.violations} "
-                  f"gap-violations={lem.gap_violations}")
+            lem = diagnostics.audit_qzooming_selected(result.estimate_records, model)
+            misses = ""
+        print(f"trial {trial}: estimates={rep.total} clean-violations={rep.violations} "
+              f"gap-violations={lem.gap_violations}{misses}")
     frac = viol / total if total else 0.0
     print(f"clean-event violation fraction: {frac:.4f} over {total} estimates")
     return 0
@@ -159,7 +137,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_dim(args) -> int:
     model = REWARD_FACTORIES[args.reward]()
-    metric = ExperimentConfig(reward=args.reward).metric()
+    metric = model.metric
     spacing = 1.0 / 8192 if metric.dimension == 1 else 1.0 / 256
     divisor = args.divisor
     profile = diagnostics.fit_zooming_dimension(model, metric, spacing=spacing,
@@ -193,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.set_defaults(func=_cmd_audit)
 
     p_dim = sub.add_parser("dim", help="zooming-dimension diagnostic for a reward")
-    p_dim.add_argument("--reward", choices=REWARDS, default="triangle")
+    p_dim.add_argument("--reward", choices=CHOICES["reward"], default="triangle")
     p_dim.add_argument("--divisor", type=int, default=3, choices=(2, 3, 14, 16))
     p_dim.set_defaults(func=_cmd_dim)
     return parser

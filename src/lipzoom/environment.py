@@ -16,10 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Point
+from .geometry import Metric, MetricKind, Point
 
 
-class EnvironmentError_(ValueError):
+class EnvironmentConfigError(ValueError):
     """Invalid environment configuration or contract violation."""
 
 
@@ -36,8 +36,8 @@ class RewardModel:
 
     `mu` clips the raw function into [0,1] so it is usable as a Bernoulli
     success probability; the benchmark functions dip slightly below 0 in
-    parts of the domain.  `lipschitz_constant` is the constant valid for
-    the metric the model is paired with.
+    parts of the domain.  `metric` is the arm space's metric, |.| on [0,1]
+    unless the model says otherwise, and `lipschitz_constant` is valid in it.
     """
 
     kind: RewardKind
@@ -45,6 +45,7 @@ class RewardModel:
     lipschitz_constant: float
     mu_star: float
     x_star: Point
+    metric: Metric = Metric(MetricKind.ABSOLUTE, 1)
 
     def mu(self, x: Point) -> float:
         return min(1.0, max(0.0, float(self.raw(x))))
@@ -74,8 +75,8 @@ def sine_model() -> RewardModel:
 
 
 def twodim_model() -> RewardModel:
-    # paired with the L-infinity metric on [0,1]^2; the euclidean gradient
-    # bound 0.95 + 0.3 converts by a factor sqrt(2)
+    # the euclidean gradient bound 0.95 + 0.3 converts to the L-infinity
+    # metric on [0,1]^2 by a factor sqrt(2)
     def raw(x: Point) -> float:
         d1 = math.hypot(x[0] - 0.8, x[1] - 0.7)
         d2 = math.hypot(x[0] - 0.0, x[1] - 1.0)
@@ -87,6 +88,7 @@ def twodim_model() -> RewardModel:
         lipschitz_constant=1.25 * math.sqrt(2.0),
         mu_star=1.2 - 0.3 * math.hypot(0.8, 0.3),
         x_star=(0.8, 0.7),
+        metric=Metric(MetricKind.LINF, 2),
     )
 
 
@@ -118,7 +120,7 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kind == NoiseKind.GAUSSIAN and self.sigma <= 0:
-            raise EnvironmentError_("gaussian noise requires sigma > 0")
+            raise EnvironmentConfigError("gaussian noise requires sigma > 0")
 
 
 def classical_sample(
@@ -134,9 +136,9 @@ def classical_sample(
 def qmc1_budget(eps: float, delta: float, c1: float = 2.0) -> int:
     """Query budget of the bounded-noise quantum mean estimator: ceil((c1/eps) ln(1/delta))."""
     if eps <= 0:
-        raise EnvironmentError_(f"eps must be positive, got {eps}")
+        raise EnvironmentConfigError(f"eps must be positive, got {eps}")
     if not (0 < delta < 1):
-        raise EnvironmentError_(f"delta must be in (0,1), got {delta}")
+        raise EnvironmentConfigError(f"delta must be in (0,1), got {delta}")
     return max(1, math.ceil((c1 / eps) * math.log(1.0 / delta)))
 
 
@@ -148,11 +150,11 @@ def qmc2_budget(eps: float, sigma: float, delta: float, c2: float = 2.0) -> int:
     Requires eps < 4*sigma.
     """
     if eps <= 0 or sigma <= 0:
-        raise EnvironmentError_(f"eps and sigma must be positive, got {eps}, {sigma}")
+        raise EnvironmentConfigError(f"eps and sigma must be positive, got {eps}, {sigma}")
     if not (0 < delta < 1):
-        raise EnvironmentError_(f"delta must be in (0,1), got {delta}")
+        raise EnvironmentConfigError(f"delta must be in (0,1), got {delta}")
     if eps >= 4 * sigma:
-        raise EnvironmentError_(
+        raise EnvironmentConfigError(
             f"bounded-variance budget needs eps < 4*sigma (eps={eps}, sigma={sigma})"
         )
     ratio = 8.0 * sigma / eps
@@ -179,11 +181,11 @@ def query_budget(
     """
     if variant == "qmc2":
         if noise.kind != NoiseKind.GAUSSIAN:
-            raise EnvironmentError_("qmc2 variant requires gaussian noise")
+            raise EnvironmentConfigError("qmc2 variant requires gaussian noise")
         if eps < 4 * noise.sigma:
             return qmc2_budget(eps, noise.sigma, delta, c2)
     elif variant != "qmc1":
-        raise EnvironmentError_(f"unknown qmc variant {variant!r}")
+        raise EnvironmentConfigError(f"unknown qmc variant {variant!r}")
     return qmc1_budget(eps, delta, c1)
 
 
@@ -224,11 +226,11 @@ class RoundLedger:
 
     def __post_init__(self):
         if self.horizon < 1:
-            raise EnvironmentError_(f"horizon must be >= 1, got {self.horizon}")
+            raise EnvironmentConfigError(f"horizon must be >= 1, got {self.horizon}")
         if self.checkpoint_every is None:
             self.checkpoint_every = max(1, self.horizon // 100)
         if self.checkpoint_every < 1:
-            raise EnvironmentError_("checkpoint_every must be >= 1")
+            raise EnvironmentConfigError("checkpoint_every must be >= 1")
 
     @property
     def remaining(self) -> int:

@@ -96,9 +96,6 @@ class ActiveRegion:
         # one ball of radius >= diameter centered anywhere covers [0,1]^d
         return cls((tuple([0.5] * dimension),), 1.0)
 
-    def contains(self, p: Point, metric: Metric) -> bool:
-        return any(metric.distance(c, p) <= self.radius for c in self.centers)
-
     def contains_many(self, pts: np.ndarray, metric: Metric) -> np.ndarray:
         if not self.centers:
             return np.zeros(len(pts), dtype=bool)

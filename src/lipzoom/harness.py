@@ -18,12 +18,14 @@ from .environment import (
     QuantumOracleSim,
     REWARD_FACTORIES,
 )
-from .geometry import Metric, MetricKind
 
-ALGORITHMS = ("qlae", "qlae_bv", "qzooming", "qzooming_bv", "classical_zooming")
-REWARDS = ("triangle", "sine", "twodim")
-NOISES = ("bernoulli", "gaussian")
-QMC_MODES = ("contract", "empirical")
+# the allowed values of each ExperimentConfig field that names a choice
+CHOICES = {
+    "algorithm": ("qlae", "qlae_bv", "qzooming", "qzooming_bv", "classical_zooming"),
+    "reward": tuple(REWARD_FACTORIES),
+    "noise": tuple(kind.value for kind in NoiseKind),
+    "qmc_mode": tuple(mode.value for mode in OracleMode),
+}
 
 
 class ConfigError(ValueError):
@@ -54,14 +56,10 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         problems = []
-        if self.algorithm not in ALGORITHMS:
-            problems.append(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.reward not in REWARDS:
-            problems.append(f"reward must be one of {REWARDS}, got {self.reward!r}")
-        if self.noise not in NOISES:
-            problems.append(f"noise must be one of {NOISES}, got {self.noise!r}")
-        if self.qmc_mode not in QMC_MODES:
-            problems.append(f"qmc_mode must be one of {QMC_MODES}, got {self.qmc_mode!r}")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                problems.append(f"{name} must be one of {allowed}, got {value!r}")
         if self.T < 1:
             problems.append(f"T must be >= 1, got {self.T}")
         if not (0 < self.delta < 1):
@@ -84,11 +82,6 @@ class ExperimentConfig:
             problems.append(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
         if problems:
             raise ConfigError(problems)
-
-    def metric(self) -> Metric:
-        if self.reward == "twodim":
-            return Metric(MetricKind.LINF, 2)
-        return Metric(MetricKind.ABSOLUTE, 1)
 
 
 @dataclass(frozen=True)
@@ -117,7 +110,6 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 def run_single(config: ExperimentConfig, trial: int) -> algorithms.PolicyResult:
     config.validate()
     model = REWARD_FACTORIES[config.reward]()
-    metric = config.metric()
     noise = NoiseModel(NoiseKind(config.noise),
                        config.sigma if config.noise == "gaussian" else 0.0)
     rng = trial_rng(config.master_seed, trial)
@@ -125,10 +117,10 @@ def run_single(config: ExperimentConfig, trial: int) -> algorithms.PolicyResult:
     if "zooming" in config.algorithm:
         kwargs["grid_resolution"] = config.grid_resolution
     if config.algorithm == "classical_zooming":
-        args: tuple = (model, noise, metric, config.T, rng)
+        args: tuple = (model, noise, model.metric, config.T, rng)
     else:
         oracle = QuantumOracleSim(OracleMode(config.qmc_mode), config.fault_injection, rng)
-        args = (model, noise, oracle, metric, config.T, config.delta)
+        args = (model, noise, oracle, model.metric, config.T, config.delta)
         kwargs.update(c1=config.c1, audits=config.audits)
         if config.algorithm.endswith("_bv"):
             kwargs["c2"] = config.c2
@@ -299,8 +291,8 @@ def sweep_cells(base: ExperimentConfig = SWEEP_DEFAULTS) -> list[ExperimentConfi
     baseline; gaussian panels use the bounded-variance variants.
     """
     cells = []
-    for reward in REWARDS:
-        for noise in NOISES:
+    for reward in CHOICES["reward"]:
+        for noise in CHOICES["noise"]:
             if noise == "bernoulli":
                 algs = ("qlae", "qzooming", "classical_zooming")
             else:

@@ -41,8 +41,6 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
 @pytest.fixture(scope="module")
 def sweep_dirs(tmp_path_factory):
     """Two executions of the full default sweep (T=50k, 10 trials, seed 7)."""
-    import os
-    os.environ.pop("LIPZOOM_SEED", None)
     a = tmp_path_factory.mktemp("sweep_a")
     b = tmp_path_factory.mktemp("sweep_b")
     for out in (a, b):
@@ -119,7 +117,8 @@ def _audited_run(algorithm, reward):
     cfg = ExperimentConfig(
         algorithm=algorithm, reward=reward, noise="bernoulli",
         T=50_000, trials=1, master_seed=7, fault_injection=False, audits=True)
-    return run_single(cfg, 0), REWARD_FACTORIES[reward](), cfg.metric()
+    model = REWARD_FACTORIES[reward]()
+    return run_single(cfg, 0), model, model.metric
 
 
 def test_criterion_3a_elimination_audits():

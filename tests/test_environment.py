@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lipzoom.environment import (
-    EnvironmentError_,
+    EnvironmentConfigError,
     NoiseKind,
     NoiseModel,
     OracleMode,
@@ -86,16 +86,16 @@ def test_qmc2_budget_examples():
 
 
 def test_qmc2_budget_precondition():
-    with pytest.raises(EnvironmentError_):
+    with pytest.raises(EnvironmentConfigError):
         qmc2_budget(4 * SIGMA, SIGMA, 0.05)
 
 
 def test_budget_validation():
-    with pytest.raises(EnvironmentError_):
+    with pytest.raises(EnvironmentConfigError):
         qmc1_budget(0.0, 0.05)
-    with pytest.raises(EnvironmentError_):
+    with pytest.raises(EnvironmentConfigError):
         qmc1_budget(0.5, 1.5)
-    with pytest.raises(EnvironmentError_):
+    with pytest.raises(EnvironmentConfigError):
         qmc2_budget(0.1, -1.0, 0.05)
 
 
@@ -131,7 +131,7 @@ def test_gaussian_sample_variance():
 
 
 def test_gaussian_noise_needs_sigma():
-    with pytest.raises(EnvironmentError_):
+    with pytest.raises(EnvironmentConfigError):
         NoiseModel(NoiseKind.GAUSSIAN, 0.0)
 
 
@@ -189,7 +189,7 @@ def test_qmc2_variant_fallback():
 def test_qmc2_variant_requires_gaussian():
     model = triangle_model()
     oracle = QuantumOracleSim(OracleMode.CONTRACT, False, np.random.default_rng(11))
-    with pytest.raises(EnvironmentError_):
+    with pytest.raises(EnvironmentConfigError):
         qmc_estimate(oracle, model, NoiseModel(NoiseKind.BERNOULLI), (0.2,),
                      0.1, 0.05, _fresh(), variant="qmc2")
 

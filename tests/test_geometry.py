@@ -1,5 +1,7 @@
 """Metric, region, lattice and packing tests, including property-based checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from lipzoom.geometry import (
     lattice,
     maximal_packing,
 )
+from lipzoom.environment import twodim_model
 from lipzoom.harness import ExperimentConfig, run_single
 
 
@@ -149,18 +152,35 @@ def test_lattice_bad_spacing():
         lattice(1, 0.0)
 
 
+def _contains(region: ActiveRegion, p: Point, metric: Metric) -> bool:
+    """Closed-ball membership of one point, a reference for ActiveRegion.contains_many.
+
+    Distances follow each metric's definition in plain Python, one centre at
+    a time, without the vectorised `Metric.pairwise`.
+    """
+    def dist(c: Point) -> float:
+        diff = [abs(a - b) for a, b in zip(c, p)]
+        if metric.kind == MetricKind.L2:
+            return math.sqrt(sum(x * x for x in diff)) / math.sqrt(metric.dimension)
+        return max(diff)
+
+    return any(dist(c) <= region.radius for c in region.centers)
+
+
 def test_whole_space_region_covers_everything():
     m = Metric(MetricKind.LINF, 2)
     region = ActiveRegion.whole_space(2)
-    assert region.contains((0.0, 1.0), m)
-    assert region.contains((1.0, 0.0), m)
+    assert _contains(region, (0.0, 1.0), m)
+    assert _contains(region, (1.0, 0.0), m)
+    assert region.contains_many(lattice(2, 0.25), m).all()
 
 
 def test_region_contains_boundary_closed():
     m = Metric(MetricKind.ABSOLUTE, 1)
     region = ActiveRegion(((0.25,),), 0.1)
-    assert region.contains((0.35,), m)       # boundary point: closed ball
-    assert not region.contains((0.36,), m)
+    assert _contains(region, (0.35,), m)       # boundary point: closed ball
+    assert not _contains(region, (0.36,), m)
+    assert region.contains_many(np.array([[0.35], [0.36]]), m).tolist() == [True, False]
 
 
 def test_packing_whole_interval_half():
@@ -228,7 +248,7 @@ def test_packing_properties(case):
     arr = np.asarray(pts, dtype=float)
     # membership
     for p in pts:
-        assert region.contains(p, metric)
+        assert _contains(region, p, metric)
     if len(pts) > 1:
         d = metric.pairwise(arr, arr)
         np.fill_diagonal(d, np.inf)
@@ -317,6 +337,16 @@ def test_packing_matches_reference_on_whole_space(metric, eps):
 
 
 @pytest.mark.parametrize("metric", _PACKING_METRICS, ids=_METRIC_IDS)
+def test_contains_many_matches_reference(metric):
+    rng = np.random.default_rng(5)
+    region = ActiveRegion(tuple(map(tuple, rng.random((3, metric.dimension)))), 0.2)
+    pts = rng.random((400, metric.dimension))
+    want = [_contains(region, tuple(p), metric) for p in pts]
+    assert region.contains_many(pts, metric).tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("metric", _PACKING_METRICS, ids=_METRIC_IDS)
 def test_packing_matches_reference_on_empty_regions(metric):
     outside = ActiveRegion((tuple([2.0] * metric.dimension),), 0.1)
     assert _reference_packing(outside, metric, 0.25, 1 / 16) == []
@@ -329,7 +359,7 @@ def test_packing_matches_reference_on_qlae_survivor_regions():
         algorithm="qlae", reward="twodim", T=600_000, master_seed=7, audits=True
     )
     result = run_single(config, 0)
-    metric = config.metric()
+    metric = twodim_model().metric
     stages = [a for a in result.stage_audits if a.survivors]
     assert stages[-1].survivors[0][1] <= 1 / 32
     for audit in stages:

@@ -58,8 +58,7 @@ GOLDEN = {
 }
 
 
-def test_small_sweep_csvs_match_golden_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv("LIPZOOM_SEED", raising=False)
+def test_small_sweep_csvs_match_golden_digests(tmp_path):
     assert cli_main(SWEEP_ARGS + ["--out", str(tmp_path)]) == 0
     got = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -90,8 +89,7 @@ DEEP_AUDIT_STDOUT = (
 
 
 @pytest.mark.parametrize("algorithm, noise", sorted(DEEP_RUNS))
-def test_deep_qlae_run_csvs_match_golden_digests(algorithm, noise, tmp_path, monkeypatch):
-    monkeypatch.delenv("LIPZOOM_SEED", raising=False)
+def test_deep_qlae_run_csvs_match_golden_digests(algorithm, noise, tmp_path):
     argv = ["run", "--algorithm", algorithm, "--noise", noise, "--trials", "1"]
     assert cli_main(argv + DEEP_QLAE + ["--out", str(tmp_path)]) == 0
     got = {
@@ -101,8 +99,7 @@ def test_deep_qlae_run_csvs_match_golden_digests(algorithm, noise, tmp_path, mon
     assert got == DEEP_RUNS[algorithm, noise]
 
 
-def test_deep_qlae_audit_stdout_matches_golden(capsys, monkeypatch):
-    monkeypatch.delenv("LIPZOOM_SEED", raising=False)
+def test_deep_qlae_audit_stdout_matches_golden(capsys):
     argv = ["audit", "--algorithm", "qlae", "--noise", "bernoulli"] + DEEP_QLAE
     assert cli_main(argv) == 0
     assert capsys.readouterr().out == DEEP_AUDIT_STDOUT
@@ -152,7 +149,6 @@ DIM_STDOUT = {
 
 
 @pytest.mark.parametrize("reward, divisor", sorted(DIM_STDOUT))
-def test_dim_stdout_matches_golden(reward, divisor, capsys, monkeypatch):
-    monkeypatch.delenv("LIPZOOM_SEED", raising=False)
+def test_dim_stdout_matches_golden(reward, divisor, capsys):
     assert cli_main(["dim", "--reward", reward, "--divisor", str(divisor)]) == 0
     assert capsys.readouterr().out == DIM_STDOUT[reward, divisor]

@@ -1,17 +1,19 @@
 """Config validation, trial seeding, CSV/SVG emission and the CLI surface."""
 
+import importlib
 import importlib.util
-import os
+import inspect
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lipzoom.cli import build_parser, cli_main
+from lipzoom.cli import _build_config, build_parser, cli_main
 from lipzoom.harness import (
+    CHOICES,
     SWEEP_DEFAULTS,
     ConfigError,
     ExperimentConfig,
@@ -26,7 +28,8 @@ from lipzoom.harness import (
     sweep_cells,
     trial_rng,
 )
-from lipzoom.environment import qmc1_budget, qmc2_budget
+from lipzoom.environment import REWARD_FACTORIES, qmc1_budget, qmc2_budget
+from lipzoom.geometry import Metric, MetricKind
 
 FAST = ExperimentConfig(algorithm="qzooming", reward="triangle", noise="bernoulli",
                         T=5_000, trials=2, master_seed=7)
@@ -49,9 +52,12 @@ def test_config_bv_requires_gaussian():
         replace(FAST, algorithm="qlae_bv", noise="bernoulli").validate()
 
 
-def test_config_metric_by_reward():
-    assert FAST.metric().dimension == 1
-    assert replace(FAST, reward="twodim").metric().dimension == 2
+def test_reward_model_carries_metric():
+    metrics = {name: make().metric for name, make in REWARD_FACTORIES.items()}
+    assert metrics == {"triangle": Metric(MetricKind.ABSOLUTE, 1),
+                       "sine": Metric(MetricKind.ABSOLUTE, 1),
+                       "twodim": Metric(MetricKind.LINF, 2)}
+    assert set(metrics) == set(CHOICES["reward"])
 
 
 def test_trial_rng_streams_distinct_and_stable():
@@ -179,26 +185,72 @@ def test_cli_unknown_flag_nonzero():
     assert cli_main(["run", "--definitely-not-a-flag"]) != 0
 
 
-def test_cli_config_file_and_env_seed(tmp_path, monkeypatch):
+def test_cli_flag_overrides_config_file_seed(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("algorithm = qzooming\nT = 3000\ntrials = 1\n"
-                   "# comment line\nfault_injection = false\n")
-    monkeypatch.setenv("LIPZOOM_SEED", "99")
-    rc = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])
-    assert rc == 0
-    # flag wins over the env var; env wins over the file default
-    rc = cli_main(["run", "--config", str(cfg), "--master-seed", "7",
-                   "--out", str(tmp_path / "b")])
-    assert rc == 0
-    ta = (tmp_path / "a" / "qzooming_triangle_bernoulli_traces.csv").read_text()
-    tb = (tmp_path / "b" / "qzooming_triangle_bernoulli_traces.csv").read_text()
+                   "# comment line\nfault_injection = false\nmaster_seed = 99\n")
+    argv = ["run", "--config", str(cfg)]
+    assert _build_config(build_parser().parse_args(argv), ExperimentConfig()).master_seed == 99
+    assert cli_main(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert cli_main(argv + ["--master-seed", "7", "--out", str(tmp_path / "b")]) == 0
+    assert cli_main(["run", "--algorithm", "qzooming", "--T", "3000", "--trials", "1",
+                     "--no-fault-injection", "--master-seed", "7",
+                     "--out", str(tmp_path / "c")]) == 0
+    ta, tb, tc = ((tmp_path / d / "qzooming_triangle_bernoulli_traces.csv").read_text()
+                  for d in "abc")
     assert ta != tb  # different seeds produce different traces
+    assert tb == tc  # the flag's seed replaced the file's
 
 
-def test_cli_bad_env_seed(tmp_path, monkeypatch):
-    monkeypatch.setenv("LIPZOOM_SEED", "not-a-number")
-    rc = cli_main(["run", "--T", "1000", "--trials", "1", "--out", str(tmp_path)])
-    assert rc == 2
+# a non-default value of every settable field: (its text, the parsed value)
+SETTABLE = {
+    "algorithm": ("qlae", "qlae"), "reward": ("twodim", "twodim"),
+    "noise": ("gaussian", "gaussian"), "sigma": ("0.5", 0.5), "T": ("1234", 1234),
+    "delta": ("0.1", 0.1), "trials": ("3", 3), "master_seed": ("11", 11),
+    "c1": ("3.5", 3.5), "c2": ("4.5", 4.5), "grid_resolution": ("64", 64),
+    "qmc_mode": ("empirical", "empirical"), "fault_injection": ("false", False),
+    "checkpoint_every": ("10", 10),
+}
+
+
+def test_settable_fields_are_every_field_but_audits():
+    assert set(SETTABLE) == {f.name for f in fields(ExperimentConfig)} - {"audits"}
+    dests = set(vars(build_parser().parse_args(["run"])))
+    assert dests - {"command", "func", "config", "out"} == set(SETTABLE)
+
+
+@pytest.mark.parametrize("name", sorted(SETTABLE))
+def test_field_round_trips_through_flag_and_config_file(name, tmp_path):
+    text, value = SETTABLE[name]
+    assert getattr(ExperimentConfig(), name) != value
+    flag = "--" + name.replace("_", "-")
+    if isinstance(value, bool):
+        flags = [flag if value else "--no-" + flag[2:]]
+    else:
+        flags = [flag, text]
+    parser = build_parser()
+    from_flag = _build_config(parser.parse_args(["run"] + flags), ExperimentConfig())
+    assert from_flag == replace(ExperimentConfig(), **{name: value})
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{name} = {text}\n")
+    from_file = _build_config(parser.parse_args(["run", "--config", str(cfg)]),
+                              ExperimentConfig())
+    assert from_file == from_flag
+
+
+@pytest.mark.parametrize("name", ["grid_resolution", "checkpoint_every"])
+def test_optional_field_accepts_none_in_config_file(name, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{name} = None\n")
+    args = build_parser().parse_args(["run", "--config", str(cfg)])
+    assert getattr(_build_config(args, replace(ExperimentConfig(), **{name: 5})), name) is None
+
+
+def test_cli_audits_is_not_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("T = 1000\naudits = true\n")
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "unknown config key 'audits'" in capsys.readouterr().err
 
 
 def test_cli_bad_config_file(tmp_path):
@@ -226,20 +278,45 @@ def test_cli_rejects_flags_no_subcommand_reads(argv):
     assert cli_main(argv) == 2
 
 
-def test_cli_accepts_benchmark_commands(monkeypatch):
-    # every CLI argument list the benchmark's workloads run must still parse;
-    # the worker script is imported as is and left without a bytecode cache
+def _bench_module(name, monkeypatch):
+    """A benchmarks/ script imported as is and left without a bytecode cache."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "worker.py"
-    spec = importlib.util.spec_from_file_location("bench_worker", path)
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_accepts_benchmark_commands(monkeypatch):
+    # every CLI argument list the benchmark's workloads run must still parse
+    worker = _bench_module("worker", monkeypatch)
     parser = build_parser()
     for workload in worker.WORKLOADS:
         ops = worker.build_ops(workload, 23, Path("unused"))
         assert ops
         for argv in ops:
             parser.parse_args(argv)
+
+
+def test_tracer_bindings_resolve(monkeypatch):
+    # every name the benchmark's tracer wraps must exist with the arguments
+    # its counters read, or traced benchmark runs crash
+    tracer = _bench_module("tracer", monkeypatch)
+    for layer, entries in tracer.TABLE.items():
+        module = importlib.import_module(f"lipzoom.{layer}")
+        for qualname in entries:
+            if "." in qualname:
+                cls_name, meth = qualname.split(".")
+                assert callable(vars(getattr(module, cls_name)).get(meth)), qualname
+            else:
+                assert callable(getattr(module, qualname, None)), qualname
+            if layer == "algorithms" and qualname.startswith("run_"):
+                params = inspect.signature(getattr(module, qualname)).parameters
+                assert "T" in params, qualname
+    geometry = importlib.import_module("lipzoom.geometry")
+    params = inspect.signature(geometry.maximal_packing).parameters
+    assert {"metric", "spacing"} <= set(params)
 
 
 def test_cli_dim_subcommand(capsys):
@@ -256,3 +333,6 @@ def test_cli_audit_subcommand(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "clean-event violation fraction" in out
+    # the selected-arm bound, which a clean run meets; the current-radius
+    # form reports 17 violations here
+    assert "clean-violations=0 gap-violations=0\n" in out
