@@ -11,9 +11,7 @@ from lipzoom.environment import REWARD_FACTORIES
 
 def main():
     for name, factory in REWARD_FACTORIES.items():
-        model = factory()
-        spacing = 1 / 8192 if model.metric.dimension == 1 else 1 / 256
-        prof = fit_zooming_dimension(model, model.metric, spacing=spacing)
+        prof = fit_zooming_dimension(factory())
         counts = ", ".join(f"{r:g}:{c}" for r, c in zip(prof.radii, prof.counts))
         print(f"{name:>8}: dim {prof.fitted_dimension:.3f} "
               f"(residual {prof.fit_residual:.3f})  counts {counts}")

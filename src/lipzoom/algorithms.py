@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environment import (
-    NoiseKind,
     NoiseModel,
     QuantumOracleSim,
     RewardModel,
@@ -88,7 +87,6 @@ def _run_elimination(
     model: RewardModel,
     noise: NoiseModel,
     oracle: QuantumOracleSim,
-    metric: Metric,
     T: int,
     delta: float,
     variant: str,
@@ -97,6 +95,7 @@ def _run_elimination(
     checkpoint_every: int | None,
     audits: bool,
 ) -> PolicyResult:
+    metric = model.metric
     ledger = RoundLedger(T, checkpoint_every)
     region = ActiveRegion.whole_space(metric.dimension)
     eps = 0.5
@@ -141,7 +140,6 @@ def run_qlae(
     model: RewardModel,
     noise: NoiseModel,
     oracle: QuantumOracleSim,
-    metric: Metric,
     T: int,
     delta: float,
     c1: float = 2.0,
@@ -155,7 +153,7 @@ def run_qlae(
     and re-packs the surviving ball union at half the radius.
     """
     return _run_elimination(
-        model, noise, oracle, metric, T, delta, "qmc1", c1, 2.0,
+        model, noise, oracle, T, delta, "qmc1", c1, 2.0,
         checkpoint_every, audits,
     )
 
@@ -164,7 +162,6 @@ def run_qlae_bv(
     model: RewardModel,
     noise: NoiseModel,
     oracle: QuantumOracleSim,
-    metric: Metric,
     T: int,
     delta: float,
     c1: float = 2.0,
@@ -172,14 +169,13 @@ def run_qlae_bv(
     checkpoint_every: int | None = None,
     audits: bool = False,
 ) -> PolicyResult:
-    """Adaptive elimination under bounded-variance (gaussian) noise.
+    """Adaptive elimination under bounded-variance noise, which must be gaussian.
 
-    Stages with eps >= 4*sigma fall back to the qmc1 budget with c1.
+    Stages with eps >= 4*sigma fall back to the qmc1 budget with c1; the
+    budget rule raises ValueError on any other noise.
     """
-    if noise.kind != NoiseKind.GAUSSIAN:
-        raise ValueError("bounded-variance elimination requires gaussian noise")
     return _run_elimination(
-        model, noise, oracle, metric, T, delta, "qmc2", c1, c2,
+        model, noise, oracle, T, delta, "qmc2", c1, c2,
         checkpoint_every, audits,
     )
 
@@ -229,7 +225,6 @@ def _run_zooming(
     model: RewardModel,
     noise: NoiseModel,
     oracle: QuantumOracleSim,
-    metric: Metric,
     T: int,
     delta: float,
     variant: str,
@@ -240,7 +235,7 @@ def _run_zooming(
     audits: bool,
 ) -> PolicyResult:
     ledger = RoundLedger(T, checkpoint_every)
-    cover = _Cover(metric, grid_resolution)
+    cover = _Cover(model.metric, grid_resolution)
     points: list[Point] = []
     radii: list[float] = []
     estimates: list[float] = []  # unplayed arms sit at 0, consistent with eps=1
@@ -280,7 +275,6 @@ def run_qzooming(
     model: RewardModel,
     noise: NoiseModel,
     oracle: QuantumOracleSim,
-    metric: Metric,
     T: int,
     delta: float,
     c1: float = 2.0,
@@ -296,7 +290,7 @@ def run_qzooming(
     before any stage whose budget would exceed the horizon.
     """
     return _run_zooming(
-        model, noise, oracle, metric, T, delta, "qmc1", c1, 2.0,
+        model, noise, oracle, T, delta, "qmc1", c1, 2.0,
         grid_resolution, checkpoint_every, audits,
     )
 
@@ -305,7 +299,6 @@ def run_qzooming_bv(
     model: RewardModel,
     noise: NoiseModel,
     oracle: QuantumOracleSim,
-    metric: Metric,
     T: int,
     delta: float,
     c1: float = 2.0,
@@ -314,14 +307,13 @@ def run_qzooming_bv(
     checkpoint_every: int | None = None,
     audits: bool = False,
 ) -> PolicyResult:
-    """Stage-based zooming under bounded-variance (gaussian) noise.
+    """Stage-based zooming under bounded-variance noise, which must be gaussian.
 
-    Stages with eps >= 4*sigma fall back to the qmc1 budget with c1.
+    Stages with eps >= 4*sigma fall back to the qmc1 budget with c1; the
+    budget rule raises ValueError on any other noise.
     """
-    if noise.kind != NoiseKind.GAUSSIAN:
-        raise ValueError("bounded-variance zooming requires gaussian noise")
     return _run_zooming(
-        model, noise, oracle, metric, T, delta, "qmc2", c1, c2,
+        model, noise, oracle, T, delta, "qmc2", c1, c2,
         grid_resolution, checkpoint_every, audits,
     )
 
@@ -329,7 +321,6 @@ def run_qzooming_bv(
 def run_classical_zooming(
     model: RewardModel,
     noise: NoiseModel,
-    metric: Metric,
     T: int,
     rng: np.random.Generator,
     grid_resolution: int | None = None,
@@ -342,7 +333,7 @@ def run_classical_zooming(
     updates that arm's statistics.
     """
     ledger = RoundLedger(T, checkpoint_every)
-    cover = _Cover(metric, grid_resolution)
+    cover = _Cover(model.metric, grid_resolution)
     log_t = 2.0 * math.log(T)
     points: list[Point] = []
     gaps: list[float] = []

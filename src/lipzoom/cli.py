@@ -77,9 +77,9 @@ def _build_config(args: argparse.Namespace, defaults: ExperimentConfig) -> Exper
     return replace(defaults, **overrides)
 
 
-def _run_and_emit(config: ExperimentConfig, out: Path, label: str | None = None):
+def _run_and_emit(config: ExperimentConfig, out: Path):
     traces, summary = run_experiment(config)
-    name = label or f"{config.algorithm}_{config.reward}_{config.noise}"
+    name = f"{config.algorithm}_{config.reward}_{config.noise}"
     emit_csv(traces, summary, out / name)
     return name, summary
 
@@ -123,7 +123,7 @@ def _cmd_audit(args) -> int:
         total += rep.total
         viol += rep.violations
         if config.algorithm.startswith("qlae"):
-            lem = diagnostics.audit_qlae_lemmas(result.stage_audits, model, model.metric)
+            lem = diagnostics.audit_qlae_lemmas(result.stage_audits, model)
             misses = f" survival-misses={lem.survival_misses}"
         else:
             lem = diagnostics.audit_qzooming_selected(result.estimate_records, model)
@@ -136,15 +136,10 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    model = REWARD_FACTORIES[args.reward]()
-    metric = model.metric
-    spacing = 1.0 / 8192 if metric.dimension == 1 else 1.0 / 256
-    divisor = args.divisor
-    profile = diagnostics.fit_zooming_dimension(model, metric, spacing=spacing,
-                                                divisor=divisor)
+    profile = diagnostics.fit_zooming_dimension(REWARD_FACTORIES[args.reward](), args.divisor)
     for r, c in zip(profile.radii, profile.counts):
         print(f"r={r:g}  N_z={c}")
-    print(f"fitted zooming dimension (divisor {divisor}): "
+    print(f"fitted zooming dimension (divisor {args.divisor}): "
           f"{profile.fitted_dimension:.4f}  (residual {profile.fit_residual:.4f})")
     return 0
 
@@ -172,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dim = sub.add_parser("dim", help="zooming-dimension diagnostic for a reward")
     p_dim.add_argument("--reward", choices=CHOICES["reward"], default="triangle")
-    p_dim.add_argument("--divisor", type=int, default=3, choices=(2, 3, 14, 16))
+    p_dim.add_argument("--divisor", type=int, default=3, choices=diagnostics.DIVISORS)
     p_dim.set_defaults(func=_cmd_dim)
     return parser
 

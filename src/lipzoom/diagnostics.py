@@ -41,29 +41,29 @@ class LemmaReport:
     survival_misses: int
 
 
+# the d that zooming_number accepts: it covers the set with radius-(r/d) balls
+DIVISORS = (2, 3, 14, 16)
+
+
 @lru_cache(maxsize=1)
-def _lattice_gaps(
-    model: RewardModel, dimension: int, spacing: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _lattice_gaps(model: RewardModel, spacing: float) -> tuple[np.ndarray, np.ndarray]:
     """The lattice and the gap of each of its points, both read-only.
 
     A dimension fit asks for the near-optimal sets of one lattice at every
     radius, so the per-point gap loop runs once per fit, not once per radius.
     """
-    cand = lattice(dimension, spacing)
+    cand = lattice(model.metric.dimension, spacing)
     gaps = np.array([model.gap(tuple(p)) for p in cand])
     cand.flags.writeable = False
     gaps.flags.writeable = False
     return cand, gaps
 
 
-def near_optimal_set(
-    model: RewardModel, metric: Metric, r: float, spacing: float
-) -> np.ndarray:
+def near_optimal_set(model: RewardModel, r: float, spacing: float) -> np.ndarray:
     """Lattice points with optimality gap in [r, 2r), an (n, d) array in row-major order."""
     if not (0 < r <= 1):
         raise ValueError(f"r must be in (0,1], got {r}")
-    cand, gaps = _lattice_gaps(model, metric.dimension, spacing)
+    cand, gaps = _lattice_gaps(model, spacing)
     return cand[(gaps >= r) & (gaps < 2 * r)]
 
 
@@ -137,51 +137,43 @@ def _greedy_cover_count(
     return count
 
 
-def zooming_number(
-    model: RewardModel,
-    metric: Metric,
-    r: float,
-    spacing: float,
-    divisor: int = 3,
-) -> int:
+def zooming_number(model: RewardModel, r: float, spacing: float, divisor: int = 3) -> int:
     """Count of radius-(r/divisor) balls covering the near-optimal set.
 
     Exact (sweep) for one-dimensional metrics; greedy set-cover upper bound
     otherwise.  Ball centers are restricted to the lattice points of the set.
     """
-    if divisor not in (2, 3, 14, 16):
-        raise ValueError(f"divisor must be one of 2, 3, 14, 16, got {divisor}")
-    pts = near_optimal_set(model, metric, r, spacing)
+    if divisor not in DIVISORS:
+        raise ValueError(f"divisor must be one of {', '.join(map(str, DIVISORS))}, "
+                         f"got {divisor}")
+    pts = near_optimal_set(model, r, spacing)
     if len(pts) == 0:
         return 0
     radius = r / divisor
-    if metric.dimension == 1:
+    if model.metric.dimension == 1:
         return _interval_cover_count(pts[:, 0], radius)
-    return _greedy_cover_count(pts, metric, radius)
+    return _greedy_cover_count(pts, model.metric, radius)
 
 
-def fit_zooming_dimension(
-    model: RewardModel,
-    metric: Metric,
-    radii: tuple[float, ...] = tuple(2.0 ** -k for k in range(2, 8)),
-    spacing: float = 1.0 / 8192,
-    divisor: int = 3,
-) -> ZoomingProfile:
+def fit_zooming_dimension(model: RewardModel, divisor: int = 3) -> ZoomingProfile:
     """Least-squares slope of log N_z(r) against log(1/r), clamped below at 0.
 
-    Radii with zero counts are dropped; fewer than four usable radii yield
-    dimension 0 by convention.
+    The radii are 1/4 down to 1/128; the lattice spacing is 1/8192 on a line
+    and 1/256 in more dimensions.  Radii with zero counts are dropped; fewer
+    than four usable radii yield dimension 0 by convention.
     """
-    counts = tuple(zooming_number(model, metric, r, spacing, divisor) for r in radii)
+    radii = tuple(2.0 ** -k for k in range(2, 8))
+    spacing = 1.0 / 8192 if model.metric.dimension == 1 else 1.0 / 256
+    counts = tuple(zooming_number(model, r, spacing, divisor) for r in radii)
     rs = [r for r, c in zip(radii, counts) if c > 0]
     cs = [c for c in counts if c > 0]
     if len(cs) < 4:
-        return ZoomingProfile(tuple(radii), counts, 0.0, 0.0)
+        return ZoomingProfile(radii, counts, 0.0, 0.0)
     x = np.log(1.0 / np.asarray(rs))
     y = np.log(np.asarray(cs, dtype=float))
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return ZoomingProfile(tuple(radii), counts, max(0.0, float(slope)), resid)
+    return ZoomingProfile(radii, counts, max(0.0, float(slope)), resid)
 
 
 def audit_clean_event(records: list[EstimateRecord]) -> CleanEventReport:
@@ -190,9 +182,7 @@ def audit_clean_event(records: list[EstimateRecord]) -> CleanEventReport:
     return CleanEventReport(len(records), violations)
 
 
-def audit_qlae_lemmas(
-    stage_audits: list[StageAudit], model: RewardModel, metric: Metric
-) -> LemmaReport:
+def audit_qlae_lemmas(stage_audits: list[StageAudit], model: RewardModel) -> LemmaReport:
     """Check the elimination run's gap bound and optimal-arm survival.
 
     Every active arm at stage m must satisfy gap <= 7 * eps_{m-1}; after
@@ -208,7 +198,7 @@ def audit_qlae_lemmas(
                 gap_viol += 1
         if a.survivors:
             surv_stages += 1
-            near = min(metric.distance(x, model.x_star) for x, _ in a.survivors)
+            near = min(model.metric.distance(x, model.x_star) for x, _ in a.survivors)
             eps_m = a.survivors[0][1]
             if near > eps_m + 1e-12:
                 surv_miss += 1

@@ -117,10 +117,10 @@ def run_single(config: ExperimentConfig, trial: int) -> algorithms.PolicyResult:
     if "zooming" in config.algorithm:
         kwargs["grid_resolution"] = config.grid_resolution
     if config.algorithm == "classical_zooming":
-        args: tuple = (model, noise, model.metric, config.T, rng)
+        args: tuple = (model, noise, config.T, rng)
     else:
         oracle = QuantumOracleSim(OracleMode(config.qmc_mode), config.fault_injection, rng)
-        args = (model, noise, oracle, model.metric, config.T, config.delta)
+        args = (model, noise, oracle, config.T, config.delta)
         kwargs.update(c1=config.c1, audits=config.audits)
         if config.algorithm.endswith("_bv"):
             kwargs["c2"] = config.c2

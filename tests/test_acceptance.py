@@ -28,8 +28,6 @@ from lipzoom.environment import (
 from lipzoom.geometry import ActiveRegion, Metric, MetricKind, lattice, maximal_packing
 from lipzoom.harness import ExperimentConfig, read_traces_csv, run_experiment, run_single
 
-LINE = Metric(MetricKind.ABSOLUTE, 1)
-
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
@@ -117,16 +115,15 @@ def _audited_run(algorithm, reward):
     cfg = ExperimentConfig(
         algorithm=algorithm, reward=reward, noise="bernoulli",
         T=50_000, trials=1, master_seed=7, fault_injection=False, audits=True)
-    model = REWARD_FACTORIES[reward]()
-    return run_single(cfg, 0), model, model.metric
+    return run_single(cfg, 0), REWARD_FACTORIES[reward]()
 
 
 def test_criterion_3a_elimination_audits():
     parts = []
     ok = True
     for reward in ("triangle", "sine", "twodim"):
-        res, model, metric = _audited_run("qlae", reward)
-        rep = diagnostics.audit_qlae_lemmas(res.stage_audits, model, metric)
+        res, model = _audited_run("qlae", reward)
+        rep = diagnostics.audit_qlae_lemmas(res.stage_audits, model)
         ok &= rep.gap_violations == 0 and rep.survival_misses == 0
         parts.append(f"{reward}: gap {rep.gap_violations}/{rep.arms_checked}, "
                      f"survival misses {rep.survival_misses}/{rep.survival_stages}")
@@ -167,7 +164,7 @@ def test_criterion_3b_zooming_audits():
     parts = []
     ok = True
     for reward in ("triangle", "sine", "twodim"):
-        res, model, metric = _audited_run("qzooming", reward)
+        res, model = _audited_run("qzooming", reward)
         cur = diagnostics.audit_qzooming_lemma(res.stage_audits, model)
         sel = diagnostics.audit_qzooming_selected(res.estimate_records, model)
         checked = gap_viol = radius_miss = 0
@@ -282,7 +279,7 @@ def test_criterion_6_regret_growth_contrast():
 
 def test_criterion_7_zooming_dimension():
     model = triangle_model()
-    dims = {div: diagnostics.fit_zooming_dimension(model, LINE, divisor=div)
+    dims = {div: diagnostics.fit_zooming_dimension(model, divisor=div)
                  .fitted_dimension
             for div in (2, 3, 14)}
     spread = max(dims.values()) - min(dims.values())

@@ -28,8 +28,6 @@ from lipzoom.environment import (
 from lipzoom.geometry import Metric, MetricKind
 
 SIGMA = math.sqrt(0.1)
-LINE = Metric(MetricKind.ABSOLUTE, 1)
-SQUARE = Metric(MetricKind.LINF, 2)
 
 
 def _oracle(seed, fault=False):
@@ -63,7 +61,7 @@ def test_select_arm_shift_invariance():
         assert base == shifted
 
 
-@pytest.mark.parametrize("metric", [LINE, Metric(MetricKind.LINF, 2)])
+@pytest.mark.parametrize("metric", [Metric(MetricKind.ABSOLUTE, 1), Metric(MetricKind.LINF, 2)])
 def test_cover_matches_brute_force(metric):
     # reference: the first lattice candidate with no centre within its radius
     rng = np.random.default_rng(21)
@@ -105,7 +103,7 @@ def test_qlae_eliminates_gap_one_arm_by_stage_three():
     # mu(x) = 1 - x: the worst arm (x=1, gap 1) must be gone once
     # 3*eps + 2*eps < 1, i.e. at stage 3 (eps = 1/8 < 1/5)
     model = custom_model(lambda x: 1.0 - x[0], 1.0, 1.0, (0.0,))
-    res = run_qlae(model, _bern(), _oracle(0), LINE, T=200_000, delta=0.05,
+    res = run_qlae(model, _bern(), _oracle(0), T=200_000, delta=0.05,
                    audits=True)
     assert res.stages_completed >= 3
     survivors_by_stage = {a.stage: a.survivors for a in res.stage_audits}
@@ -113,27 +111,24 @@ def test_qlae_eliminates_gap_one_arm_by_stage_three():
 
 
 def test_qlae_optimal_arm_survives():
-    for factory, metric in [(triangle_model, LINE)]:
-        model = factory()
-        res = run_qlae(model, _bern(), _oracle(1), metric, T=100_000, delta=0.05,
-                       audits=True)
-        for a in res.stage_audits:
-            if not a.survivors:
-                continue
-            eps_m = a.survivors[0][1]
-            near = min(metric.distance(x, model.x_star) for x, _ in a.survivors)
-            assert near <= eps_m + 1e-12
+    model = triangle_model()
+    res = run_qlae(model, _bern(), _oracle(1), T=100_000, delta=0.05, audits=True)
+    for a in res.stage_audits:
+        if not a.survivors:
+            continue
+        eps_m = a.survivors[0][1]
+        near = min(model.metric.distance(x, model.x_star) for x, _ in a.survivors)
+        assert near <= eps_m + 1e-12
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 50, 20_000])
-@pytest.mark.parametrize("factory, metric", [(triangle_model, LINE), (twodim_model, SQUARE)],
-                         ids=["abs1d", "linf2d"])
+@pytest.mark.parametrize("factory", [triangle_model, twodim_model], ids=["abs1d", "linf2d"])
 @pytest.mark.parametrize("run, noise", [(run_qlae, _bern), (run_qlae_bv, _gauss)],
                          ids=["qlae", "qlae_bv"])
-def test_qlae_truncates_at_horizon_exactly(run, noise, factory, metric, T):
+def test_qlae_truncates_at_horizon_exactly(run, noise, factory, T):
     # elimination has no stage cap: it runs until a stage does not fit, and
     # that last stage, cut short by the horizon, eliminates nothing
-    res = run(factory(), noise(), _oracle(2), metric, T=T, delta=0.05, audits=True)
+    res = run(factory(), noise(), _oracle(2), T=T, delta=0.05, audits=True)
     assert res.total_rounds == T
     assert [a.stage for a in res.stage_audits] == list(range(1, res.stages_completed + 2))
     for a in res.stage_audits:
@@ -142,23 +137,23 @@ def test_qlae_truncates_at_horizon_exactly(run, noise, factory, metric, T):
 
 def test_qlae_deterministic_given_seed():
     model = triangle_model()
-    a = run_qlae(model, _bern(), _oracle(3), LINE, T=30_000, delta=0.05)
-    b = run_qlae(model, _bern(), _oracle(3), LINE, T=30_000, delta=0.05)
+    a = run_qlae(model, _bern(), _oracle(3), T=30_000, delta=0.05)
+    b = run_qlae(model, _bern(), _oracle(3), T=30_000, delta=0.05)
     assert a.checkpoints == b.checkpoints
     assert a.final_regret == b.final_regret
 
 
 def test_qlae_bv_requires_gaussian():
     with pytest.raises(ValueError):
-        run_qlae_bv(triangle_model(), _bern(), _oracle(4), LINE, T=1000, delta=0.05)
+        run_qlae_bv(triangle_model(), _bern(), _oracle(4), T=1000, delta=0.05)
     with pytest.raises(ValueError):
-        run_qzooming_bv(triangle_model(), _bern(), _oracle(4), LINE, T=1000, delta=0.05)
+        run_qzooming_bv(triangle_model(), _bern(), _oracle(4), T=1000, delta=0.05)
 
 
 def test_qlae_bv_stage_budget():
     # stage 2 budget must equal the bounded-variance formula at eps=1/4
     model = triangle_model()
-    res = run_qlae_bv(model, _gauss(), _oracle(5), LINE, T=10_000, delta=0.05,
+    res = run_qlae_bv(model, _gauss(), _oracle(5), T=10_000, delta=0.05,
                       audits=True)
     n2 = qmc2_budget(0.25, SIGMA, 0.05 / 10_000, 2.0)
     stage2 = [r for r in res.estimate_records if r.stage == 2]
@@ -171,7 +166,7 @@ def test_qlae_bv_stage_budget():
 
 def test_qzooming_single_activation_until_radii_shrink():
     model = triangle_model()
-    res = run_qzooming(model, _bern(), _oracle(6), LINE, T=500, delta=0.05,
+    res = run_qzooming(model, _bern(), _oracle(6), T=500, delta=0.05,
                        audits=True)
     # stage 1: a single activation (the first grid point) whose radius-1 ball
     # covers all of [0,1], so no further arm appears within the stage
@@ -188,7 +183,7 @@ def test_qzooming_single_activation_until_radii_shrink():
 
 def test_qzooming_selected_arm_gap_bound():
     model = triangle_model()
-    res = run_qzooming(model, _bern(), _oracle(7), LINE, T=50_000, delta=0.05,
+    res = run_qzooming(model, _bern(), _oracle(7), T=50_000, delta=0.05,
                        audits=True)
     for r in res.estimate_records:
         eps_prev = 2.0 * r.eps  # radius before this selection's halving
@@ -197,12 +192,12 @@ def test_qzooming_selected_arm_gap_bound():
 
 def test_qzooming_active_arms_separated():
     model = triangle_model()
-    res = run_qzooming(model, _bern(), _oracle(8), LINE, T=50_000, delta=0.05,
+    res = run_qzooming(model, _bern(), _oracle(8), T=50_000, delta=0.05,
                        audits=True)
     arms = res.stage_audits[-1].arms
     pts = np.asarray([x for x, _ in arms], dtype=float)
     if len(pts) > 1:
-        d = LINE.pairwise(pts, pts)
+        d = model.metric.pairwise(pts, pts)
         np.fill_diagonal(d, np.inf)
         assert d.min() > 0.0
 
@@ -210,7 +205,7 @@ def test_qzooming_active_arms_separated():
 def test_qzooming_estimate_freshness():
     # estimates of unselected arms are bitwise unchanged between stages
     model = triangle_model()
-    res = run_qzooming(model, _bern(), _oracle(9), LINE, T=50_000, delta=0.05,
+    res = run_qzooming(model, _bern(), _oracle(9), T=50_000, delta=0.05,
                        audits=True)
     last_est = {}
     for rec in res.estimate_records:
@@ -231,7 +226,7 @@ def test_qzooming_estimate_freshness():
 def test_qzooming_budget_identity():
     model = triangle_model()
     T = 20_000
-    res = run_qzooming(model, _bern(), _oracle(10), LINE, T=T, delta=0.05,
+    res = run_qzooming(model, _bern(), _oracle(10), T=T, delta=0.05,
                        audits=True)
     total = sum(qmc1_budget(r.eps, 0.05 / T, 2.0) for r in res.estimate_records)
     assert total == res.total_rounds
@@ -241,7 +236,7 @@ def test_qzooming_budget_identity():
 def test_qzooming_bv_first_selection_budget():
     model = triangle_model()
     T = 1000
-    res = run_qzooming_bv(model, _gauss(), _oracle(11), LINE, T=T, delta=0.05,
+    res = run_qzooming_bv(model, _gauss(), _oracle(11), T=T, delta=0.05,
                           audits=True)
     first = res.estimate_records[0]
     assert first.eps == 0.5
@@ -252,14 +247,14 @@ def test_qzooming_bv_first_selection_budget():
 
 def test_qzooming_deterministic_given_seed():
     model = triangle_model()
-    a = run_qzooming(model, _bern(), _oracle(12), LINE, T=30_000, delta=0.05)
-    b = run_qzooming(model, _bern(), _oracle(12), LINE, T=30_000, delta=0.05)
+    a = run_qzooming(model, _bern(), _oracle(12), T=30_000, delta=0.05)
+    b = run_qzooming(model, _bern(), _oracle(12), T=30_000, delta=0.05)
     assert a.checkpoints == b.checkpoints
 
 
 def test_classical_zooming_zero_gap_everywhere():
     model = custom_model(lambda x: 0.4, 0.0, 0.4, (0.0,))
-    res = run_classical_zooming(model, _bern(), LINE, T=2_000,
+    res = run_classical_zooming(model, _bern(), T=2_000,
                                 rng=np.random.default_rng(13))
     assert res.final_regret == pytest.approx(0.0)
     assert res.total_rounds == 2_000
@@ -267,7 +262,7 @@ def test_classical_zooming_zero_gap_everywhere():
 
 def test_classical_zooming_plays_every_round():
     model = triangle_model()
-    res = run_classical_zooming(model, _bern(), LINE, T=5_000,
+    res = run_classical_zooming(model, _bern(), T=5_000,
                                 rng=np.random.default_rng(14))
     assert res.total_rounds == 5_000
     assert res.checkpoints[-1][0] == 5_000
@@ -277,9 +272,9 @@ def test_classical_zooming_plays_every_round():
 def test_checkpoints_nondecreasing():
     model = triangle_model()
     for res in [
-        run_qlae(model, _bern(), _oracle(15), LINE, T=20_000, delta=0.05),
-        run_qzooming(model, _bern(), _oracle(16), LINE, T=20_000, delta=0.05),
-        run_classical_zooming(model, _bern(), LINE, T=20_000,
+        run_qlae(model, _bern(), _oracle(15), T=20_000, delta=0.05),
+        run_qzooming(model, _bern(), _oracle(16), T=20_000, delta=0.05),
+        run_classical_zooming(model, _bern(), T=20_000,
                               rng=np.random.default_rng(17)),
     ]:
         ts = [t for t, _ in res.checkpoints]

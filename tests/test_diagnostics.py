@@ -19,13 +19,11 @@ from lipzoom.diagnostics import (
 from lipzoom.environment import custom_model, sine_model, triangle_model, twodim_model
 from lipzoom.geometry import Metric, MetricKind, lattice
 
-LINE = Metric(MetricKind.ABSOLUTE, 1)
-
 
 def test_near_optimal_set_triangle():
     # 0.2 <= 0.95|x - 1/3| < 0.4 gives two bands flanking the peak
     model = triangle_model()
-    pts = near_optimal_set(model, LINE, 0.2, spacing=1 / 2048)
+    pts = near_optimal_set(model, 0.2, spacing=1 / 2048)
     lo, hi = 0.2 / 0.95, 0.4 / 0.95
     for (x,) in pts:
         assert lo - 1e-9 <= abs(x - 1 / 3) < hi + 1e-9
@@ -35,13 +33,13 @@ def test_near_optimal_set_triangle():
 
 def test_near_optimal_set_validation():
     with pytest.raises(ValueError):
-        near_optimal_set(triangle_model(), LINE, 0.0, spacing=1 / 64)
+        near_optimal_set(triangle_model(), 0.0, spacing=1 / 64)
 
 
 def test_zooming_number_triangle_matches_interval_oracle():
     model = triangle_model()
     r = 0.2
-    n = zooming_number(model, LINE, r, spacing=1 / 4096, divisor=3)
+    n = zooming_number(model, r, spacing=1 / 4096, divisor=3)
     # independent oracle: the set is two intervals |x - 1/3| in [r, 2r)/0.95
     # clipped to [0,1]; balls of radius r/3 (diameter 2r/3) cover an interval
     # of length L in ceil(L / (2r/3)) pieces
@@ -56,18 +54,16 @@ def test_zooming_number_triangle_matches_interval_oracle():
 def test_zooming_number_zero_when_set_empty():
     # constant reward: every gap is 0, so X_r is empty for r > 0
     model = custom_model(lambda x: 0.5, 0.0, 0.5, (0.0,))
-    assert zooming_number(model, LINE, 0.25, spacing=1 / 64) == 0
+    assert zooming_number(model, 0.25, spacing=1 / 64) == 0
 
 
 def test_zooming_number_divisor_validation():
-    with pytest.raises(ValueError):
-        zooming_number(triangle_model(), LINE, 0.2, spacing=1 / 64, divisor=5)
+    with pytest.raises(ValueError, match="^divisor must be one of 2, 3, 14, 16, got 5$"):
+        zooming_number(triangle_model(), 0.2, spacing=1 / 64, divisor=5)
 
 
 def test_zooming_number_2d_greedy_upper_bound():
-    model = twodim_model()
-    metric = Metric(MetricKind.LINF, 2)
-    n = zooming_number(model, metric, 0.25, spacing=1 / 128, divisor=3)
+    n = zooming_number(twodim_model(), 0.25, spacing=1 / 128, divisor=3)
     assert n >= 1
 
 
@@ -137,7 +133,7 @@ def test_greedy_cover_zero_gain_fallback():
 
 
 def test_fit_dimension_triangle_small():
-    prof = fit_zooming_dimension(triangle_model(), LINE)
+    prof = fit_zooming_dimension(triangle_model())
     assert prof.fitted_dimension <= 0.2
     assert len(prof.radii) == len(prof.counts)
 
@@ -145,19 +141,19 @@ def test_fit_dimension_triangle_small():
 def test_fit_dimension_divisors_agree():
     dims = {}
     for div in (2, 3, 14):
-        dims[div] = fit_zooming_dimension(triangle_model(), LINE, divisor=div).fitted_dimension
+        dims[div] = fit_zooming_dimension(triangle_model(), divisor=div).fitted_dimension
     vals = list(dims.values())
     assert max(vals) - min(vals) <= 0.15
 
 
 def test_fit_dimension_sine():
-    prof = fit_zooming_dimension(sine_model(), LINE)
+    prof = fit_zooming_dimension(sine_model())
     assert prof.fitted_dimension <= 0.3  # single smooth peak, near zero
 
 
 def test_fit_dimension_degenerate_counts():
     model = custom_model(lambda x: 0.5, 0.0, 0.5, (0.0,))
-    prof = fit_zooming_dimension(model, LINE)
+    prof = fit_zooming_dimension(model)
     assert prof.fitted_dimension == 0.0
 
 
@@ -177,7 +173,7 @@ def test_audit_qlae_detects_gap_violation():
     model = triangle_model()
     good = StageAudit(1, (((1 / 3,), 1.0),), (((1 / 3,), 0.5),))
     bad = StageAudit(5, (((1.0,), 1 / 16),), (((1 / 3,), 1 / 32),))
-    rep = audit_qlae_lemmas([good, bad], model, LINE)
+    rep = audit_qlae_lemmas([good, bad], model)
     assert rep.gap_violations == 1  # gap(1.0) = 0.633 > 7/16
     assert rep.survival_misses == 0
 
@@ -185,7 +181,7 @@ def test_audit_qlae_detects_gap_violation():
 def test_audit_qlae_detects_survival_miss():
     model = triangle_model()
     audit = StageAudit(4, (((0.9,), 1 / 8),), (((0.9,), 1 / 16),))
-    rep = audit_qlae_lemmas([audit], model, LINE)
+    rep = audit_qlae_lemmas([audit], model)
     assert rep.survival_misses == 1
 
 

@@ -301,7 +301,8 @@ def test_cli_accepts_benchmark_commands(monkeypatch):
 
 def test_tracer_bindings_resolve(monkeypatch):
     # every name the benchmark's tracer wraps must exist with the arguments
-    # its counters read, or traced benchmark runs crash
+    # its counters read, or traced benchmark runs crash; the runners and
+    # diagnostics read the metric from the reward model, so none takes one
     tracer = _bench_module("tracer", monkeypatch)
     for layer, entries in tracer.TABLE.items():
         module = importlib.import_module(f"lipzoom.{layer}")
@@ -313,7 +314,10 @@ def test_tracer_bindings_resolve(monkeypatch):
                 assert callable(getattr(module, qualname, None)), qualname
             if layer == "algorithms" and qualname.startswith("run_"):
                 params = inspect.signature(getattr(module, qualname)).parameters
-                assert "T" in params, qualname
+                assert "T" in params and "metric" not in params, qualname
+            if layer == "diagnostics":
+                params = inspect.signature(getattr(module, qualname)).parameters
+                assert "metric" not in params, qualname
     geometry = importlib.import_module("lipzoom.geometry")
     params = inspect.signature(geometry.maximal_packing).parameters
     assert {"metric", "spacing"} <= set(params)
