@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from lipzoom.environment import (
+    Estimator,
     NoiseKind,
     NoiseModel,
     OracleMode,
@@ -34,12 +35,12 @@ def main():
         print(f"{eps:<10g} {b1:>12}   {b2:>12}")
 
     model = triangle_model()
-    noise = NoiseModel(NoiseKind.BERNOULLI)
     oracle = QuantumOracleSim(OracleMode.CONTRACT, True, np.random.default_rng(0))
     mu = model.mu((0.5,))
     delta, eps, n = 0.05, 0.1, 5_000
+    estimator = Estimator(NoiseModel(NoiseKind.BERNOULLI), delta)
     hits = sum(
-        abs(qmc_estimate(oracle, model, noise, (0.5,), eps, delta,
+        abs(qmc_estimate(oracle, estimator, model, (0.5,), eps,
                          RoundLedger(10 ** 9, 10 ** 9))[0] - mu) <= eps
         for _ in range(n)
     )

@@ -2,6 +2,7 @@
 
 from .geometry import ActiveRegion, Metric, MetricKind, Point, maximal_packing
 from .environment import (
+    Estimator,
     NoiseKind,
     NoiseModel,
     OracleMode,

@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environment import (
+    Estimator,
     NoiseModel,
     QuantumOracleSim,
     RewardModel,
     RoundLedger,
     classical_sample,
     qmc_estimate,
-    query_budget,
 )
 from .geometry import ActiveRegion, Metric, Point, lattice, maximal_packing
 
@@ -85,13 +85,9 @@ def _finish(
 
 def _run_elimination(
     model: RewardModel,
-    noise: NoiseModel,
     oracle: QuantumOracleSim,
+    estimator: Estimator,
     T: int,
-    delta: float,
-    variant: str,
-    c1: float,
-    c2: float,
     checkpoint_every: int | None,
     audits: bool,
 ) -> PolicyResult:
@@ -112,10 +108,7 @@ def _run_elimination(
             )
         estimates: list[float] = []
         for x in arms:
-            est, _, exhausted = qmc_estimate(
-                oracle, model, noise, x, eps, delta / T, ledger,
-                variant=variant, c1=c1, c2=c2,
-            )
+            est, _, exhausted = qmc_estimate(oracle, estimator, model, x, eps, ledger)
             if exhausted:
                 # stage m did not fit in the horizon; its partial-budget
                 # estimates carry no contract, so no elimination runs on them
@@ -153,8 +146,7 @@ def run_qlae(
     and re-packs the surviving ball union at half the radius.
     """
     return _run_elimination(
-        model, noise, oracle, T, delta, "qmc1", c1, 2.0,
-        checkpoint_every, audits,
+        model, oracle, Estimator(noise, delta / T, c1), T, checkpoint_every, audits
     )
 
 
@@ -171,12 +163,12 @@ def run_qlae_bv(
 ) -> PolicyResult:
     """Adaptive elimination under bounded-variance noise, which must be gaussian.
 
-    Stages with eps >= 4*sigma fall back to the qmc1 budget with c1; the
-    budget rule raises ValueError on any other noise.
+    Every oracle call charges the qmc2 budget with c2, or the qmc1 budget
+    with c1 at stages with eps >= 4*sigma (`Estimator.queries`).  Building
+    the estimator raises ValueError on any other noise.
     """
     return _run_elimination(
-        model, noise, oracle, T, delta, "qmc2", c1, c2,
-        checkpoint_every, audits,
+        model, oracle, Estimator(noise, delta / T, c1, c2), T, checkpoint_every, audits
     )
 
 
@@ -223,13 +215,9 @@ class _Cover:
 
 def _run_zooming(
     model: RewardModel,
-    noise: NoiseModel,
     oracle: QuantumOracleSim,
+    estimator: Estimator,
     T: int,
-    delta: float,
-    variant: str,
-    c1: float,
-    c2: float,
     grid_resolution: int | None,
     checkpoint_every: int | None,
     audits: bool,
@@ -257,12 +245,9 @@ def _run_zooming(
         radii[i] /= 2.0
         eps = radii[i]
         cover.set_radius(i, eps)
-        if ledger.consumed + query_budget(eps, delta / T, noise, variant, c1, c2) > T:
+        if ledger.consumed + estimator.queries(eps) > T:
             break
-        est, _, _ = qmc_estimate(
-            oracle, model, noise, points[i], eps, delta / T, ledger,
-            variant=variant, c1=c1, c2=c2,
-        )
+        est, _, _ = qmc_estimate(oracle, estimator, model, points[i], eps, ledger)
         estimates[i] = est
         if audits:
             records.append(EstimateRecord(s, points[i], eps, est, model.mu(points[i])))
@@ -290,7 +275,7 @@ def run_qzooming(
     before any stage whose budget would exceed the horizon.
     """
     return _run_zooming(
-        model, noise, oracle, T, delta, "qmc1", c1, 2.0,
+        model, oracle, Estimator(noise, delta / T, c1), T,
         grid_resolution, checkpoint_every, audits,
     )
 
@@ -309,11 +294,12 @@ def run_qzooming_bv(
 ) -> PolicyResult:
     """Stage-based zooming under bounded-variance noise, which must be gaussian.
 
-    Stages with eps >= 4*sigma fall back to the qmc1 budget with c1; the
-    budget rule raises ValueError on any other noise.
+    Every oracle call charges the qmc2 budget with c2, or the qmc1 budget
+    with c1 at stages with eps >= 4*sigma (`Estimator.queries`).  Building
+    the estimator raises ValueError on any other noise.
     """
     return _run_zooming(
-        model, noise, oracle, T, delta, "qmc2", c1, c2,
+        model, oracle, Estimator(noise, delta / T, c1, c2), T,
         grid_resolution, checkpoint_every, audits,
     )
 

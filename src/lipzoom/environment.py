@@ -23,13 +23,6 @@ class EnvironmentConfigError(ValueError):
     """Invalid environment configuration or contract violation."""
 
 
-class RewardKind(str, Enum):
-    TRIANGLE = "triangle"
-    SINE = "sine"
-    TWODIM = "twodim"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class RewardModel:
     """Expected-reward function with known optimum for regret accounting.
@@ -40,7 +33,6 @@ class RewardModel:
     unless the model says otherwise, and `lipschitz_constant` is valid in it.
     """
 
-    kind: RewardKind
     raw: Callable[[Point], float]
     lipschitz_constant: float
     mu_star: float
@@ -56,7 +48,6 @@ class RewardModel:
 
 def triangle_model() -> RewardModel:
     return RewardModel(
-        kind=RewardKind.TRIANGLE,
         raw=lambda x: 0.9 - 0.95 * abs(x[0] - 1.0 / 3.0),
         lipschitz_constant=0.95,
         mu_star=0.9,
@@ -66,7 +57,6 @@ def triangle_model() -> RewardModel:
 
 def sine_model() -> RewardModel:
     return RewardModel(
-        kind=RewardKind.SINE,
         raw=lambda x: 0.35 * math.sin(3.0 * math.pi * x[0] / 2.0),
         lipschitz_constant=0.35 * 3.0 * math.pi / 2.0,
         mu_star=0.35,
@@ -83,7 +73,6 @@ def twodim_model() -> RewardModel:
         return 1.2 - 0.95 * d1 - 0.3 * d2
 
     return RewardModel(
-        kind=RewardKind.TWODIM,
         raw=raw,
         lipschitz_constant=1.25 * math.sqrt(2.0),
         mu_star=1.2 - 0.3 * math.hypot(0.8, 0.3),
@@ -98,7 +87,7 @@ def custom_model(
     mu_star: float,
     x_star: Point,
 ) -> RewardModel:
-    return RewardModel(RewardKind.CUSTOM, raw, lipschitz_constant, mu_star, x_star)
+    return RewardModel(raw, lipschitz_constant, mu_star, x_star)
 
 
 REWARD_FACTORIES = {
@@ -119,8 +108,8 @@ class NoiseModel:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.kind == NoiseKind.GAUSSIAN and self.sigma <= 0:
-            raise EnvironmentConfigError("gaussian noise requires sigma > 0")
+        if self.kind == NoiseKind.GAUSSIAN and not 0 < self.sigma < math.inf:
+            raise EnvironmentConfigError("gaussian noise requires a finite sigma > 0")
 
 
 def classical_sample(
@@ -165,28 +154,34 @@ def qmc2_budget(eps: float, sigma: float, delta: float, c2: float = 2.0) -> int:
     return max(1, math.ceil(value))
 
 
-def query_budget(
-    eps: float,
-    delta: float,
-    noise: NoiseModel,
-    variant: str = "qmc1",
-    c1: float = 2.0,
-    c2: float = 2.0,
-) -> int:
-    """Queries charged by one oracle call at accuracy eps and failure probability delta.
+@dataclass(frozen=True)
+class Estimator:
+    """The quantum mean estimator every oracle call of a run uses.
 
-    The qmc1 formula, or for variant="qmc2" the qmc2 formula, falling back
-    to qmc1 when eps >= 4*sigma, where the bounded-variance guarantee does
-    not apply.
+    QMC1 for bounded rewards, or, with `c2` set, QMC2 for bounded variance,
+    which needs gaussian noise (Montanaro 2015).  `delta` is the failure
+    probability of one call.
     """
-    if variant == "qmc2":
-        if noise.kind != NoiseKind.GAUSSIAN:
+
+    noise: NoiseModel
+    delta: float
+    c1: float = 2.0
+    c2: float | None = None
+
+    def __post_init__(self):
+        if self.c2 is not None and self.noise.kind != NoiseKind.GAUSSIAN:
             raise EnvironmentConfigError("qmc2 variant requires gaussian noise")
-        if eps < 4 * noise.sigma:
-            return qmc2_budget(eps, noise.sigma, delta, c2)
-    elif variant != "qmc1":
-        raise EnvironmentConfigError(f"unknown qmc variant {variant!r}")
-    return qmc1_budget(eps, delta, c1)
+
+    def queries(self, eps: float) -> int:
+        """Queries charged by one call at accuracy eps.
+
+        The qmc1 budget with c1, or with `c2` set the qmc2 budget with c2,
+        falling back to qmc1 with c1 when eps >= 4*sigma, where the
+        bounded-variance guarantee does not apply.
+        """
+        if self.c2 is not None and eps < 4 * self.noise.sigma:
+            return qmc2_budget(eps, self.noise.sigma, self.delta, self.c2)
+        return qmc1_budget(eps, self.delta, self.c1)
 
 
 class OracleMode(str, Enum):
@@ -266,36 +261,33 @@ class RoundLedger:
 
 def qmc_estimate(
     oracle: QuantumOracleSim,
+    estimator: Estimator,
     model: RewardModel,
-    noise: NoiseModel,
     x: Point,
     eps: float,
-    delta: float,
     ledger: RoundLedger,
-    variant: str = "qmc1",
-    c1: float = 2.0,
-    c2: float = 2.0,
 ) -> tuple[float, int, bool]:
-    """One simulated quantum mean-estimation call.
+    """One simulated quantum mean-estimation call at accuracy eps.
 
     Returns (estimate, queries_used, horizon_exhausted).  The budget is
-    `query_budget(eps, delta, noise, variant, c1, c2)`.  Every query is one
-    played round charged gap(x) regret.  When the horizon truncates the
-    budget the exhausted flag is set and the estimate carries no accuracy
-    contract; callers discard it.
+    `estimator.queries(eps)`, and the call fails with probability
+    `estimator.delta`.  Every query is one played round charged gap(x)
+    regret.  When the horizon truncates the budget the exhausted flag is
+    set and the estimate carries no accuracy contract; callers discard it.
     """
-    budget = query_budget(eps, delta, noise, variant, c1, c2)
+    budget = estimator.queries(eps)
     if ledger.remaining <= 0:
         return math.nan, 0, True
     used = ledger.consume(budget, model.gap(x))
     exhausted = used < budget
 
     if oracle.mode == OracleMode.EMPIRICAL:
+        noise = estimator.noise
         draws = [classical_sample(model, noise, x, oracle.rng) for _ in range(used)]
         return float(np.mean(draws)), used, exhausted
 
     m = model.mu(x)
-    if oracle.fault_injection and oracle.rng.random() < delta:
+    if oracle.fault_injection and oracle.rng.random() < estimator.delta:
         sign = 1.0 if oracle.rng.random() < 0.5 else -1.0
         return m + sign * 2.0 * eps, used, exhausted
     u = oracle.rng.uniform(-1.0, 1.0)

@@ -66,20 +66,23 @@ class ExperimentConfig:
             problems.append(f"delta must be in (0,1), got {self.delta}")
         if self.trials < 1:
             problems.append(f"trials must be >= 1, got {self.trials}")
-        if self.noise == "gaussian" and self.sigma <= 0:
-            problems.append(f"sigma must be > 0 for gaussian noise, got {self.sigma}")
+        if self.master_seed < 0:
+            problems.append(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.noise == "gaussian" and not 0 < self.sigma < math.inf:
+            problems.append(
+                f"sigma must be finite and > 0 for gaussian noise, got {self.sigma}")
         if self.algorithm.endswith("_bv") and self.noise != "gaussian":
             problems.append(
                 f"algorithm {self.algorithm!r} requires gaussian noise, got {self.noise!r}"
             )
-        if self.c1 <= 1:
-            problems.append(f"c1 must be > 1, got {self.c1}")
-        if self.c2 <= 1:
-            problems.append(f"c2 must be > 1, got {self.c2}")
+        for name, value in (("c1", self.c1), ("c2", self.c2)):
+            if not 1 < value < math.inf:
+                problems.append(f"{name} must be finite and > 1, got {value}")
         if self.grid_resolution is not None and self.grid_resolution < 1:
             problems.append(f"grid_resolution must be >= 1, got {self.grid_resolution}")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            problems.append(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
+        if self.checkpoint_every is not None and not 1 <= self.checkpoint_every <= self.T:
+            problems.append(
+                f"checkpoint_every must be in [1, T={self.T}], got {self.checkpoint_every}")
         if problems:
             raise ConfigError(problems)
 

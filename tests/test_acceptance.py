@@ -14,6 +14,7 @@ import pytest
 from lipzoom import diagnostics
 from lipzoom.cli import cli_main
 from lipzoom.environment import (
+    Estimator,
     NoiseKind,
     NoiseModel,
     OracleMode,
@@ -82,7 +83,7 @@ def test_criterion_1_quantum_beats_classical(sweep_dirs):
 
 def test_criterion_2_clean_event_frequency():
     model = triangle_model()
-    noise = NoiseModel(NoiseKind.BERNOULLI)
+    estimator = Estimator(NoiseModel(NoiseKind.BERNOULLI), 0.05)
     mu = model.mu((0.5,))
 
     def fresh():
@@ -92,14 +93,14 @@ def test_criterion_2_clean_event_frequency():
     viol = 0
     n_on = 10_000
     for _ in range(n_on):
-        est, _, _ = qmc_estimate(on, model, noise, (0.5,), 0.1, 0.05, fresh())
+        est, _, _ = qmc_estimate(on, estimator, model, (0.5,), 0.1, fresh())
         viol += abs(est - mu) > 0.1
     frac = viol / n_on
 
     off = QuantumOracleSim(OracleMode.CONTRACT, False, np.random.default_rng(2025))
     off_viol = 0
     for _ in range(2_000):
-        est, _, _ = qmc_estimate(off, model, noise, (0.5,), 0.1, 0.05, fresh())
+        est, _, _ = qmc_estimate(off, estimator, model, (0.5,), 0.1, fresh())
         off_viol += abs(est - mu) > 0.1
 
     ok = frac <= 0.065 and off_viol == 0

@@ -1,5 +1,6 @@
 """Reward models, noise draws, oracle budgets/contract and ledger accounting."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from lipzoom.environment import (
     EnvironmentConfigError,
+    Estimator,
     NoiseKind,
     NoiseModel,
     OracleMode,
@@ -139,14 +141,21 @@ def _fresh(T=10**9, ck=10**9):
     return RoundLedger(T, ck)
 
 
+BERN = Estimator(NoiseModel(NoiseKind.BERNOULLI), 0.05)
+
+
+def test_qmc_estimate_takes_the_estimator_alone():
+    # noise, failure probability and constants live on the Estimator
+    params = list(inspect.signature(qmc_estimate).parameters)
+    assert params == ["oracle", "estimator", "model", "x", "eps", "ledger"]
+
+
 def test_oracle_contract_no_fault_always_within_eps():
     model = triangle_model()
-    noise = NoiseModel(NoiseKind.BERNOULLI)
     oracle = QuantumOracleSim(OracleMode.CONTRACT, False, np.random.default_rng(7))
     mu = model.mu((0.5,))
     for _ in range(2_000):
-        est, used, exhausted = qmc_estimate(
-            oracle, model, noise, (0.5,), 0.1, 0.05, _fresh())
+        est, used, exhausted = qmc_estimate(oracle, BERN, model, (0.5,), 0.1, _fresh())
         assert not exhausted
         assert abs(est - mu) <= 0.1
         assert used == qmc1_budget(0.1, 0.05)
@@ -154,12 +163,11 @@ def test_oracle_contract_no_fault_always_within_eps():
 
 def test_oracle_contract_fault_rate():
     model = triangle_model()
-    noise = NoiseModel(NoiseKind.BERNOULLI)
     oracle = QuantumOracleSim(OracleMode.CONTRACT, True, np.random.default_rng(8))
     mu = model.mu((0.5,))
     within = 0
     for _ in range(10_000):
-        est, _, _ = qmc_estimate(oracle, model, noise, (0.5,), 0.1, 0.05, _fresh())
+        est, _, _ = qmc_estimate(oracle, BERN, model, (0.5,), 0.1, _fresh())
         if abs(est - mu) <= 0.1:
             within += 1
     assert within >= 9_400  # binomial 3-sigma slack below 0.95 * 10^4
@@ -167,31 +175,25 @@ def test_oracle_contract_fault_rate():
 
 def test_oracle_empirical_mode():
     model = triangle_model()
-    noise = NoiseModel(NoiseKind.GAUSSIAN, SIGMA)
+    gauss = Estimator(NoiseModel(NoiseKind.GAUSSIAN, SIGMA), 0.05)
     oracle = QuantumOracleSim(OracleMode.EMPIRICAL, False, np.random.default_rng(9))
-    est, used, _ = qmc_estimate(oracle, model, noise, (0.2,), 0.05, 0.05, _fresh())
+    est, used, _ = qmc_estimate(oracle, gauss, model, (0.2,), 0.05, _fresh())
     assert used == qmc1_budget(0.05, 0.05)
     # empirical mean of `used` draws carries no eps contract, only consistency
     assert abs(est - model.mu((0.2,))) < 0.2
 
 
 def test_qmc2_variant_fallback():
-    model = triangle_model()
-    noise = NoiseModel(NoiseKind.GAUSSIAN, 0.05)
-    oracle = QuantumOracleSim(OracleMode.CONTRACT, False, np.random.default_rng(10))
+    estimator = Estimator(NoiseModel(NoiseKind.GAUSSIAN, 0.05), 0.05, c2=2.0)
     # eps = 0.5 >= 4*sigma = 0.2: the bounded-variance guarantee is vacuous,
     # so the call charges the qmc1 budget instead
-    _, used, _ = qmc_estimate(
-        oracle, model, noise, (0.2,), 0.5, 0.05, _fresh(), variant="qmc2")
-    assert used == qmc1_budget(0.5, 0.05)
+    assert estimator.queries(0.5) == qmc1_budget(0.5, 0.05)
+    assert estimator.queries(0.1) == qmc2_budget(0.1, 0.05, 0.05, 2.0)
 
 
 def test_qmc2_variant_requires_gaussian():
-    model = triangle_model()
-    oracle = QuantumOracleSim(OracleMode.CONTRACT, False, np.random.default_rng(11))
     with pytest.raises(EnvironmentConfigError):
-        qmc_estimate(oracle, model, NoiseModel(NoiseKind.BERNOULLI), (0.2,),
-                     0.1, 0.05, _fresh(), variant="qmc2")
+        Estimator(NoiseModel(NoiseKind.BERNOULLI), 0.05, c2=2.0)
 
 
 def test_ledger_checkpoints_and_interpolation():
@@ -234,10 +236,9 @@ def test_ledger_finalize_pads_flat():
 
 def test_estimate_truncated_by_horizon_is_flagged():
     model = triangle_model()
-    noise = NoiseModel(NoiseKind.BERNOULLI)
     oracle = QuantumOracleSim(OracleMode.CONTRACT, False, np.random.default_rng(12))
     led = RoundLedger(10, 5)
-    _, used, exhausted = qmc_estimate(oracle, model, noise, (0.5,), 0.01, 0.05, led)
+    _, used, exhausted = qmc_estimate(oracle, BERN, model, (0.5,), 0.01, led)
     assert exhausted and used == 10
-    est, used, exhausted = qmc_estimate(oracle, model, noise, (0.5,), 0.01, 0.05, led)
+    est, used, exhausted = qmc_estimate(oracle, BERN, model, (0.5,), 0.01, led)
     assert exhausted and used == 0 and math.isnan(est)

@@ -1,4 +1,5 @@
-"""Golden output: the small sweep's CSVs and two deep qlae runs are pinned byte for byte.
+"""Golden output: the small sweep's CSVs, two deep qlae runs and two
+empirical-oracle runs are pinned byte for byte.
 
 At T=5000 qlae/twodim stops at the eps=1/8 packing (81 points); at T=6·10^5
 it reaches the eps=1/64 packing (355 points), so the deep pins cover the
@@ -103,6 +104,35 @@ def test_deep_qlae_audit_stdout_matches_golden(capsys):
     argv = ["audit", "--algorithm", "qlae", "--noise", "bernoulli"] + DEEP_QLAE
     assert cli_main(argv) == 0
     assert capsys.readouterr().out == DEEP_AUDIT_STDOUT
+
+
+# The empirical oracle averages classical draws, one per query.  The qzooming_bv
+# run's first estimate, at eps=1/2 >= 4*sigma, charges the qmc1 budget with
+# c1=4; later estimates charge qmc2.
+EMPIRICAL = ["--qmc-mode", "empirical", "--T", "20000", "--trials", "2", "--master-seed", "7"]
+
+EMPIRICAL_RUNS = {
+    ("qlae", "twodim", "bernoulli"): ([], {
+        "qlae_twodim_bernoulli_summary.csv": "712f5757bf8bb5a5ba1fd11a91b42f50885e7a1d1ed3217d410b82401bfd1052",
+        "qlae_twodim_bernoulli_traces.csv": "3d9ae76132a88793fc25a9792da0772cee1d8f600a60f0c041cf6dbb9226c15f",
+    }),
+    ("qzooming_bv", "sine", "gaussian"): (["--sigma", "0.1", "--c1", "4"], {
+        "qzooming_bv_sine_gaussian_summary.csv": "8ffd591aa8dd2571582107c24ca54f6d720ad3fa339b8829c5cad122aecaffdf",
+        "qzooming_bv_sine_gaussian_traces.csv": "843b9e042c8a16dd6a4049d1c99e22407e826a4ded0127f890cc69099b439539",
+    }),
+}
+
+
+@pytest.mark.parametrize("algorithm, reward, noise", sorted(EMPIRICAL_RUNS))
+def test_empirical_oracle_run_csvs_match_golden_digests(algorithm, reward, noise, tmp_path):
+    extra, digests = EMPIRICAL_RUNS[algorithm, reward, noise]
+    argv = ["run", "--algorithm", algorithm, "--reward", reward, "--noise", noise]
+    assert cli_main(argv + extra + EMPIRICAL + ["--out", str(tmp_path)]) == 0
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.glob("*.csv"))
+    }
+    assert got == digests
 
 
 # `lipzoom dim` prints counts from the greedy cover (twodim) and the interval

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import inspect
+import math
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
@@ -45,6 +46,19 @@ def test_config_rejects_bad_fields():
         cfg.validate()
     msgs = "\n".join(exc.value.problems)
     assert "algorithm" in msgs and "trials" in msgs and "delta" in msgs
+    # values that would crash a run, or let it run wrong without an error
+    gaussian = replace(FAST, algorithm="qzooming_bv", noise="gaussian")
+    for cfg, name in [
+        (replace(FAST, c1=math.inf), "c1"), (replace(FAST, c1=math.nan), "c1"),
+        (replace(FAST, c2=math.inf), "c2"), (replace(FAST, c2=math.nan), "c2"),
+        (replace(gaussian, sigma=math.inf), "sigma"),
+        (replace(gaussian, sigma=math.nan), "sigma"),
+        (replace(FAST, master_seed=-1), "master_seed"),
+        (replace(FAST, checkpoint_every=FAST.T + 1), "checkpoint_every"),
+    ]:
+        with pytest.raises(ConfigError) as exc:
+            cfg.validate()
+        assert len(exc.value.problems) == 1 and name in exc.value.problems[0], cfg
 
 
 def test_config_bv_requires_gaussian():
@@ -175,10 +189,15 @@ def test_cli_run_happy_path(tmp_path, capsys):
     assert "qzooming_triangle_bernoulli.svg" in names
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     rc = cli_main(["run", "--algorithm", "qlae_bv", "--noise", "bernoulli",
                    "--T", "1000", "--trials", "1", "--out", str(tmp_path)])
     assert rc == 2
+    # an infinite c1 once escaped cli_main as an OverflowError
+    rc = cli_main(["run", "--c1", "inf", "--T", "1000", "--trials", "1",
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert "c1 must be finite" in capsys.readouterr().err
 
 
 def test_cli_unknown_flag_nonzero():
