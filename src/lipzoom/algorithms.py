@@ -181,7 +181,10 @@ def select_arm(estimates: list[float], radii: list[float]) -> int:
 class _Cover:
     """Zooming activation lattice with a count, per candidate, of the balls covering it.
 
-    Ball i is centred on the i-th activated candidate.
+    Ball i is centred on the i-th activated candidate.  `uncovered` counts the
+    candidates no ball covers.  A ball may also know its band `(lo, hi)`: the
+    largest candidate distance inside it and the smallest outside.  A new
+    radius in [lo, hi) moves no candidate, so `set_radius` returns at once.
     """
 
     def __init__(self, metric: Metric, grid_resolution: int | None):
@@ -192,25 +195,50 @@ class _Cover:
         self.metric = metric
         self.cand = lattice(metric.dimension, 1.0 / grid_resolution)
         self.count = np.zeros(len(self.cand), dtype=np.int32)
+        self.uncovered = len(self.cand)
         self._dist: list[np.ndarray] = []  # candidate distances to each centre
         self._inside: list[np.ndarray] = []  # candidates within each radius
+        self._size: list[int] = []  # number of candidates inside each ball
+        self._band: list[tuple[float, float]] = []  # (inf, -inf) while unknown
 
     def activate(self) -> Point | None:
         """Open a radius-1 ball on the first uncovered candidate and return it, or None."""
-        if self.count.all():
+        if not self.uncovered:
             return None
         j = int(np.argmin(self.count))
         dist = self.metric.pairwise(self.cand, self.cand[j : j + 1])[:, 0]
+        inside = dist <= 1.0
         self._dist.append(dist)
-        self._inside.append(dist <= 1.0)
-        self.count += self._inside[-1]
+        self._inside.append(inside)
+        self._size.append(int(np.count_nonzero(inside)))
+        self._band.append((math.inf, -math.inf))
+        self.count += inside
+        self.uncovered = len(self.count) - int(np.count_nonzero(self.count))
         return tuple(float(v) for v in self.cand[j])
 
     def set_radius(self, i: int, r: float) -> None:
-        inside = self._dist[i] <= r
+        lo, hi = self._band[i]
+        if lo <= r < hi:
+            return
+        dist = self._dist[i]
+        inside = dist <= r
+        size = int(np.count_nonzero(inside))
+        if size == self._size[i]:
+            # Balls of one centre are nested, so an equal size means no
+            # candidate moved.  Only then is the band found: the baseline's
+            # radii shrink in small steps, while zooming's halvings move
+            # candidates until the radius drops below the lattice spacing.
+            self._band[i] = (
+                float(np.where(inside, dist, -np.inf).max()),
+                float(np.where(inside, np.inf, dist).min()),
+            )
+            return
         self.count += inside
         self.count -= self._inside[i]
+        self.uncovered = len(self.count) - int(np.count_nonzero(self.count))
         self._inside[i] = inside
+        self._size[i] = size
+        self._band[i] = (math.inf, -math.inf)
 
 
 def _run_zooming(
@@ -323,20 +351,20 @@ def run_classical_zooming(
     log_t = 2.0 * math.log(T)
     points: list[Point] = []
     gaps: list[float] = []
-    counts = np.zeros(0, dtype=np.int64)
-    sums = np.zeros(0)
-    index = np.zeros(0)
+    counts: list[int] = []
+    sums: list[float] = []
+    index: list[float] = []
 
     for _ in range(T):
         y = cover.activate()
         if y is not None:
             points.append(y)
             gaps.append(model.gap(y))
-            counts = np.append(counts, 0)
-            sums = np.append(sums, 0.0)
-            index = np.append(index, 2.0)  # mean 0, radius 1
+            counts.append(0)
+            sums.append(0.0)
+            index.append(2.0)  # mean 0, radius 1
 
-        i = int(np.argmax(index))
+        i = index.index(max(index))  # first wins ties, as in select_arm
         y_draw = classical_sample(model, noise, points[i], rng)
         counts[i] += 1
         sums[i] += y_draw

@@ -122,13 +122,22 @@ def classical_sample(
     return m + noise.sigma * float(rng.standard_normal())
 
 
+def _ceil_budget(value: float) -> int:
+    """At least one query, rounded up; a non-finite budget is a config error."""
+    if not math.isfinite(value):
+        raise EnvironmentConfigError(
+            f"query budget is not finite ({value}): the constant is too large or delta too small"
+        )
+    return max(1, math.ceil(value))
+
+
 def qmc1_budget(eps: float, delta: float, c1: float = 2.0) -> int:
     """Query budget of the bounded-noise quantum mean estimator: ceil((c1/eps) ln(1/delta))."""
     if eps <= 0:
         raise EnvironmentConfigError(f"eps must be positive, got {eps}")
     if not (0 < delta < 1):
         raise EnvironmentConfigError(f"delta must be in (0,1), got {delta}")
-    return max(1, math.ceil((c1 / eps) * math.log(1.0 / delta)))
+    return _ceil_budget((c1 / eps) * math.log(1.0 / delta))
 
 
 def qmc2_budget(eps: float, sigma: float, delta: float, c2: float = 2.0) -> int:
@@ -150,8 +159,7 @@ def qmc2_budget(eps: float, sigma: float, delta: float, c2: float = 2.0) -> int:
     l = math.log2(ratio)
     f1 = max(1.0, l ** 1.5)
     f2 = max(1.0, math.log2(l)) if l > 0 else 1.0
-    value = (c2 * sigma / eps) * f1 * f2 * math.log(1.0 / delta)
-    return max(1, math.ceil(value))
+    return _ceil_budget((c2 * sigma / eps) * f1 * f2 * math.log(1.0 / delta))
 
 
 @dataclass(frozen=True)

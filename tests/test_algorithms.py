@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lipzoom import algorithms
 from lipzoom.algorithms import (
     _Cover,
     run_classical_zooming,
@@ -19,6 +20,7 @@ from lipzoom.environment import (
     NoiseModel,
     OracleMode,
     QuantumOracleSim,
+    RoundLedger,
     custom_model,
     qmc1_budget,
     qmc2_budget,
@@ -67,7 +69,13 @@ def test_cover_matches_brute_force(metric):
     rng = np.random.default_rng(21)
     cover = _Cover(metric, None)
     centres, radii = [], []
-    outcomes = {"activated": 0, "covered": 0}
+    outcomes = {"activated": 0, "covered": 0, "moved": 0, "unmoved": 0}
+
+    def check_counts():
+        assert cover.uncovered == np.count_nonzero(cover.count == 0)
+        d = metric.pairwise(cover.cand, np.asarray(centres))
+        np.testing.assert_array_equal(cover.count, (d <= np.asarray(radii)).sum(axis=1))
+
     for _ in range(300):
         if centres:
             d = metric.pairwise(cover.cand, np.asarray(centres))
@@ -85,17 +93,35 @@ def test_cover_matches_brute_force(metric):
             outcomes["activated"] += 1
             centres.append(got)
             radii.append(1.0)
+        check_counts()
         for _ in range(int(rng.integers(1, 4))):
             i = int(rng.integers(len(centres)))
+            dist = np.unique(metric.pairwise(cover.cand, np.asarray(centres[i : i + 1])))
+            below, above = dist[dist <= radii[i]], dist[dist > radii[i]]
             kind = rng.random()
-            if kind < 0.4:
+            if kind < 0.3:
                 r = radii[i] / 2.0  # the zooming halving, exact on the lattice
-            elif kind < 0.9:
+            elif kind < 0.6:
                 r = radii[i] * rng.uniform(0.2, 1.0)
-            else:
+            elif kind < 0.65:
                 r = rng.uniform(1.0, 5.0)  # sqrt(2 ln T) at n = 1 exceeds 1
+            elif kind < 0.75:
+                r = radii[i] * (1.0 - 1e-12)  # moves only a candidate at exactly r
+            elif kind < 0.875:
+                # strictly between the nearest candidate distances around r
+                hi = above[0] if len(above) else below[-1] + 1.0
+                r = float(rng.uniform(below[-1], hi))
+                while not below[-1] < r < hi:
+                    r = float(rng.uniform(below[-1], hi))
+            else:
+                # exactly on a candidate at or below r (or the nearest one),
+                # which stays inside by <=
+                r = float(rng.choice(dist[1:][dist[1:] <= max(radii[i], dist[1])]))
+            before = cover.count.copy()
             cover.set_radius(i, r)
             radii[i] = r
+            outcomes["moved" if (cover.count != before).any() else "unmoved"] += 1
+            check_counts()
     assert min(outcomes.values()) >= 10
 
 
@@ -267,6 +293,28 @@ def test_classical_zooming_plays_every_round():
     assert res.total_rounds == 5_000
     assert res.checkpoints[-1][0] == 5_000
     assert res.final_regret > 0.0
+
+
+@pytest.mark.parametrize("factory", [triangle_model, twodim_model], ids=["abs1d", "linf2d"])
+def test_classical_zooming_draws_and_charges_once_per_round(factory, monkeypatch):
+    # the benchmark's completeness identity counts these calls; block draws
+    # must change this test and that identity together
+    calls = {"sample": 0, "consume": 0}
+    sample, consume = algorithms.classical_sample, RoundLedger.consume
+
+    def counted_sample(*args):
+        calls["sample"] += 1
+        return sample(*args)
+
+    def counted_consume(self, *args):
+        calls["consume"] += 1
+        return consume(self, *args)
+
+    monkeypatch.setattr(algorithms, "classical_sample", counted_sample)
+    monkeypatch.setattr(RoundLedger, "consume", counted_consume)
+    res = run_classical_zooming(factory(), _gauss(), T=3_000, rng=np.random.default_rng(18))
+    assert calls == {"sample": 3_000, "consume": 3_000}
+    assert res.total_rounds == 3_000
 
 
 def test_checkpoints_nondecreasing():

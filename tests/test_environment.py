@@ -101,6 +101,19 @@ def test_budget_validation():
         qmc2_budget(0.1, -1.0, 0.05)
 
 
+def test_budget_overflow_is_config_error():
+    # (c/eps) ln(1/delta) overflows to inf for a huge constant or a delta
+    # whose reciprocal is not a finite float
+    with pytest.raises(EnvironmentConfigError, match="not finite"):
+        qmc1_budget(0.5, 0.05, 1e308)
+    with pytest.raises(EnvironmentConfigError, match="not finite"):
+        qmc1_budget(0.5, 1e-309)
+    with pytest.raises(EnvironmentConfigError, match="not finite"):
+        qmc2_budget(0.25, SIGMA, 0.05, 1e308)
+    with pytest.raises(EnvironmentConfigError, match="not finite"):
+        qmc2_budget(0.25, SIGMA, 1e-309)
+
+
 def test_budgets_decrease_with_eps():
     prev1 = prev2 = None
     for k in range(1, 8):

@@ -1,5 +1,5 @@
-"""Golden output: the small sweep's CSVs, two deep qlae runs and two
-empirical-oracle runs are pinned byte for byte.
+"""Golden output: the small sweep's CSVs, two deep qlae runs, two deep
+classical-baseline runs and two empirical-oracle runs are pinned byte for byte.
 
 At T=5000 qlae/twodim stops at the eps=1/8 packing (81 points); at T=6·10^5
 it reaches the eps=1/64 packing (355 points), so the deep pins cover the
@@ -104,6 +104,34 @@ def test_deep_qlae_audit_stdout_matches_golden(capsys):
     argv = ["audit", "--algorithm", "qlae", "--noise", "bernoulli"] + DEEP_QLAE
     assert cli_main(argv) == 0
     assert capsys.readouterr().out == DEEP_AUDIT_STDOUT
+
+
+# At T=5·10^4 the classical baseline shrinks its confidence radii past many
+# candidate distances, which the T=5000 sweep barely reaches.
+DEEP_CLASSICAL = ["--algorithm", "classical_zooming", "--T", "50000", "--trials", "1",
+                  "--master-seed", "7"]
+
+DEEP_CLASSICAL_RUNS = {
+    ("twodim", "gaussian"): {
+        "classical_zooming_twodim_gaussian_summary.csv": "338d0f90debf5084c6b4b0377241b19a6f9b5f4a0a0b31b0f7a85eccd00d03c2",
+        "classical_zooming_twodim_gaussian_traces.csv": "27e7b64ad9682b82d7ff20fc9f084c68a96a7a44638aa3086447aed4009049c5",
+    },
+    ("triangle", "bernoulli"): {
+        "classical_zooming_triangle_bernoulli_summary.csv": "dfb0ebb505eccffd03b2cff48f1fe963fa26c981c5319f818f34331bbc837bee",
+        "classical_zooming_triangle_bernoulli_traces.csv": "8a9ec6e5f618e136b53a42332bd6672210789ac3ae6ee30b200b93599a8b2f45",
+    },
+}
+
+
+@pytest.mark.parametrize("reward, noise", sorted(DEEP_CLASSICAL_RUNS))
+def test_deep_classical_run_csvs_match_golden_digests(reward, noise, tmp_path):
+    argv = ["run", "--reward", reward, "--noise", noise] + DEEP_CLASSICAL
+    assert cli_main(argv + ["--out", str(tmp_path)]) == 0
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.glob("*.csv"))
+    }
+    assert got == DEEP_CLASSICAL_RUNS[reward, noise]
 
 
 # The empirical oracle averages classical draws, one per query.  The qzooming_bv

@@ -200,6 +200,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "c1 must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--c1", "1e308"), ("--delta", "1e-305")])
+def test_cli_budget_overflow_prints_one_line(flag, value, tmp_path, capsys):
+    # a finite constant or delta whose query budget overflows once escaped
+    # cli_main as an OverflowError traceback
+    rc = cli_main(["run", "--algorithm", "qlae", "--T", "5000", "--trials", "1",
+                   flag, value, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: query budget is not finite")
+    assert err.count("\n") == 1
+
+
 def test_cli_unknown_flag_nonzero():
     assert cli_main(["run", "--definitely-not-a-flag"]) != 0
 
