@@ -349,7 +349,7 @@ def run_classical_zooming(
     ledger = RoundLedger(T, checkpoint_every)
     cover = _Cover(model.metric, grid_resolution)
     log_t = 2.0 * math.log(T)
-    points: list[Point] = []
+    means: list[float] = []
     gaps: list[float] = []
     counts: list[int] = []
     sums: list[float] = []
@@ -358,14 +358,14 @@ def run_classical_zooming(
     for _ in range(T):
         y = cover.activate()
         if y is not None:
-            points.append(y)
+            means.append(model.mu(y))
             gaps.append(model.gap(y))
             counts.append(0)
             sums.append(0.0)
             index.append(2.0)  # mean 0, radius 1
 
         i = index.index(max(index))  # first wins ties, as in select_arm
-        y_draw = classical_sample(model, noise, points[i], rng)
+        y_draw = classical_sample(means[i], noise, rng)
         counts[i] += 1
         sums[i] += y_draw
         r = math.sqrt(log_t / counts[i])

@@ -112,11 +112,12 @@ class NoiseModel:
             raise EnvironmentConfigError("gaussian noise requires a finite sigma > 0")
 
 
-def classical_sample(
-    model: RewardModel, noise: NoiseModel, x: Point, rng: np.random.Generator
-) -> float:
-    """One noisy reward draw: Bernoulli(mu) or mu + N(0, sigma^2)."""
-    m = model.mu(x)
+def classical_sample(m: float, noise: NoiseModel, rng: np.random.Generator) -> float:
+    """One noisy reward draw around the mean m: Bernoulli(m) or m + N(0, sigma^2).
+
+    Callers evaluate `model.mu(x)` once per arm (or per oracle call) and
+    pass it in, since x is fixed across the draws they take there.
+    """
     if noise.kind == NoiseKind.BERNOULLI:
         return float(rng.random() < m)
     return m + noise.sigma * float(rng.standard_normal())
@@ -245,15 +246,15 @@ class RoundLedger:
         Checkpoints crossed by the burst are recorded with the exact regret
         at the checkpoint round (regret accrues linearly within a burst).
         """
-        n = min(n, self.remaining)
+        start, start_regret = self.consumed, self.cumulative_regret
+        n = min(n, self.horizon - start)
         if n <= 0:
             return 0
-        start, start_regret = self.consumed, self.cumulative_regret
-        self.consumed += n
-        self.cumulative_regret += n * gap
+        self.consumed = end = start + n
+        self.cumulative_regret = start_regret + n * gap
         ck = self.checkpoint_every
         b = (start // ck + 1) * ck
-        while b <= self.consumed:
+        while b <= end:
             self.checkpoints.append((b, start_regret + (b - start) * gap))
             b += ck
         return n
@@ -286,15 +287,15 @@ def qmc_estimate(
     budget = estimator.queries(eps)
     if ledger.remaining <= 0:
         return math.nan, 0, True
-    used = ledger.consume(budget, model.gap(x))
+    m = model.mu(x)  # once per call; mu_star - m is gap(x), and every draw shares m
+    used = ledger.consume(budget, model.mu_star - m)
     exhausted = used < budget
 
     if oracle.mode == OracleMode.EMPIRICAL:
-        noise = estimator.noise
-        draws = [classical_sample(model, noise, x, oracle.rng) for _ in range(used)]
+        noise, rng = estimator.noise, oracle.rng
+        draws = [classical_sample(m, noise, rng) for _ in range(used)]
         return float(np.mean(draws)), used, exhausted
 
-    m = model.mu(x)
     if oracle.fault_injection and oracle.rng.random() < estimator.delta:
         sign = 1.0 if oracle.rng.random() < 0.5 else -1.0
         return m + sign * 2.0 * eps, used, exhausted

@@ -64,6 +64,10 @@ class ExperimentConfig:
             problems.append(f"T must be >= 1, got {self.T}")
         if not (0 < self.delta < 1):
             problems.append(f"delta must be in (0,1), got {self.delta}")
+        elif (self.T >= 1 and self.algorithm != "classical_zooming"
+              and self.delta / self.T == 0.0):
+            problems.append(
+                f"delta must be large enough that delta/T > 0, got {self.delta} with T={self.T}")
         if self.trials < 1:
             problems.append(f"trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:

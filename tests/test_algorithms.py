@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lipzoom import algorithms
+from lipzoom import algorithms, environment
 from lipzoom.algorithms import (
     _Cover,
     run_classical_zooming,
@@ -20,6 +20,7 @@ from lipzoom.environment import (
     NoiseModel,
     OracleMode,
     QuantumOracleSim,
+    RewardModel,
     RoundLedger,
     custom_model,
     qmc1_budget,
@@ -315,6 +316,40 @@ def test_classical_zooming_draws_and_charges_once_per_round(factory, monkeypatch
     res = run_classical_zooming(factory(), _gauss(), T=3_000, rng=np.random.default_rng(18))
     assert calls == {"sample": 3_000, "consume": 3_000}
     assert res.total_rounds == 3_000
+
+
+@pytest.mark.parametrize("runner,noise", [(run_qlae, _bern), (run_qzooming_bv, _gauss)],
+                         ids=["qlae-bernoulli", "qzooming_bv-gaussian"])
+def test_empirical_oracle_draws_once_per_query_and_evaluates_mu_once_per_call(
+        runner, noise, monkeypatch):
+    # the benchmark's completeness identity counts the empirical oracle's
+    # classical_sample calls too; the reward is evaluated once per oracle call
+    calls = {"sample": 0, "mu": 0}
+    mu_per_call: list[tuple[int, int]] = []
+    sample, mu, estimate = environment.classical_sample, RewardModel.mu, algorithms.qmc_estimate
+
+    def counted_sample(*args):
+        calls["sample"] += 1
+        return sample(*args)
+
+    def counted_mu(self, x):
+        calls["mu"] += 1
+        return mu(self, x)
+
+    def counted_estimate(*args):
+        before = calls["mu"]
+        out = estimate(*args)
+        mu_per_call.append((out[1], calls["mu"] - before))
+        return out
+
+    monkeypatch.setattr(environment, "classical_sample", counted_sample)
+    monkeypatch.setattr(RewardModel, "mu", counted_mu)
+    monkeypatch.setattr(algorithms, "qmc_estimate", counted_estimate)
+    oracle = QuantumOracleSim(OracleMode.EMPIRICAL, False, np.random.default_rng(19))
+    res = runner(triangle_model(), noise(), oracle, T=5_000, delta=0.1, audits=False)
+    assert 0 < calls["sample"] == res.total_rounds == sum(used for used, _ in mu_per_call)
+    assert mu_per_call and all(n_mu == (1 if used else 0) for used, n_mu in mu_per_call)
+    assert calls["mu"] == sum(1 for used, _ in mu_per_call if used)
 
 
 def test_checkpoints_nondecreasing():

@@ -130,7 +130,7 @@ def test_bernoulli_sample_mean():
     model = triangle_model()
     noise = NoiseModel(NoiseKind.BERNOULLI)
     rng = np.random.default_rng(5)
-    draws = [classical_sample(model, noise, (1 / 3,), rng) for _ in range(10_000)]
+    draws = [classical_sample(model.mu((1 / 3,)), noise, rng) for _ in range(10_000)]
     assert set(draws) <= {0.0, 1.0}
     assert np.mean(draws) == pytest.approx(0.9, abs=0.01)
 
@@ -140,9 +140,37 @@ def test_gaussian_sample_variance():
     noise = NoiseModel(NoiseKind.GAUSSIAN, SIGMA)
     rng = np.random.default_rng(6)
     x = (0.0,)
-    draws = np.array([classical_sample(model, noise, x, rng) for _ in range(10_000)])
+    draws = np.array([classical_sample(model.mu(x), noise, rng) for _ in range(10_000)])
     assert draws.mean() == pytest.approx(model.mu(x), abs=0.02)
     assert draws.var(ddof=1) == pytest.approx(0.1, abs=0.01)
+
+
+def _reference_classical_sample(model, noise, x, rng):
+    # reference: the reward evaluated inside every draw
+    m = model.mu(x)
+    if noise.kind == NoiseKind.BERNOULLI:
+        return float(rng.random() < m)
+    return m + noise.sigma * float(rng.standard_normal())
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+@pytest.mark.parametrize("factory,x", [
+    (triangle_model, (1 / 3,)),
+    (triangle_model, (0.9,)),
+    (twodim_model, (0.8, 0.7)),
+    (twodim_model, (0.0, 0.0)),  # raw < 0: mu clips to 0
+])
+def test_classical_sample_matches_reference(kind, factory, x):
+    model = factory()
+    noise = NoiseModel(kind, SIGMA if kind == NoiseKind.GAUSSIAN else 0.0)
+    if x == (0.0, 0.0):
+        assert model.raw(x) < 0.0 and model.mu(x) == 0.0
+    rng_ref, rng_new = np.random.default_rng(31), np.random.default_rng(31)
+    m = model.mu(x)
+    ref = [_reference_classical_sample(model, noise, x, rng_ref) for _ in range(2_000)]
+    new = [classical_sample(m, noise, rng_new) for _ in range(2_000)]
+    assert new == ref
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_gaussian_noise_needs_sigma():

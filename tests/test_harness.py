@@ -212,6 +212,16 @@ def test_cli_budget_overflow_prints_one_line(flag, value, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_cli_delta_over_T_underflow_is_config_error(tmp_path, capsys):
+    # the per-call delta/T underflows to 0.0: a config error naming delta, not 0.0
+    rc = cli_main(["run", "--algorithm", "qlae", "--T", "5000", "--trials", "1",
+                   "--delta", "1e-320", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "delta must be large enough that delta/T > 0, got 1e-320 with T=5000" in err
+    assert "got 0.0" not in err
+
+
 def test_cli_unknown_flag_nonzero():
     assert cli_main(["run", "--definitely-not-a-flag"]) != 0
 
