@@ -174,8 +174,8 @@ def run_qlae_bv(
 
 def select_arm(estimates: list[float], radii: list[float]) -> int:
     """Index of the arm maximizing estimate + 2*radius; first activated wins ties."""
-    idx = np.asarray(estimates) + 2.0 * np.asarray(radii)
-    return int(np.argmax(idx))
+    idx = [e + 2.0 * r for e, r in zip(estimates, radii)]
+    return idx.index(max(idx))
 
 
 class _Cover:
@@ -364,7 +364,7 @@ def run_classical_zooming(
             sums.append(0.0)
             index.append(2.0)  # mean 0, radius 1
 
-        i = index.index(max(index))  # first wins ties, as in select_arm
+        i = index.index(max(index))  # first wins ties
         y_draw = classical_sample(means[i], noise, rng)
         counts[i] += 1
         sums[i] += y_draw

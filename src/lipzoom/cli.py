@@ -16,6 +16,7 @@ from .harness import (
     SWEEP_DEFAULTS,
     emit_csv,
     emit_plot,
+    reads,
     run_experiment,
     run_single,
     sweep_cells,
@@ -25,9 +26,10 @@ _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no":
 # value parsers by field annotation; an `X | None` field also takes `none`
 # in a config file
 _PARSE = {"int": int, "float": float, "str": str, "bool": lambda v: _BOOL[v.lower()]}
-# the values a flag or config-file key sets: every field but `audits`, which
-# no output of run or sweep reads and which audit always turns on
+# the values a flag or config-file key sets: every field but `audits`, which only
+# audit turns on, and for sweep not algorithm, reward or noise, which its cells set
 _SETTABLE = {f.name: f.type for f in fields(ExperimentConfig) if f.name != "audits"}
+_SWEEP_SETTABLE = [name for name in _SETTABLE if name not in ("algorithm", "reward", "noise")]
 
 
 def _parse_config_file(path: str) -> dict:
@@ -53,12 +55,10 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
-def _add_config_flags(p: argparse.ArgumentParser, with_algorithm: bool = True) -> None:
-    for name, annotation in _SETTABLE.items():
-        if name == "algorithm" and not with_algorithm:
-            continue
+def _add_config_flags(p: argparse.ArgumentParser, names=tuple(_SETTABLE)) -> None:
+    for name in names:
         flag = "--" + name.replace("_", "-")
-        base = annotation.partition(" | ")[0]
+        base = _SETTABLE[name].partition(" | ")[0]
         if base == "bool":
             p.add_argument(flag, action=argparse.BooleanOptionalAction)
         else:
@@ -66,7 +66,7 @@ def _add_config_flags(p: argparse.ArgumentParser, with_algorithm: bool = True) -
     p.add_argument("--config", metavar="FILE", help="key=value config file")
 
 
-def _build_config(args: argparse.Namespace, defaults: ExperimentConfig) -> ExperimentConfig:
+def _build_config(args: argparse.Namespace, base: ExperimentConfig, read=reads) -> ExperimentConfig:
     overrides: dict = {}
     if getattr(args, "config", None):
         overrides.update(_parse_config_file(args.config))
@@ -74,7 +74,12 @@ def _build_config(args: argparse.Namespace, defaults: ExperimentConfig) -> Exper
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    return replace(defaults, **overrides)
+    config = replace(base, **overrides)
+    config.validate()
+    unread = sorted(overrides.keys() - read(config))
+    if unread:
+        raise ConfigError([f"{name} is not read by this {args.command}" for name in unread])
+    return config
 
 
 def _run_and_emit(config: ExperimentConfig, out: Path):
@@ -95,7 +100,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     out = Path(args.out)
-    cells = sweep_cells(_build_config(args, SWEEP_DEFAULTS))
+    cells = sweep_cells(_build_config(args, SWEEP_DEFAULTS, lambda _: _SWEEP_SETTABLE))
     panels: dict[tuple[str, str], list] = {}
     for config in cells:
         name, summary = _run_and_emit(config, out)
@@ -111,9 +116,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    config = replace(_build_config(args, ExperimentConfig(T=50_000, trials=1)), audits=True)
-    config.validate()
-    if config.algorithm == "classical_zooming":
+    config = _build_config(args, ExperimentConfig(T=50_000, trials=1, audits=True))
+    if "audits" not in reads(config):
         raise ConfigError(["audit requires a quantum algorithm"])
     model = REWARD_FACTORIES[config.reward]()
     total = viol = 0
@@ -157,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run all reward x noise panels")
-    _add_config_flags(p_sweep, with_algorithm=False)
+    _add_config_flags(p_sweep, _SWEEP_SETTABLE)
     p_sweep.add_argument("--out", default="out", help="output directory")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -81,15 +81,6 @@ def twodim_model() -> RewardModel:
     )
 
 
-def custom_model(
-    raw: Callable[[Point], float],
-    lipschitz_constant: float,
-    mu_star: float,
-    x_star: Point,
-) -> RewardModel:
-    return RewardModel(raw, lipschitz_constant, mu_star, x_star)
-
-
 REWARD_FACTORIES = {
     "triangle": triangle_model,
     "sine": sine_model,
@@ -209,9 +200,9 @@ class QuantumOracleSim:
     no accuracy guarantee at the quantum budget).
     """
 
-    mode: OracleMode = OracleMode.CONTRACT
-    fault_injection: bool = True
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
+    mode: OracleMode
+    fault_injection: bool
+    rng: np.random.Generator
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -60,12 +61,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value not in allowed:
                 problems.append(f"{name} must be one of {allowed}, got {value!r}")
+        read = reads(self) if self.algorithm in CHOICES["algorithm"] else set()
         if self.T < 1:
             problems.append(f"T must be >= 1, got {self.T}")
         if not (0 < self.delta < 1):
             problems.append(f"delta must be in (0,1), got {self.delta}")
-        elif (self.T >= 1 and self.algorithm != "classical_zooming"
-              and self.delta / self.T == 0.0):
+        elif self.T >= 1 and "delta" in read and self.delta / self.T == 0.0:
             problems.append(
                 f"delta must be large enough that delta/T > 0, got {self.delta} with T={self.T}")
         if self.trials < 1:
@@ -75,7 +76,7 @@ class ExperimentConfig:
         if self.noise == "gaussian" and not 0 < self.sigma < math.inf:
             problems.append(
                 f"sigma must be finite and > 0 for gaussian noise, got {self.sigma}")
-        if self.algorithm.endswith("_bv") and self.noise != "gaussian":
+        if "c2" in read and self.noise != "gaussian":
             problems.append(
                 f"algorithm {self.algorithm!r} requires gaussian noise, got {self.noise!r}"
             )
@@ -114,24 +115,28 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, trial]))
 
 
+def reads(config: ExperimentConfig) -> set[str]:
+    """The config fields a run of `config` reads; its algorithm must be valid."""
+    params = inspect.signature(getattr(algorithms, f"run_{config.algorithm}")).parameters
+    out = {"algorithm", "reward", "noise", "trials", "master_seed", *params} & vars(config).keys()
+    if "oracle" in params:
+        out |= {"qmc_mode", "fault_injection"}
+    if config.noise == "gaussian":
+        out.add("sigma")
+    return out
+
+
 def run_single(config: ExperimentConfig, trial: int) -> algorithms.PolicyResult:
     config.validate()
     model = REWARD_FACTORIES[config.reward]()
     noise = NoiseModel(NoiseKind(config.noise),
                        config.sigma if config.noise == "gaussian" else 0.0)
     rng = trial_rng(config.master_seed, trial)
-    kwargs: dict = {"checkpoint_every": config.checkpoint_every}
-    if "zooming" in config.algorithm:
-        kwargs["grid_resolution"] = config.grid_resolution
-    if config.algorithm == "classical_zooming":
-        args: tuple = (model, noise, config.T, rng)
-    else:
-        oracle = QuantumOracleSim(OracleMode(config.qmc_mode), config.fault_injection, rng)
-        args = (model, noise, oracle, config.T, config.delta)
-        kwargs.update(c1=config.c1, audits=config.audits)
-        if config.algorithm.endswith("_bv"):
-            kwargs["c2"] = config.c2
-    return getattr(algorithms, f"run_{config.algorithm}")(*args, **kwargs)
+    oracle = QuantumOracleSim(OracleMode(config.qmc_mode), config.fault_injection, rng)
+    values = {**vars(config), "model": model, "noise": noise, "oracle": oracle, "rng": rng}
+    # looked up per call, so a wrapper in its place runs; signature follows __wrapped__
+    runner = getattr(algorithms, f"run_{config.algorithm}")
+    return runner(**{name: values[name] for name in inspect.signature(runner).parameters})
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[RegretTrace], Summary]:

@@ -22,7 +22,6 @@ from lipzoom.environment import (
     QuantumOracleSim,
     RewardModel,
     RoundLedger,
-    custom_model,
     qmc1_budget,
     qmc2_budget,
     triangle_model,
@@ -129,7 +128,7 @@ def test_cover_matches_brute_force(metric):
 def test_qlae_eliminates_gap_one_arm_by_stage_three():
     # mu(x) = 1 - x: the worst arm (x=1, gap 1) must be gone once
     # 3*eps + 2*eps < 1, i.e. at stage 3 (eps = 1/8 < 1/5)
-    model = custom_model(lambda x: 1.0 - x[0], 1.0, 1.0, (0.0,))
+    model = RewardModel(lambda x: 1.0 - x[0], 1.0, 1.0, (0.0,))
     res = run_qlae(model, _bern(), _oracle(0), T=200_000, delta=0.05,
                    audits=True)
     assert res.stages_completed >= 3
@@ -280,7 +279,7 @@ def test_qzooming_deterministic_given_seed():
 
 
 def test_classical_zooming_zero_gap_everywhere():
-    model = custom_model(lambda x: 0.4, 0.0, 0.4, (0.0,))
+    model = RewardModel(lambda x: 0.4, 0.0, 0.4, (0.0,))
     res = run_classical_zooming(model, _bern(), T=2_000,
                                 rng=np.random.default_rng(13))
     assert res.final_regret == pytest.approx(0.0)

@@ -16,7 +16,7 @@ from lipzoom.diagnostics import (
     near_optimal_set,
     zooming_number,
 )
-from lipzoom.environment import custom_model, sine_model, triangle_model, twodim_model
+from lipzoom.environment import RewardModel, sine_model, triangle_model, twodim_model
 from lipzoom.geometry import Metric, MetricKind, lattice
 
 
@@ -53,7 +53,7 @@ def test_zooming_number_triangle_matches_interval_oracle():
 
 def test_zooming_number_zero_when_set_empty():
     # constant reward: every gap is 0, so X_r is empty for r > 0
-    model = custom_model(lambda x: 0.5, 0.0, 0.5, (0.0,))
+    model = RewardModel(lambda x: 0.5, 0.0, 0.5, (0.0,))
     assert zooming_number(model, 0.25, spacing=1 / 64) == 0
 
 
@@ -152,7 +152,7 @@ def test_fit_dimension_sine():
 
 
 def test_fit_dimension_degenerate_counts():
-    model = custom_model(lambda x: 0.5, 0.0, 0.5, (0.0,))
+    model = RewardModel(lambda x: 0.5, 0.0, 0.5, (0.0,))
     prof = fit_zooming_dimension(model)
     assert prof.fitted_dimension == 0.0
 

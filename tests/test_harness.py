@@ -1,5 +1,6 @@
 """Config validation, trial seeding, CSV/SVG emission and the CLI surface."""
 
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lipzoom import algorithms
 from lipzoom.cli import _build_config, build_parser, cli_main
 from lipzoom.harness import (
     CHOICES,
@@ -23,6 +25,7 @@ from lipzoom.harness import (
     emit_csv,
     emit_plot,
     read_traces_csv,
+    reads,
     run_experiment,
     run_single,
     summarize,
@@ -97,6 +100,58 @@ def test_bv_fallback_stages_use_c1():
     )
     assert any(r.eps >= 0.4 for r in res.estimate_records)
     assert res.total_rounds == charged
+
+
+def test_run_single_passes_each_runner_exactly_its_parameters(monkeypatch):
+    # wrapped the way the benchmark tracer wraps them: run_single must look
+    # the runner up per call and bind every argument by name
+    passed = {}
+
+    def recorder(alg, runner):
+        @functools.wraps(runner)
+        def record(**kwargs):
+            passed[alg] = set(kwargs)
+            return runner(**kwargs)
+        return record
+
+    for alg in CHOICES["algorithm"]:
+        name = f"run_{alg}"
+        monkeypatch.setattr(algorithms, name, recorder(alg, getattr(algorithms, name)))
+        noise = "gaussian" if alg.endswith("_bv") else "bernoulli"
+        run_single(replace(FAST, algorithm=alg, noise=noise, T=2_000), 0)
+    common = {"model", "noise", "T", "checkpoint_every"}
+    quantum = common | {"oracle", "delta", "c1", "audits"}
+    assert passed == {
+        "qlae": quantum,
+        "qlae_bv": quantum | {"c2"},
+        "qzooming": quantum | {"grid_resolution"},
+        "qzooming_bv": quantum | {"grid_resolution", "c2"},
+        "classical_zooming": common | {"rng", "grid_resolution"},
+    }
+
+
+def test_runner_signatures_cover_the_cli():
+    # each algorithm's runner names only config fields and what run_single builds
+    names = {f.name for f in fields(ExperimentConfig)} | {"model", "noise", "oracle", "rng"}
+    for alg in CHOICES["algorithm"]:
+        runner = getattr(algorithms, f"run_{alg}", None)
+        assert callable(runner), alg
+        assert set(inspect.signature(runner).parameters) <= names, alg
+    # every flag run and sweep offer is read by some run the subcommand starts
+    runs = []
+    for alg in CHOICES["algorithm"]:
+        for noise in CHOICES["noise"]:
+            config = ExperimentConfig(algorithm=alg, noise=noise)
+            try:
+                config.validate()
+            except ConfigError:
+                continue
+            runs.append(config)
+    parser = build_parser()
+    for command, configs in (("run", runs), ("sweep", sweep_cells())):
+        flags = set(vars(parser.parse_args([command]))) - {"command", "func", "config", "out"}
+        unread = flags - set().union(*map(reads, configs))
+        assert not unread, (command, unread)
 
 
 def test_run_single_repeatable():
@@ -262,20 +317,22 @@ def test_settable_fields_are_every_field_but_audits():
 
 @pytest.mark.parametrize("name", sorted(SETTABLE))
 def test_field_round_trips_through_flag_and_config_file(name, tmp_path):
+    # only a bounded-variance run, which needs gaussian noise, reads c2 and sigma
+    base = (ExperimentConfig(algorithm="qzooming_bv", noise="gaussian")
+            if name in ("c2", "sigma") else ExperimentConfig())
     text, value = SETTABLE[name]
-    assert getattr(ExperimentConfig(), name) != value
+    assert getattr(base, name) != value
     flag = "--" + name.replace("_", "-")
     if isinstance(value, bool):
         flags = [flag if value else "--no-" + flag[2:]]
     else:
         flags = [flag, text]
     parser = build_parser()
-    from_flag = _build_config(parser.parse_args(["run"] + flags), ExperimentConfig())
-    assert from_flag == replace(ExperimentConfig(), **{name: value})
+    from_flag = _build_config(parser.parse_args(["run"] + flags), base)
+    assert from_flag == replace(base, **{name: value})
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"{name} = {text}\n")
-    from_file = _build_config(parser.parse_args(["run", "--config", str(cfg)]),
-                              ExperimentConfig())
+    from_file = _build_config(parser.parse_args(["run", "--config", str(cfg)]), base)
     assert from_file == from_flag
 
 
@@ -314,9 +371,54 @@ def test_cli_bad_config_value_names_line(tmp_path, capsys, line):
 @pytest.mark.parametrize("argv", [
     ["run", "--audits"], ["sweep", "--audits"], ["audit", "--audits"], ["dim", "--audits"],
     ["dim", "--T", "5"], ["audit", "--out", "x"],
+    ["sweep", "--algorithm", "qlae"], ["sweep", "--reward", "sine"],
+    ["sweep", "--noise", "gaussian"],
 ])
 def test_cli_rejects_flags_no_subcommand_reads(argv):
     assert cli_main(argv) == 2
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--algorithm", "qlae", "--c2", "50"], "c2"),
+    (["--algorithm", "qlae", "--grid-resolution", "64"], "grid_resolution"),
+    (["--algorithm", "classical_zooming", "--delta", "0.3"], "delta"),
+    (["--algorithm", "classical_zooming", "--qmc-mode", "empirical"], "qmc_mode"),
+    (["--noise", "bernoulli", "--sigma", "0.5"], "sigma"),
+])
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_cli_rejects_a_value_the_run_does_not_read(command, flags, name, tmp_path, capsys):
+    # once silently ignored: the run wrote the same traces as without it
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert cli_main([command, *flags, "--T", "1000", "--trials", "1", *out]) == 2
+    assert f"{name} is not read by this {command}" in capsys.readouterr().err
+    # the same value from a config file
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{name} = {flags[-1]}\n")
+    assert cli_main([command, *flags[:-2], "--config", str(cfg), *out]) == 2
+    assert f"{name} is not read by this {command}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_audit_refuses_the_classical_baseline(capsys):
+    assert cli_main(["audit", "--algorithm", "classical_zooming", "--T", "1000"]) == 2
+    assert "audit requires a quantum algorithm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["algorithm = qlae", "reward = sine", "noise = gaussian"])
+def test_cli_sweep_config_file_cannot_set_what_cells_set(line, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"T = 1000\ntrials = 1\n{line}\n")
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    name = line.partition(" =")[0]
+    assert f"{name} is not read by this sweep" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_takes_a_value_some_cells_read(tmp_path, capsys):
+    # c2 reaches only the bounded-variance cells, and the sweep runs all 18
+    assert cli_main(["sweep", "--c2", "5", "--T", "2000", "--trials", "1",
+                     "--out", str(tmp_path)]) == 0
+    assert "wrote 18 trace sets and 6 panels" in capsys.readouterr().out
 
 
 def _bench_module(name, monkeypatch):
