@@ -16,6 +16,7 @@ from .environment import (
     sine_model,
     triangle_model,
     twodim_model,
+    variates,
 )
 from .algorithms import (
     PolicyResult,

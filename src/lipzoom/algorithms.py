@@ -23,6 +23,7 @@ from .environment import (
     RoundLedger,
     classical_sample,
     qmc_estimate,
+    variates,
 )
 from .geometry import ActiveRegion, Metric, Point, lattice, maximal_packing
 
@@ -355,7 +356,9 @@ def run_classical_zooming(
     sums: list[float] = []
     index: list[float] = []
 
-    for _ in range(T):
+    # the loop draws its variates lazily, block by block; that keeps the
+    # stream of T scalar draws only while nothing else in it reads rng
+    for v in variates(noise, rng, T):
         y = cover.activate()
         if y is not None:
             means.append(model.mu(y))
@@ -365,7 +368,7 @@ def run_classical_zooming(
             index.append(2.0)  # mean 0, radius 1
 
         i = index.index(max(index))  # first wins ties
-        y_draw = classical_sample(means[i], noise, rng)
+        y_draw = classical_sample(means[i], noise, v)
         counts[i] += 1
         sums[i] += y_draw
         r = math.sqrt(log_t / counts[i])

@@ -50,6 +50,8 @@ def _parse_config_file(path: str) -> dict:
             try:
                 out[key] = (None if optional and value.lower() == "none"
                             else _PARSE[base](value))
+                if key in CHOICES and out[key] not in CHOICES[key]:
+                    raise ValueError
             except (KeyError, ValueError):
                 raise ConfigError([f"{path}:{lineno}: bad value {value!r} for {key}"]) from None
     return out

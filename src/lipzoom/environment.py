@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -103,15 +103,35 @@ class NoiseModel:
             raise EnvironmentConfigError("gaussian noise requires a finite sigma > 0")
 
 
-def classical_sample(m: float, noise: NoiseModel, rng: np.random.Generator) -> float:
+_VARIATE_BLOCK = 4096  # floats per generator call; keeps memory flat at any n
+
+
+def variates(noise: NoiseModel, rng: np.random.Generator, n: int) -> Iterator[float]:
+    """Yield the n base variates of n noisy draws: uniforms under Bernoulli
+    noise, standard normals under gaussian noise.
+
+    They are drawn in blocks, and a block of k floats equals k scalar
+    `rng.random()` or `rng.standard_normal()` calls, generator state
+    included.  A block is drawn before its floats are yielded, so a caller
+    must consume this generator before anything else draws from `rng`.
+    """
+    draw = rng.random if noise.kind == NoiseKind.BERNOULLI else rng.standard_normal
+    while n > 0:
+        k = min(n, _VARIATE_BLOCK)
+        yield from draw(k).tolist()
+        n -= k
+
+
+def classical_sample(m: float, noise: NoiseModel, v: float) -> float:
     """One noisy reward draw around the mean m: Bernoulli(m) or m + N(0, sigma^2).
 
-    Callers evaluate `model.mu(x)` once per arm (or per oracle call) and
-    pass it in, since x is fixed across the draws they take there.
+    `v` is the draw's base variate from `variates`.  Callers evaluate
+    `model.mu(x)` once per arm (or per oracle call) and pass it in, since x
+    is fixed across the draws they take there.
     """
     if noise.kind == NoiseKind.BERNOULLI:
-        return float(rng.random() < m)
-    return m + noise.sigma * float(rng.standard_normal())
+        return float(v < m)
+    return m + noise.sigma * v
 
 
 def _ceil_budget(value: float) -> int:
@@ -283,8 +303,8 @@ def qmc_estimate(
     exhausted = used < budget
 
     if oracle.mode == OracleMode.EMPIRICAL:
-        noise, rng = estimator.noise, oracle.rng
-        draws = [classical_sample(m, noise, rng) for _ in range(used)]
+        noise = estimator.noise
+        draws = [classical_sample(m, noise, v) for v in variates(noise, oracle.rng, used)]
         return float(np.mean(draws)), used, exhausted
 
     if oracle.fault_injection and oracle.rng.random() < estimator.delta:

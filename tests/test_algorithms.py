@@ -297,8 +297,8 @@ def test_classical_zooming_plays_every_round():
 
 @pytest.mark.parametrize("factory", [triangle_model, twodim_model], ids=["abs1d", "linf2d"])
 def test_classical_zooming_draws_and_charges_once_per_round(factory, monkeypatch):
-    # the benchmark's completeness identity counts these calls; block draws
-    # must change this test and that identity together
+    # the benchmark's completeness identity counts these calls; block
+    # variates keep one classical_sample call and one charge per round
     calls = {"sample": 0, "consume": 0}
     sample, consume = algorithms.classical_sample, RoundLedger.consume
 
@@ -349,6 +349,27 @@ def test_empirical_oracle_draws_once_per_query_and_evaluates_mu_once_per_call(
     assert 0 < calls["sample"] == res.total_rounds == sum(used for used, _ in mu_per_call)
     assert mu_per_call and all(n_mu == (1 if used else 0) for used, n_mu in mu_per_call)
     assert calls["mu"] == sum(1 for used, _ in mu_per_call if used)
+
+
+@pytest.mark.parametrize("noise,draw", [(_bern, "random"), (_gauss, "standard_normal")],
+                         ids=["bernoulli", "gaussian"])
+def test_classical_zooming_leaves_rng_after_T_scalar_draws(noise, draw):
+    # T is not a multiple of the variate block, so an over-draw would show
+    g, twin = np.random.default_rng(20), np.random.default_rng(20)
+    run_classical_zooming(triangle_model(), noise(), T=5_000, rng=g)
+    for _ in range(5_000):
+        getattr(twin, draw)()
+    assert g.bit_generator.state == twin.bit_generator.state
+
+
+def test_empirical_oracle_leaves_rng_after_one_normal_per_query():
+    oracle = QuantumOracleSim(OracleMode.EMPIRICAL, False, np.random.default_rng(21))
+    twin = np.random.default_rng(21)
+    res = run_qzooming_bv(triangle_model(), _gauss(), oracle, T=5_000, delta=0.1)
+    assert res.total_rounds > 0
+    for _ in range(res.total_rounds):
+        twin.standard_normal()
+    assert oracle.rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_checkpoints_nondecreasing():

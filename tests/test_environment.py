@@ -21,6 +21,7 @@ from lipzoom.environment import (
     sine_model,
     triangle_model,
     twodim_model,
+    variates,
 )
 from lipzoom.geometry import Metric, MetricKind, lattice
 
@@ -130,7 +131,8 @@ def test_bernoulli_sample_mean():
     model = triangle_model()
     noise = NoiseModel(NoiseKind.BERNOULLI)
     rng = np.random.default_rng(5)
-    draws = [classical_sample(model.mu((1 / 3,)), noise, rng) for _ in range(10_000)]
+    m = model.mu((1 / 3,))
+    draws = [classical_sample(m, noise, v) for v in variates(noise, rng, 10_000)]
     assert set(draws) <= {0.0, 1.0}
     assert np.mean(draws) == pytest.approx(0.9, abs=0.01)
 
@@ -140,7 +142,8 @@ def test_gaussian_sample_variance():
     noise = NoiseModel(NoiseKind.GAUSSIAN, SIGMA)
     rng = np.random.default_rng(6)
     x = (0.0,)
-    draws = np.array([classical_sample(model.mu(x), noise, rng) for _ in range(10_000)])
+    m = model.mu(x)
+    draws = np.array([classical_sample(m, noise, v) for v in variates(noise, rng, 10_000)])
     assert draws.mean() == pytest.approx(model.mu(x), abs=0.02)
     assert draws.var(ddof=1) == pytest.approx(0.1, abs=0.01)
 
@@ -168,8 +171,28 @@ def test_classical_sample_matches_reference(kind, factory, x):
     rng_ref, rng_new = np.random.default_rng(31), np.random.default_rng(31)
     m = model.mu(x)
     ref = [_reference_classical_sample(model, noise, x, rng_ref) for _ in range(2_000)]
-    new = [classical_sample(m, noise, rng_new) for _ in range(2_000)]
+    new = [classical_sample(m, noise, v) for v in variates(noise, rng_new, 2_000)]
     assert new == ref
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _scalar_variate(noise, rng):
+    # reference: one scalar generator call per draw
+    if noise.kind == NoiseKind.BERNOULLI:
+        return rng.random()
+    return float(rng.standard_normal())
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 10_000])
+def test_variates_match_scalar_draws(kind, n):
+    # blocks must neither change a float nor over-draw across a block boundary
+    noise = NoiseModel(kind, SIGMA if kind == NoiseKind.GAUSSIAN else 0.0)
+    rng_ref, rng_new = np.random.default_rng(41), np.random.default_rng(41)
+    ref = [_scalar_variate(noise, rng_ref) for _ in range(n)]
+    new = list(variates(noise, rng_new, n))
+    assert new == ref
+    assert all(type(v) is float for v in new)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 

@@ -359,7 +359,8 @@ def test_cli_bad_config_file(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["T = 5e4", "T = none", "sigma = high",
-                                  "fault_injection = maybe"])
+                                  "fault_injection = maybe", "algorithm = nope",
+                                  "reward = nope", "noise = nope", "qmc_mode = nope"])
 def test_cli_bad_config_value_names_line(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"algorithm = qzooming\n{line}\n")
