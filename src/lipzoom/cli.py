@@ -35,6 +35,7 @@ _SWEEP_SETTABLE = [name for name in _SETTABLE if name not in ("algorithm", "rewa
 def _parse_config_file(path: str) -> dict:
     """Flat key=value file with keys matching ExperimentConfig field names."""
     out: dict = {}
+    set_on: dict[str, int] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -54,6 +55,9 @@ def _parse_config_file(path: str) -> dict:
                     raise ValueError
             except (KeyError, ValueError):
                 raise ConfigError([f"{path}:{lineno}: bad value {value!r} for {key}"]) from None
+            if key in set_on:
+                raise ConfigError([f"{path}:{lineno}: {key} already set on line {set_on[key]}"])
+            set_on[key] = lineno
     return out
 
 
@@ -118,7 +122,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    config = _build_config(args, ExperimentConfig(T=50_000, trials=1, audits=True))
+    # the report prints no checkpoint, so the audit does not read checkpoint_every
+    config = _build_config(args, ExperimentConfig(T=50_000, trials=1, audits=True),
+                           lambda c: reads(c) - {"checkpoint_every"})
     if "audits" not in reads(config):
         raise ConfigError(["audit requires a quantum algorithm"])
     model = REWARD_FACTORIES[config.reward]()

@@ -3,6 +3,7 @@ dimension fits, clean-event and gap-bound lemma checks."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -90,49 +91,41 @@ def _greedy_cover_count(
     """Greedy set cover: centers restricted to the points themselves.
 
     Candidate centers are subsampled to at most `cand_cap` to bound the
-    coverage matrix; any point the subsample cannot reach gets itself as a
-    center, so the result is always a valid cover count (an upper bound on
-    the optimum, as for plain greedy).
+    work; any point the subsample cannot reach gets itself as a center, so
+    the result is always a valid cover count (an upper bound on the
+    optimum, as for plain greedy).
 
     `pts` must be sorted on its first column, as row-major lattice subsets
-    are.  A point farther than the ball's per-axis reach from a center on
-    that axis is outside the ball, so each ball is computed only over the
-    index window of points within reach, and equals the full-width one.
-    Each candidate's gain, the uncovered points its ball holds, is kept up
-    to date by subtracting the points each pick newly covers.
+    are, so each ball is a mask over the index window of points within its
+    per-axis reach on axis 0.  Picks are lazy greedy: gains only fall, so a
+    heap top whose recounted gain equals its key is the first candidate of
+    largest gain, the pick plain greedy makes.
     """
-    n = len(pts)
-    stride = max(1, -(-n // cand_cap))
-    cand = np.arange(0, n, stride)
-    # each point's index window of the points within reach on axis 0; both
-    # ends are non-decreasing, so the candidates whose window meets an index
-    # range [lo, hi) form one run of rows
     x0 = pts[:, 0]
     reach = _reach(metric, radius)
-    starts = np.searchsorted(x0, x0 - reach, "left")
-    stops = np.searchsorted(x0, x0 + reach, "right")
-    row_starts, row_stops = starts[cand], stops[cand]
-    cover = np.zeros((len(cand), n), dtype=bool)
-    windows = zip(cand.tolist(), row_starts.tolist(), row_stops.tolist())
-    for row, (c, lo, hi) in enumerate(windows):
-        cover[row, lo:hi] = metric.pairwise(pts[c], pts[lo:hi])[0] <= radius
-    gains = cover.sum(axis=1)
+
+    def ball(c: int) -> tuple[int, int, np.ndarray]:
+        lo = int(np.searchsorted(x0, x0[c] - reach, "left"))
+        hi = int(np.searchsorted(x0, x0[c] + reach, "right"))
+        return lo, hi, metric.pairwise(pts[c], pts[lo:hi])[0] <= radius
+
+    n = len(pts)
+    balls = [ball(c) for c in range(0, n, max(1, -(-n // cand_cap)))]
+    heap = [(-int(np.count_nonzero(mask)), i) for i, (_, _, mask) in enumerate(balls)]
+    heapq.heapify(heap)
     uncovered = np.ones(n, dtype=bool)
     count = 0
     while uncovered.any():
-        best = int(np.argmax(gains))
-        if gains[best] == 0:
-            j = int(np.argmax(uncovered))
-            lo, hi = starts[j], stops[j]
-            ball = metric.pairwise(pts[j], pts[lo:hi])[0] <= radius
-        else:
-            lo, hi = row_starts[best], row_stops[best]
-            ball = cover[best, lo:hi]
-        newly = uncovered[lo:hi] & ball
-        rows = slice(np.searchsorted(row_stops, lo, "right"),
-                     np.searchsorted(row_starts, hi, "left"))
-        gains[rows] -= np.count_nonzero(cover[rows, lo:hi] & newly, axis=1)
-        uncovered[lo:hi] &= ~ball
+        while True:
+            key, i = heap[0]
+            lo, hi, mask = balls[i]
+            gain = int(np.count_nonzero(uncovered[lo:hi] & mask))
+            if gain == -key:
+                break
+            heapq.heapreplace(heap, (-gain, i))
+        if gain == 0:
+            lo, hi, mask = ball(int(np.argmax(uncovered)))
+        uncovered[lo:hi] &= ~mask
         count += 1
     return count
 
@@ -198,7 +191,7 @@ def audit_qlae_lemmas(stage_audits: list[StageAudit], model: RewardModel) -> Lem
                 gap_viol += 1
         if a.survivors:
             surv_stages += 1
-            near = min(model.metric.distance(x, model.x_star) for x, _ in a.survivors)
+            near = model.metric.pairwise([x for x, _ in a.survivors], [model.x_star]).min()
             eps_m = a.survivors[0][1]
             if near > eps_m + 1e-12:
                 surv_miss += 1

@@ -1,6 +1,7 @@
 """Near-optimal sets, zooming numbers, dimension fits and audit hooks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_zooming_number_2d_greedy_upper_bound():
     assert n >= 1
 
 
-# --- windowed incremental greedy cover against the dense greedy ---
+# --- windowed lazy greedy cover against the dense greedy ---
 
 def _reference_greedy_cover_count(
     pts: np.ndarray, metric: Metric, radius: float, cand_cap: int = 2048
@@ -130,6 +131,20 @@ def test_greedy_cover_zero_gain_fallback():
     metric = Metric(MetricKind.LINF, 2)
     assert _reference_greedy_cover_count(pts, metric, 0.1, cand_cap=1) == 2
     assert _greedy_cover_count(pts, metric, 0.1, cand_cap=1) == 2
+
+
+def test_greedy_cover_memory_stays_within_ball_windows():
+    # twodim at r = 1/4: 24026 points and 2003 candidates; a dense
+    # (candidates x points) coverage matrix alone would take 48 MB
+    model = twodim_model()
+    pts = near_optimal_set(model, 0.25, 1 / 256)
+    tracemalloc.start()
+    try:
+        _greedy_cover_count(pts, model.metric, 1 / 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_fit_dimension_triangle_small():

@@ -369,6 +369,16 @@ def test_cli_bad_config_value_names_line(tmp_path, capsys, line):
     assert f"{cfg}:2: bad value" in capsys.readouterr().err
 
 
+def test_cli_repeated_config_key_names_both_lines(tmp_path, capsys):
+    # once silently last-wins: the run took T = 2000
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("T = 1000\nT = 2000\n")
+    rc = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{cfg}:2: T already set on line 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--audits"], ["sweep", "--audits"], ["audit", "--audits"], ["dim", "--audits"],
     ["dim", "--T", "5"], ["audit", "--out", "x"],
@@ -398,6 +408,17 @@ def test_cli_rejects_a_value_the_run_does_not_read(command, flags, name, tmp_pat
     assert cli_main([command, *flags[:-2], "--config", str(cfg), *out]) == 2
     assert f"{name} is not read by this {command}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_audit_does_not_read_checkpoint_every(tmp_path, capsys):
+    # the runner reads it, but no line of the audit report depends on it
+    argv = ["audit", "--T", "1000", "--trials", "1"]
+    assert cli_main([*argv, "--checkpoint-every", "10"]) == 2
+    assert "checkpoint_every is not read by this audit" in capsys.readouterr().err
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("checkpoint_every = 10\n")
+    assert cli_main([*argv, "--config", str(cfg)]) == 2
+    assert "checkpoint_every is not read by this audit" in capsys.readouterr().err
 
 
 def test_cli_audit_refuses_the_classical_baseline(capsys):
