@@ -6,17 +6,22 @@ over a finite lattice of candidate points; because a maximal packing is
 automatically a covering, the returned points also cover every lattice
 candidate inside the region to within the packing radius.
 
-The sweep is windowed: a point within distance r of x lies within r (r*sqrt(d)
-for the rescaled L2 metric) of x on every axis, so region membership and
-greedy exclusion only evaluate distances to the lattice cells in an
-axis-aligned index window around each ball.  Cells outside the window are
-too far to change either decision, and cells inside it are tested with the
-same `Metric.pairwise` formula on the same coordinates as a scan over the
-whole lattice, so the packing is exactly the full scan's.
+The sweep builds no lattice array: a cell is an index tuple into the
+per-axis coordinates, and the sweep keeps one boolean per cell.  Under the
+absolute-value and L-infinity metrics a distance is at most r, or below eps,
+exactly when every axis difference is, so a ball is a box of per-axis index
+ranges, and region membership and greedy exclusion set or clear such boxes
+by slicing, with no distance computed.  Under rescaled L2 a point within r of
+x lies within r*sqrt(d) of it on every axis, so both decisions evaluate
+distances only in that axis-aligned index window, combined from per-axis
+differences.  Every per-axis test compares the differences `Metric.pairwise`
+computes on the same coordinates, so the packing is exactly a whole-lattice
+scan's.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -131,13 +136,51 @@ def _reach(metric: Metric, r: float) -> float:
     return r * scale + 1e-9
 
 
-def _window_distances(
-    grid: np.ndarray, window: tuple[slice, ...], point: np.ndarray, metric: Metric
+def _l2_window_distances(
+    axis: np.ndarray, window: tuple[slice, ...], point: Point
 ) -> np.ndarray:
-    """Distances from `point` to the lattice cells of `window`, shaped like it."""
-    pts = grid[window]
-    dist = metric.pairwise(pts.reshape(-1, pts.shape[-1]), point)
-    return dist.reshape(pts.shape[:-1])
+    """Rescaled L2 distances from `point` to the lattice cells of `window`.
+
+    Each axis contributes `abs(axis[s] - x)` along its own dimension; the
+    differences are broadcast into one stacked `(..., d)` array and reduced
+    as `Metric.pairwise` reduces its own, so the values equal `pairwise` on
+    the window's coordinates without building them.
+    """
+    d = len(window)
+    diffs = [
+        np.abs(axis[s] - x).reshape((-1,) + (1,) * (d - 1 - k))
+        for k, (s, x) in enumerate(zip(window, point))
+    ]
+    diff = np.stack(np.broadcast_arrays(*diffs), axis=-1)
+    return np.sqrt((diff * diff).sum(axis=-1)) / np.sqrt(d)
+
+
+def _ranges(
+    axis: np.ndarray, x: np.ndarray, r: float, strict: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index ranges [lo, hi) of the cells k with abs(axis[k] - x) <= r, per entry of x.
+
+    With `strict` the test is < r.  Each range is contiguous because float
+    subtraction is monotone, so it is counted over a band of offsets inside
+    the searchsorted reach window, not over a matrix against the whole axis.
+    """
+    reach = r + 1e-9
+    start = np.searchsorted(axis, x - reach, "left")
+    stop = np.searchsorted(axis, x + reach, "right")
+    cell = start[..., None] + np.arange(max(int((stop - start).max()), 1))
+    diff = np.abs(axis[np.minimum(cell, len(axis) - 1)] - x[..., None])
+    within = (cell < stop[..., None]) & ((diff < r) if strict else (diff <= r))
+    lo = start + within.argmax(axis=-1)
+    return lo, lo + within.sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=64)
+def _exclusion_ranges(spacing: float, eps: float) -> tuple[tuple[int, ...], ...]:
+    """Per index j of `_axis(spacing)`, the range [clo[j], chi[j]) of the k with
+    abs(axis[k] - axis[j]) < eps.  Packings at one (spacing, eps) share it."""
+    axis = _axis(spacing)
+    clo, chi = _ranges(axis, axis, eps, strict=True)
+    return tuple(clo.tolist()), tuple(chi.tolist())
 
 
 def maximal_packing(
@@ -154,15 +197,15 @@ def maximal_packing(
     a packing, and by maximality an eps-covering of every lattice candidate
     inside the region.
 
-    Only distances inside index windows are evaluated.  Membership ORs,
-    for each centre, the closed-ball test over the cells within the ball's
-    per-axis reach; each acceptance clears the eligible cells closer than
-    eps within its eps-reach, from its own axis-0 index on, and a forward
-    cursor finds the next eligible cell, since the sweep never returns to
-    an earlier one.  Cells outside a window are out of reach on some axis
-    or already ineligible, and cells inside are tested with the same
-    `Metric.pairwise` values as a whole-lattice scan, so the points and
-    their order are exactly that scan's.
+    No lattice array is built (see the module docstring): a cell is an
+    index tuple into `_axis(spacing)`, and the sweep keeps one boolean per
+    cell.  Under the absolute-value and L-infinity metrics, membership and
+    each acceptance's exclusion set or clear a box of per-axis index ranges
+    by slicing; under rescaled L2 they test distances within each ball's
+    per-axis reach.  An exclusion starts at the accepted cell's own axis-0
+    index, and a forward cursor finds the next eligible cell, since the
+    sweep never returns to an earlier one.  The points and their order are
+    exactly those of a whole-lattice scan.
     """
     if eps <= 0:
         raise GeometryError(f"packing radius must be positive, got {eps}")
@@ -173,27 +216,35 @@ def maximal_packing(
     if not region.centers:
         return []
     d = metric.dimension
-    grid = lattice(d, spacing)
     axis = _axis(spacing)
-    grid = grid.reshape((len(axis),) * d + (d,))
+    n = len(axis)
 
     centres = np.asarray(region.centers, dtype=float)
     if centres.shape[1:] != (d,):
         raise GeometryError(
             f"centre dimension mismatch: expected {d}, got shape {centres.shape}"
         )
-    reach = _reach(metric, region.radius)
-    starts = np.searchsorted(axis, centres - reach, "left").tolist()
-    stops = np.searchsorted(axis, centres + reach, "right").tolist()
-    eligible = np.zeros(grid.shape[:-1], dtype=bool)
-    for c, start, stop in zip(centres, starts, stops):
-        window = tuple(map(slice, start, stop))
-        eligible[window] |= _window_distances(grid, window, c, metric) <= region.radius
+    l2 = metric.kind == MetricKind.L2
+    eligible = np.zeros((n,) * d, dtype=bool)
+    if l2:
+        reach = _reach(metric, region.radius)
+        starts = np.searchsorted(axis, centres - reach, "left").tolist()
+        stops = np.searchsorted(axis, centres + reach, "right").tolist()
+        for c, start, stop in zip(centres.tolist(), starts, stops):
+            window = tuple(map(slice, start, stop))
+            eligible[window] |= _l2_window_distances(axis, window, c) <= region.radius
+        # eps-windows per axis index, clipped at the cube's faces by searchsorted
+        reach = _reach(metric, eps)
+        lo = np.searchsorted(axis, axis - reach, "left").tolist()
+        hi = np.searchsorted(axis, axis + reach, "right").tolist()
+    else:
+        starts, stops = _ranges(axis, centres, region.radius)
+        for start, stop in zip(starts.tolist(), stops.tolist()):
+            eligible[tuple(map(slice, start, stop))] = True
+        lo, hi = _exclusion_ranges(spacing, eps)
 
-    # eps-windows per axis index, clipped at the cube's faces by searchsorted
-    reach = _reach(metric, eps)
-    lo = np.searchsorted(axis, axis - reach, "left").tolist()
-    hi = np.searchsorted(axis, axis + reach, "right").tolist()
+    coords = axis.tolist()
+    strides = [n**k for k in range(d - 1, -1, -1)]
     flat = eligible.reshape(-1)
     accepted: list[Point] = []
     i = 0
@@ -201,11 +252,15 @@ def maximal_packing(
         i += int(flat[i:].argmax())
         if not flat[i]:
             break
-        idx = np.unravel_index(i, eligible.shape)
-        p = grid[idx]
-        accepted.append(tuple(p.tolist()))
-        window = (slice(idx[0], hi[idx[0]]),)
-        window += tuple(slice(lo[k], hi[k]) for k in idx[1:])
-        eligible[window] &= _window_distances(grid, window, p, metric) >= eps
+        idx, rest = [], i
+        for stride in strides:
+            k, rest = divmod(rest, stride)
+            idx.append(k)
+        accepted.append(tuple([coords[k] for k in idx]))
+        window = (slice(idx[0], hi[idx[0]]), *[slice(lo[k], hi[k]) for k in idx[1:]])
+        if l2:
+            eligible[window] &= _l2_window_distances(axis, window, accepted[-1]) >= eps
+        else:
+            eligible[window] = False
         i += 1
     return accepted

@@ -5,9 +5,9 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, replace
+from html import escape
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -235,7 +235,7 @@ def emit_plot(
         f'width="{width}" height="{height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>',
     ]
     # axes
     parts.append(
@@ -282,7 +282,7 @@ def emit_plot(
         )
         parts.append(
             f'<text x="{ml + 40}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{escape(label)}</text>'
+            f'font-size="12">{escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
 

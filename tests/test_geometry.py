@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lipzoom import geometry
 from lipzoom.geometry import (
     ActiveRegion,
     GeometryError,
     Metric,
     MetricKind,
     Point,
+    _axis,
+    _exclusion_ranges,
     lattice,
     maximal_packing,
 )
@@ -368,3 +371,70 @@ def test_packing_matches_reference_on_qlae_survivor_regions():
         got = maximal_packing(region, metric, eps / 2, eps / 8)
         assert got == _reference_packing(region, metric, eps / 2, eps / 8)
         assert len(got) > 0
+
+
+# --- lattice-free box exclusion ---
+
+@pytest.mark.parametrize("eps", [0.5, 0.25, 1 / 16, 1 / 64, 0.3])
+@pytest.mark.parametrize("divisor", [4, 5.5])
+def test_exclusion_ranges_match_brute_force(eps, divisor):
+    spacing = eps / divisor
+    axis = _axis(spacing).tolist()
+    assert axis[-1] == 1.0
+    if divisor == 5.5:
+        assert axis[-1] - axis[-2] < spacing  # the appended 1.0 face
+    clo, chi = _exclusion_ranges(spacing, eps)
+    assert len(clo) == len(chi) == len(axis)
+    for j, x in enumerate(axis):
+        near = [k for k, y in enumerate(axis) if abs(y - x) < eps]
+        assert near == list(range(clo[j], chi[j])), j
+
+
+_LINF_3D = Metric(MetricKind.LINF, 3)
+
+
+def test_packing_matches_reference_on_random_regions_3d():
+    # eps >= 1/8 keeps the whole-lattice reference cheap in three dimensions
+    rng = np.random.default_rng(4)
+    cases = 0
+    while cases < 120:
+        region, eps, spacing = _random_packing_case(rng, _LINF_3D)
+        if eps < 1 / 8:
+            continue
+        cases += 1
+        want = _reference_packing(region, _LINF_3D, eps, spacing)
+        assert maximal_packing(region, _LINF_3D, eps, spacing) == want, (region, eps, spacing)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25, 0.125])
+def test_packing_matches_reference_on_whole_space_3d(eps):
+    region = ActiveRegion.whole_space(3)
+    for spacing in (eps / 4, eps / 5.5):
+        want = _reference_packing(region, _LINF_3D, eps, spacing)
+        assert maximal_packing(region, _LINF_3D, eps, spacing) == want
+
+
+def test_packing_builds_no_lattice_and_calls_no_pairwise(monkeypatch):
+    config = ExperimentConfig(
+        algorithm="qlae", reward="twodim", T=600_000, master_seed=7, audits=True
+    )
+    audit = [a for a in run_single(config, 0).stage_audits if a.survivors][-1]
+    eps = audit.survivors[0][1]
+    assert eps <= 1 / 32
+    twodim = (
+        ActiveRegion(tuple(x for x, _ in audit.survivors), eps),
+        twodim_model().metric, eps / 2, eps / 8,
+    )
+    l2 = Metric(MetricKind.L2, 2)
+    region, l2_eps, _ = _random_packing_case(np.random.default_rng(9), l2)
+    cases = [twodim, (region, l2, l2_eps, l2_eps / 5.5)]
+    wants = [_reference_packing(*case) for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("maximal_packing must not build a lattice or call pairwise")
+
+    monkeypatch.setattr(geometry, "lattice", refuse)
+    monkeypatch.setattr(Metric, "pairwise", refuse)
+    for case, want in zip(cases, wants):
+        assert len(want) > 0
+        assert maximal_packing(*case) == want

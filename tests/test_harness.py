@@ -1,10 +1,13 @@
 """Config validation, trial seeding, CSV/SVG emission and the CLI surface."""
 
 import functools
+import hashlib
 import importlib
 import importlib.util
 import inspect
 import math
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
@@ -13,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lipzoom
 from lipzoom import algorithms
 from lipzoom.cli import _build_config, build_parser, cli_main
 from lipzoom.harness import (
@@ -215,6 +219,32 @@ def test_emit_plot_valid_svg(tmp_path):
     assert root.tag.endswith("svg")
     body = p.read_text()
     assert "polyline" in body and "polygon" in body
+
+
+def test_emit_plot_escapes_markup_as_before(tmp_path):
+    # the digest is of the file the xml.sax.saxutils escape wrote: &, < and >
+    # become entities and quotes stay as they are
+    s = Summary((10, 20, 30), (1.0, 2.0, 3.0), (0.1, 0.2, 0.3))
+    p = emit_plot([("a & b <c> \"d\" 'e'", s)], tmp_path / "plot.svg",
+                  title="R&D <regret> > 0")
+    body = p.read_text()
+    assert ">R&amp;D &lt;regret&gt; &gt; 0</text>" in body
+    assert ">a &amp; b &lt;c&gt; \"d\" 'e'</text>" in body
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "bab3ed22d4308ade72b933844b006bb7da89517559432099d8e63f0b097f95bf")
+
+
+def test_cli_import_skips_network_modules():
+    # escaping with xml.sax.saxutils pulled in urllib.request, ssl, socket,
+    # http.client and email: tens of milliseconds of every CLI start
+    src = str(Path(lipzoom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, lipzoom.cli; "
+            "print(sorted(m for m in ('urllib.request', 'ssl') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_emit_plot_rejects_empty(tmp_path):
