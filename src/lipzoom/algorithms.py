@@ -25,7 +25,7 @@ from .environment import (
     qmc_estimate,
     variates,
 )
-from .geometry import ActiveRegion, Metric, Point, lattice, maximal_packing
+from .geometry import ActiveRegion, Metric, Point, _axis, box, maximal_packing
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,13 @@ def select_arm(estimates: list[float], radii: list[float]) -> int:
 class _Cover:
     """Zooming activation lattice with a count, per candidate, of the balls covering it.
 
-    Ball i is centred on the i-th activated candidate.  `uncovered` counts the
-    candidates no ball covers.  A ball may also know its band `(lo, hi)`: the
-    largest candidate distance inside it and the smallest outside.  A new
-    radius in [lo, hi) moves no candidate, so `set_radius` returns at once.
+    Ball i is centred on the i-th activated candidate.  `count` has the
+    lattice's shape, one entry per candidate, and `uncovered` counts its
+    zeros.  A ball is its box of candidates (`geometry.box`) and its band
+    `(lo, hi)`: the largest axis distance inside the box and the smallest
+    outside it.  A new radius in [lo, hi) keeps every axis range, so
+    `set_radius`, which the classical baseline calls every round, returns
+    at once.
     """
 
     def __init__(self, metric: Metric, grid_resolution: int | None):
@@ -193,53 +196,44 @@ class _Cover:
             grid_resolution = 512 if metric.dimension == 1 else 64
         elif grid_resolution < 1:
             raise ValueError("grid_resolution must be >= 1")
-        self.metric = metric
-        self.cand = lattice(metric.dimension, 1.0 / grid_resolution)
-        self.count = np.zeros(len(self.cand), dtype=np.int32)
-        self.uncovered = len(self.cand)
-        self._dist: list[np.ndarray] = []  # candidate distances to each centre
-        self._inside: list[np.ndarray] = []  # candidates within each radius
-        self._size: list[int] = []  # number of candidates inside each ball
-        self._band: list[tuple[float, float]] = []  # (inf, -inf) while unknown
+        self.coords = _axis(1.0 / grid_resolution).tolist()
+        self.count = np.zeros((len(self.coords),) * metric.dimension, dtype=np.int32)
+        self.uncovered = self.count.size
+        self._centres: list[Point] = []
+        self._boxes: list[tuple[slice, ...]] = []
+        self._bands: list[tuple[float, float]] = []
 
     def activate(self) -> Point | None:
         """Open a radius-1 ball on the first uncovered candidate and return it, or None."""
         if not self.uncovered:
             return None
-        j = int(np.argmin(self.count))
-        dist = self.metric.pairwise(self.cand, self.cand[j : j + 1])[:, 0]
-        inside = dist <= 1.0
-        self._dist.append(dist)
-        self._inside.append(inside)
-        self._size.append(int(np.count_nonzero(inside)))
-        self._band.append((math.inf, -math.inf))
-        self.count += inside
-        self.uncovered = len(self.count) - int(np.count_nonzero(self.count))
-        return tuple(float(v) for v in self.cand[j])
+        idx = np.unravel_index(int(np.argmin(self.count)), self.count.shape)
+        centre = tuple(self.coords[k] for k in idx)
+        self._centres.append(centre)
+        self._boxes.append((slice(0, 0),) * len(centre))
+        self._bands.append((math.inf, -math.inf))
+        self.set_radius(len(self._centres) - 1, 1.0)
+        return centre
 
     def set_radius(self, i: int, r: float) -> None:
-        lo, hi = self._band[i]
+        lo, hi = self._bands[i]
         if lo <= r < hi:
             return
-        dist = self._dist[i]
-        inside = dist <= r
-        size = int(np.count_nonzero(inside))
-        if size == self._size[i]:
-            # Balls of one centre are nested, so an equal size means no
-            # candidate moved.  Only then is the band found: the baseline's
-            # radii shrink in small steps, while zooming's halvings move
-            # candidates until the radius drops below the lattice spacing.
-            self._band[i] = (
-                float(np.where(inside, dist, -np.inf).max()),
-                float(np.where(inside, np.inf, dist).min()),
-            )
-            return
-        self.count += inside
-        self.count -= self._inside[i]
-        self.uncovered = len(self.count) - int(np.count_nonzero(self.count))
-        self._inside[i] = inside
-        self._size[i] = size
-        self._band[i] = (math.inf, -math.inf)
+        coords, centre = self.coords, self._centres[i]
+        ball = box(coords, centre, r)
+        lo, hi = -math.inf, math.inf
+        for s, x in zip(ball, centre):
+            lo = max(lo, abs(coords[s.start] - x), abs(coords[s.stop - 1] - x))
+            if s.start > 0:
+                hi = min(hi, abs(coords[s.start - 1] - x))
+            if s.stop < len(coords):
+                hi = min(hi, abs(coords[s.stop] - x))
+        self._bands[i] = (lo, hi)
+        if ball != self._boxes[i]:
+            self.count[self._boxes[i]] -= 1
+            self.count[ball] += 1
+            self._boxes[i] = ball
+            self.uncovered = self.count.size - int(np.count_nonzero(self.count))
 
 
 def _run_zooming(

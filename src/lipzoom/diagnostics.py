@@ -11,7 +11,7 @@ import numpy as np
 
 from .algorithms import EstimateRecord, StageAudit
 from .environment import RewardModel
-from .geometry import Metric, _reach, lattice
+from .geometry import Metric, lattice
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,12 @@ def _greedy_cover_count(
 
     `pts` must be sorted on its first column, as row-major lattice subsets
     are, so each ball is a mask over the index window of points within its
-    per-axis reach on axis 0.  Picks are lazy greedy: gains only fall, so a
+    radius on axis 0.  Picks are lazy greedy: gains only fall, so a
     heap top whose recounted gain equals its key is the first candidate of
     largest gain, the pick plain greedy makes.
     """
     x0 = pts[:, 0]
-    reach = _reach(metric, radius)
+    reach = radius + 1e-9  # slack for rounding
 
     def ball(c: int) -> tuple[int, int, np.ndarray]:
         lo = int(np.searchsorted(x0, x0[c] - reach, "left"))

@@ -120,7 +120,9 @@ def reads(config: ExperimentConfig) -> set[str]:
     params = inspect.signature(getattr(algorithms, f"run_{config.algorithm}")).parameters
     out = {"algorithm", "reward", "noise", "trials", "master_seed", *params} & vars(config).keys()
     if "oracle" in params:
-        out |= {"qmc_mode", "fault_injection"}
+        out.add("qmc_mode")
+        if config.qmc_mode == OracleMode.CONTRACT:  # an empirical estimate is a sample mean
+            out.add("fault_injection")
     if config.noise == "gaussian":
         out.add("sigma")
     return out
@@ -185,23 +187,6 @@ def emit_csv(
     except OSError as exc:
         raise OSError(f"failed writing CSV near {prefix}: {exc}") from exc
     return traces_path, summary_path
-
-
-def read_traces_csv(path: str | Path) -> list[RegretTrace]:
-    """Inverse of the traces file written by emit_csv."""
-    rows: dict[str, dict] = {}
-    with open(path) as f:
-        header = f.readline()
-        for line in f:
-            run_id, alg, reward, noise, t, v = line.rstrip("\n").split(",")
-            entry = rows.setdefault(
-                run_id, {"algorithm": alg, "reward": reward, "noise": noise, "cps": []}
-            )
-            entry["cps"].append((int(t), float(v)))
-    return [
-        RegretTrace(rid, e["algorithm"], e["reward"], e["noise"], tuple(e["cps"]))
-        for rid, e in rows.items()
-    ]
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lipzoom import algorithms, environment
+from lipzoom import algorithms, environment, geometry
 from lipzoom.algorithms import (
     _Cover,
     run_classical_zooming,
@@ -27,7 +27,7 @@ from lipzoom.environment import (
     triangle_model,
     twodim_model,
 )
-from lipzoom.geometry import Metric, MetricKind
+from lipzoom.geometry import Metric, MetricKind, lattice
 
 SIGMA = math.sqrt(0.1)
 
@@ -68,23 +68,25 @@ def test_cover_matches_brute_force(metric):
     # reference: the first lattice candidate with no centre within its radius
     rng = np.random.default_rng(21)
     cover = _Cover(metric, None)
+    cand = lattice(metric.dimension, 1 / (512 if metric.dimension == 1 else 64))
     centres, radii = [], []
     outcomes = {"activated": 0, "covered": 0, "moved": 0, "unmoved": 0}
 
     def check_counts():
         assert cover.uncovered == np.count_nonzero(cover.count == 0)
-        d = metric.pairwise(cover.cand, np.asarray(centres))
-        np.testing.assert_array_equal(cover.count, (d <= np.asarray(radii)).sum(axis=1))
+        d = metric.pairwise(cand, np.asarray(centres))
+        np.testing.assert_array_equal(
+            cover.count.reshape(-1), (d <= np.asarray(radii)).sum(axis=1))
 
     for _ in range(300):
         if centres:
-            d = metric.pairwise(cover.cand, np.asarray(centres))
+            d = metric.pairwise(cand, np.asarray(centres))
             covered = (d <= np.asarray(radii)).any(axis=1)
         else:
-            covered = np.zeros(len(cover.cand), dtype=bool)
+            covered = np.zeros(len(cand), dtype=bool)
         want = None
         if not covered.all():
-            want = tuple(float(v) for v in cover.cand[np.argmin(covered)])
+            want = tuple(float(v) for v in cand[np.argmin(covered)])
         got = cover.activate()
         assert got == want
         if got is None:
@@ -96,7 +98,7 @@ def test_cover_matches_brute_force(metric):
         check_counts()
         for _ in range(int(rng.integers(1, 4))):
             i = int(rng.integers(len(centres)))
-            dist = np.unique(metric.pairwise(cover.cand, np.asarray(centres[i : i + 1])))
+            dist = np.unique(metric.pairwise(cand, np.asarray(centres[i : i + 1])))
             below, above = dist[dist <= radii[i]], dist[dist > radii[i]]
             kind = rng.random()
             if kind < 0.3:
@@ -123,6 +125,24 @@ def test_cover_matches_brute_force(metric):
             outcomes["moved" if (cover.count != before).any() else "unmoved"] += 1
             check_counts()
     assert min(outcomes.values()) >= 10
+
+
+def test_zooming_builds_no_lattice_and_calls_no_pairwise(monkeypatch):
+    # the activation cover keeps each ball as a box of per-axis index ranges
+    runs = [
+        lambda: run_qzooming(twodim_model(), _bern(), _oracle(7), T=200_000, delta=0.05),
+        lambda: run_classical_zooming(triangle_model(), _bern(), T=20_000,
+                                      rng=np.random.default_rng(7)),
+    ]
+    wants = [run().checkpoints for run in runs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("zooming must not build a lattice or call pairwise")
+
+    monkeypatch.setattr(geometry, "lattice", refuse)
+    monkeypatch.setattr(Metric, "pairwise", refuse)
+    for run, want in zip(runs, wants):
+        assert run().checkpoints == want
 
 
 def test_qlae_eliminates_gap_one_arm_by_stage_three():

@@ -102,9 +102,7 @@ def _reference_greedy_cover_count(
 
 
 @pytest.mark.parametrize("cand_cap", [16, 64, 2048])
-@pytest.mark.parametrize(
-    "metric", [Metric(MetricKind.LINF, 2), Metric(MetricKind.L2, 2)], ids=["linf", "l2"]
-)
+@pytest.mark.parametrize("metric", [Metric(MetricKind.LINF, 2)], ids=["linf"])
 def test_greedy_cover_matches_reference_on_lattice_subsets(metric, cand_cap):
     rng = np.random.default_rng(cand_cap)
     for case in range(20):

@@ -1,7 +1,5 @@
 """Metric, region, lattice and packing tests, including property-based checks."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +12,9 @@ from lipzoom.geometry import (
     MetricKind,
     Point,
     _axis,
+    _box_range,
     _exclusion_ranges,
+    box,
     lattice,
     maximal_packing,
 )
@@ -35,13 +35,6 @@ def test_linf_distance():
     assert m.distance((0.0, 0.0), (1.0, 1.0)) == pytest.approx(1.0)
 
 
-def test_l2_rescaled_diameter_at_most_one():
-    m = Metric(MetricKind.L2, 2)
-    # corner-to-corner would be sqrt(2) unscaled; the 1/sqrt(d) factor caps it at 1
-    assert m.distance((0.0, 0.0), (1.0, 1.0)) == pytest.approx(1.0)
-    assert m.distance((0.0, 0.0), (1.0, 0.0)) == pytest.approx(1.0 / np.sqrt(2.0))
-
-
 def test_metric_validation():
     with pytest.raises(GeometryError):
         Metric(MetricKind.ABSOLUTE, 2)
@@ -52,8 +45,13 @@ def test_metric_validation():
         m.distance((0.1,), (0.2, 0.3))
 
 
+def test_rescaled_l2_is_not_a_metric_kind():
+    with pytest.raises(ValueError):
+        MetricKind("l2")
+
+
 def test_pairwise_matches_distance():
-    m = Metric(MetricKind.L2, 3)
+    m = Metric(MetricKind.LINF, 3)
     rng = np.random.default_rng(0)
     a = rng.random((5, 3))
     b = rng.random((4, 3))
@@ -72,16 +70,12 @@ def _reference_pairwise(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndar
             f"point dimension mismatch: expected {metric.dimension} columns, "
             f"got shapes {a.shape} and {b.shape}"
         )
-    diff = np.abs(a[:, None, :] - b[None, :, :])
-    if metric.kind == MetricKind.LINF or metric.kind == MetricKind.ABSOLUTE:
-        return diff.max(axis=2)
-    return np.sqrt((diff * diff).sum(axis=2)) / np.sqrt(metric.dimension)
+    return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
 
 
 _PAIRWISE_METRICS = (
     [Metric(MetricKind.ABSOLUTE, 1)]
     + [Metric(MetricKind.LINF, d) for d in (1, 2, 3, 5)]
-    + [Metric(MetricKind.L2, d) for d in (1, 2, 3)]
 )
 
 
@@ -158,16 +152,12 @@ def test_lattice_bad_spacing():
 def _contains(region: ActiveRegion, p: Point, metric: Metric) -> bool:
     """Closed-ball membership of one point, a reference for ActiveRegion.contains_many.
 
-    Distances follow each metric's definition in plain Python, one centre at
+    Distances follow the metric's definition in plain Python, one centre at
     a time, without the vectorised `Metric.pairwise`.
     """
-    def dist(c: Point) -> float:
-        diff = [abs(a - b) for a, b in zip(c, p)]
-        if metric.kind == MetricKind.L2:
-            return math.sqrt(sum(x * x for x in diff)) / math.sqrt(metric.dimension)
-        return max(diff)
-
-    return any(dist(c) <= region.radius for c in region.centers)
+    return any(
+        max(abs(a - b) for a, b in zip(c, p)) <= region.radius for c in region.centers
+    )
 
 
 def test_whole_space_region_covers_everything():
@@ -223,9 +213,8 @@ def test_packing_empty_region():
 _PACKING_METRICS = [
     Metric(MetricKind.ABSOLUTE, 1),
     Metric(MetricKind.LINF, 2),
-    Metric(MetricKind.L2, 2),
 ]
-_METRIC_IDS = ["abs-1d", "linf-2d", "l2-2d"]
+_METRIC_IDS = ["abs-1d", "linf-2d"]
 _metrics = st.sampled_from(_PACKING_METRICS)
 
 
@@ -320,7 +309,7 @@ def _random_packing_case(rng, metric):
     return region, eps, spacing
 
 
-@pytest.mark.parametrize("metric, seed", zip(_PACKING_METRICS, [1, 2, 3]), ids=_METRIC_IDS)
+@pytest.mark.parametrize("metric, seed", zip(_PACKING_METRICS, [1, 2]), ids=_METRIC_IDS)
 def test_packing_matches_reference_on_random_regions(metric, seed):
     rng = np.random.default_rng(seed)
     for case in range(180):
@@ -390,6 +379,42 @@ def test_exclusion_ranges_match_brute_force(eps, divisor):
         assert near == list(range(clo[j], chi[j])), j
 
 
+@pytest.mark.parametrize("spacing", [1 / 8, 1 / 64, 1 / 5.5, 0.3 / 5.5])
+@pytest.mark.parametrize("strict", [False, True])
+def test_box_range_matches_brute_force(spacing, strict):
+    coords = _axis(spacing).tolist()
+    assert coords[-1] == 1.0
+    rng = np.random.default_rng(len(coords) + strict)
+    # on the lattice: both faces and random cells; off it: near and past
+    # both faces, and random points
+    on = coords[:2] + coords[-2:] + rng.choice(coords, 6).tolist()
+    off = [1e-12, 0.01, 0.99, 1 - 1e-12, -0.02, 1.02] + rng.random(6).tolist()
+    for x in on + off:
+        # radii exactly at a cell's distance, where < and <= differ, and between
+        at_cell = [abs(coords[k] - x) for k in rng.integers(len(coords), size=4)]
+        for r in at_cell + [spacing / 3, spacing, 2.5 * spacing, 0.1, 0.5, 1.0, 3.0]:
+            near = [k for k, c in enumerate(coords)
+                    if (abs(c - x) < r if strict else abs(c - x) <= r)]
+            lo, hi = _box_range(coords, x, r, strict)
+            assert near == list(range(lo, hi)), (x, r)
+
+
+@pytest.mark.parametrize("d, spacing", [(1, 1 / 64), (2, 1 / 16), (2, 1 / 5.5), (3, 1 / 8)])
+def test_box_matches_whole_lattice_scan(d, spacing):
+    coords = _axis(spacing).tolist()
+    cells = lattice(d, spacing)
+    rng = np.random.default_rng(d)
+    centres = [tuple(rng.choice(coords, d)) for _ in range(6)] + [
+        tuple(rng.random(d)), tuple([0.0] * d), tuple([1.0] * d), tuple([0.99] * d)]
+    for centre in centres:
+        dist = _reference_pairwise(Metric(MetricKind.LINF, d), cells, np.asarray([centre]))
+        for r in [spacing, 0.2, 1.0, float(rng.choice(dist[:, 0]))]:
+            want = (dist[:, 0] <= r).reshape((len(coords),) * d)
+            got = np.zeros_like(want)
+            got[box(coords, centre, r)] = True
+            assert np.array_equal(got, want), (centre, r)
+
+
 _LINF_3D = Metric(MetricKind.LINF, 3)
 
 
@@ -425,9 +450,11 @@ def test_packing_builds_no_lattice_and_calls_no_pairwise(monkeypatch):
         ActiveRegion(tuple(x for x, _ in audit.survivors), eps),
         twodim_model().metric, eps / 2, eps / 8,
     )
-    l2 = Metric(MetricKind.L2, 2)
-    region, l2_eps, _ = _random_packing_case(np.random.default_rng(9), l2)
-    cases = [twodim, (region, l2, l2_eps, l2_eps / 5.5)]
+    rng = np.random.default_rng(9)
+    region, eps3, _ = _random_packing_case(rng, _LINF_3D)
+    while eps3 < 1 / 8:  # keeps the whole-lattice reference cheap
+        region, eps3, _ = _random_packing_case(rng, _LINF_3D)
+    cases = [twodim, (region, _LINF_3D, eps3, eps3 / 5.5)]
     wants = [_reference_packing(*case) for case in cases]
 
     def refuse(*args, **kwargs):

@@ -28,7 +28,6 @@ from lipzoom.harness import (
     Summary,
     emit_csv,
     emit_plot,
-    read_traces_csv,
     reads,
     run_experiment,
     run_single,
@@ -38,6 +37,7 @@ from lipzoom.harness import (
 )
 from lipzoom.environment import REWARD_FACTORIES, qmc1_budget, qmc2_budget
 from lipzoom.geometry import Metric, MetricKind
+from regret_traces import read_traces_csv
 
 FAST = ExperimentConfig(algorithm="qzooming", reward="triangle", noise="bernoulli",
                         T=5_000, trials=2, master_seed=7)
@@ -437,6 +437,24 @@ def test_cli_rejects_a_value_the_run_does_not_read(command, flags, name, tmp_pat
     cfg.write_text(f"{name} = {flags[-1]}\n")
     assert cli_main([command, *flags[:-2], "--config", str(cfg), *out]) == 2
     assert f"{name} is not read by this {command}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_cli_empirical_oracle_does_not_read_fault_injection(command, tmp_path, capsys):
+    # once silently ignored: an empirical estimate is a sample mean, with no
+    # fault drawn, so the run wrote the same CSVs with or without it
+    assert "fault_injection" not in reads(replace(FAST, qmc_mode="empirical"))
+    assert "fault_injection" in reads(FAST)
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    argv = [command, "--algorithm", "qlae", "--qmc-mode", "empirical",
+            "--T", "1000", "--trials", "1", *out]
+    assert cli_main([*argv, "--no-fault-injection"]) == 2
+    assert f"fault_injection is not read by this {command}" in capsys.readouterr().err
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("fault_injection = false\n")
+    assert cli_main([*argv, "--config", str(cfg)]) == 2
+    assert f"fault_injection is not read by this {command}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
