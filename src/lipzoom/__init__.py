@@ -1,6 +1,6 @@
 """Deterministic Lipschitz-bandit simulations with simulated quantum reward oracles."""
 
-from .geometry import ActiveRegion, Metric, MetricKind, Point, maximal_packing
+from .geometry import ActiveRegion, Metric, Point, maximal_packing
 from .environment import (
     Estimator,
     NoiseKind,

@@ -25,7 +25,7 @@ from .environment import (
     qmc_estimate,
     variates,
 )
-from .geometry import ActiveRegion, Metric, Point, _axis, box, maximal_packing
+from .geometry import ActiveRegion, Point, _axis, box, maximal_packing
 
 
 @dataclass(frozen=True)
@@ -182,22 +182,19 @@ def select_arm(estimates: list[float], radii: list[float]) -> int:
 class _Cover:
     """Zooming activation lattice with a count, per candidate, of the balls covering it.
 
-    Ball i is centred on the i-th activated candidate.  `count` has the
-    lattice's shape, one entry per candidate, and `uncovered` counts its
-    zeros.  A ball is its box of candidates (`geometry.box`) and its band
-    `(lo, hi)`: the largest axis distance inside the box and the smallest
-    outside it.  A new radius in [lo, hi) keeps every axis range, so
-    `set_radius`, which the classical baseline calls every round, returns
-    at once.
+    The lattice spacing is fixed by the dimension: 1/512 in 1-D, 1/64
+    otherwise.  Ball i is centred on the i-th activated candidate.  `count`
+    has the lattice's shape, one entry per candidate, and `uncovered`
+    counts its zeros.  A ball is its box of candidates (`geometry.box`) and
+    its band `(lo, hi)`: the largest axis distance inside the box and the
+    smallest outside it.  A new radius in [lo, hi) keeps every axis range,
+    so `set_radius`, which the classical baseline calls every round,
+    returns at once.
     """
 
-    def __init__(self, metric: Metric, grid_resolution: int | None):
-        if grid_resolution is None:
-            grid_resolution = 512 if metric.dimension == 1 else 64
-        elif grid_resolution < 1:
-            raise ValueError("grid_resolution must be >= 1")
-        self.coords = _axis(1.0 / grid_resolution).tolist()
-        self.count = np.zeros((len(self.coords),) * metric.dimension, dtype=np.int32)
+    def __init__(self, dimension: int):
+        self.coords = _axis(1.0 / (512 if dimension == 1 else 64)).tolist()
+        self.count = np.zeros((len(self.coords),) * dimension, dtype=np.int32)
         self.uncovered = self.count.size
         self._centres: list[Point] = []
         self._boxes: list[tuple[slice, ...]] = []
@@ -241,12 +238,11 @@ def _run_zooming(
     oracle: QuantumOracleSim,
     estimator: Estimator,
     T: int,
-    grid_resolution: int | None,
     checkpoint_every: int | None,
     audits: bool,
 ) -> PolicyResult:
     ledger = RoundLedger(T, checkpoint_every)
-    cover = _Cover(model.metric, grid_resolution)
+    cover = _Cover(model.metric.dimension)
     points: list[Point] = []
     radii: list[float] = []
     estimates: list[float] = []  # unplayed arms sit at 0, consistent with eps=1
@@ -286,7 +282,6 @@ def run_qzooming(
     T: int,
     delta: float,
     c1: float = 2.0,
-    grid_resolution: int | None = None,
     checkpoint_every: int | None = None,
     audits: bool = False,
 ) -> PolicyResult:
@@ -299,7 +294,7 @@ def run_qzooming(
     """
     return _run_zooming(
         model, oracle, Estimator(noise, delta / T, c1), T,
-        grid_resolution, checkpoint_every, audits,
+        checkpoint_every, audits,
     )
 
 
@@ -311,7 +306,6 @@ def run_qzooming_bv(
     delta: float,
     c1: float = 2.0,
     c2: float = 2.0,
-    grid_resolution: int | None = None,
     checkpoint_every: int | None = None,
     audits: bool = False,
 ) -> PolicyResult:
@@ -323,7 +317,7 @@ def run_qzooming_bv(
     """
     return _run_zooming(
         model, oracle, Estimator(noise, delta / T, c1, c2), T,
-        grid_resolution, checkpoint_every, audits,
+        checkpoint_every, audits,
     )
 
 
@@ -332,7 +326,6 @@ def run_classical_zooming(
     noise: NoiseModel,
     T: int,
     rng: np.random.Generator,
-    grid_resolution: int | None = None,
     checkpoint_every: int | None = None,
 ) -> PolicyResult:
     """Classical zooming baseline: one noisy sample per round.
@@ -342,7 +335,7 @@ def run_classical_zooming(
     updates that arm's statistics.
     """
     ledger = RoundLedger(T, checkpoint_every)
-    cover = _Cover(model.metric, grid_resolution)
+    cover = _Cover(model.metric.dimension)
     log_t = 2.0 * math.log(T)
     means: list[float] = []
     gaps: list[float] = []

@@ -104,9 +104,14 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _sweep_reads(config: ExperimentConfig) -> set[str]:
+    """The fields a sweep lets a flag or config-file key set that some cell reads."""
+    return set().union(*map(reads, sweep_cells(config))).intersection(_SWEEP_SETTABLE)
+
+
 def _cmd_sweep(args) -> int:
     out = Path(args.out)
-    cells = sweep_cells(_build_config(args, SWEEP_DEFAULTS, lambda _: _SWEEP_SETTABLE))
+    cells = sweep_cells(_build_config(args, SWEEP_DEFAULTS, _sweep_reads))
     panels: dict[tuple[str, str], list] = {}
     for config in cells:
         name, summary = _run_and_emit(config, out)

@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .geometry import Metric, MetricKind, Point
+from .geometry import Metric, Point
 
 
 class EnvironmentConfigError(ValueError):
@@ -29,15 +29,16 @@ class RewardModel:
 
     `mu` clips the raw function into [0,1] so it is usable as a Bernoulli
     success probability; the benchmark functions dip slightly below 0 in
-    parts of the domain.  `metric` is the arm space's metric, |.| on [0,1]
-    unless the model says otherwise, and `lipschitz_constant` is valid in it.
+    parts of the domain.  `metric` is L-infinity on the arm space [0,1]^d:
+    |.| on [0,1] unless the model sets another dimension.
+    `lipschitz_constant` is valid in it.
     """
 
     raw: Callable[[Point], float]
     lipschitz_constant: float
     mu_star: float
     x_star: Point
-    metric: Metric = Metric(MetricKind.ABSOLUTE, 1)
+    metric: Metric = Metric(1)
 
     def mu(self, x: Point) -> float:
         return min(1.0, max(0.0, float(self.raw(x))))
@@ -77,7 +78,7 @@ def twodim_model() -> RewardModel:
         lipschitz_constant=1.25 * math.sqrt(2.0),
         mu_star=1.2 - 0.3 * math.hypot(0.8, 0.3),
         x_star=(0.8, 0.7),
-        metric=Metric(MetricKind.LINF, 2),
+        metric=Metric(2),
     )
 
 

@@ -1,14 +1,13 @@
 """Metric geometry on the unit cube: distances, ball regions and greedy packings.
 
-The arm space is always [0,1]^d with the absolute-value metric (d = 1) or
-the L-infinity metric, both of diameter 1.  Packings are built by a
-deterministic greedy sweep over a finite lattice of candidate points;
-because a maximal packing is automatically a covering, the returned points
-also cover every lattice candidate inside the region to within the packing
-radius.
+The arm space is always [0,1]^d with the L-infinity metric, |.| when
+d = 1, of diameter 1.  Packings are built by a deterministic greedy sweep
+over a finite lattice of candidate points; because a maximal packing is
+automatically a covering, the returned points also cover every lattice
+candidate inside the region to within the packing radius.
 
-Under both metrics a distance is at most r, or below eps, exactly when
-every axis difference is, so the lattice cells of a ball form a box: one
+Under L-infinity a distance is at most r, or below eps, exactly when every
+axis difference is, so the lattice cells of a ball form a box: one
 contiguous range of per-axis indices per axis.  `_box_range` is the one rule
 for that range; it compares the differences `Metric.pairwise` computes on
 the same coordinates, so a box holds exactly the cells a distance scan
@@ -23,7 +22,6 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -34,21 +32,15 @@ class GeometryError(ValueError):
     """Invalid geometric input (dimension mismatch, bad lattice, ...)."""
 
 
-class MetricKind(str, Enum):
-    ABSOLUTE = "absolute"  # |a - b| on [0,1]
-    LINF = "linf"          # max_i |a_i - b_i|
-
-
 @dataclass(frozen=True)
 class Metric:
-    kind: MetricKind
+    """max_i |a_i - b_i| on [0,1]^d, which is |a - b| when d = 1."""
+
     dimension: int
 
     def __post_init__(self):
         if self.dimension < 1:
             raise GeometryError(f"dimension must be positive, got {self.dimension}")
-        if self.kind == MetricKind.ABSOLUTE and self.dimension != 1:
-            raise GeometryError("absolute-value metric requires dimension 1")
 
     def distance(self, a: Point, b: Point) -> float:
         if len(a) != self.dimension or len(b) != self.dimension:

@@ -49,7 +49,6 @@ class ExperimentConfig:
     master_seed: int = 0
     c1: float = 2.0
     c2: float = 2.0
-    grid_resolution: int | None = None
     qmc_mode: str = "contract"
     fault_injection: bool = True
     checkpoint_every: int | None = None
@@ -83,8 +82,6 @@ class ExperimentConfig:
         for name, value in (("c1", self.c1), ("c2", self.c2)):
             if not 1 < value < math.inf:
                 problems.append(f"{name} must be finite and > 1, got {value}")
-        if self.grid_resolution is not None and self.grid_resolution < 1:
-            problems.append(f"grid_resolution must be >= 1, got {self.grid_resolution}")
         if self.checkpoint_every is not None and not 1 <= self.checkpoint_every <= self.T:
             problems.append(
                 f"checkpoint_every must be in [1, T={self.T}], got {self.checkpoint_every}")

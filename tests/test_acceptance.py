@@ -26,7 +26,7 @@ from lipzoom.environment import (
     qmc_estimate,
     triangle_model,
 )
-from lipzoom.geometry import ActiveRegion, Metric, MetricKind, lattice, maximal_packing
+from lipzoom.geometry import ActiveRegion, Metric, lattice, maximal_packing
 from lipzoom.harness import ExperimentConfig, run_experiment, run_single
 from regret_traces import read_traces_csv
 
@@ -191,7 +191,7 @@ def test_criterion_3b_zooming_audits():
 
 def test_criterion_4_packing_covering_cases():
     rng = np.random.default_rng(41)
-    metrics = [Metric(MetricKind.ABSOLUTE, 1), Metric(MetricKind.LINF, 2)]
+    metrics = [Metric(1), Metric(2)]
     bad = 0
     for case in range(200):
         metric = metrics[case % len(metrics)]

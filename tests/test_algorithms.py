@@ -27,7 +27,7 @@ from lipzoom.environment import (
     triangle_model,
     twodim_model,
 )
-from lipzoom.geometry import Metric, MetricKind, lattice
+from lipzoom.geometry import Metric, lattice
 
 SIGMA = math.sqrt(0.1)
 
@@ -63,11 +63,11 @@ def test_select_arm_shift_invariance():
         assert base == shifted
 
 
-@pytest.mark.parametrize("metric", [Metric(MetricKind.ABSOLUTE, 1), Metric(MetricKind.LINF, 2)])
+@pytest.mark.parametrize("metric", [Metric(1), Metric(2)])
 def test_cover_matches_brute_force(metric):
     # reference: the first lattice candidate with no centre within its radius
     rng = np.random.default_rng(21)
-    cover = _Cover(metric, None)
+    cover = _Cover(metric.dimension)
     cand = lattice(metric.dimension, 1 / (512 if metric.dimension == 1 else 64))
     centres, radii = [], []
     outcomes = {"activated": 0, "covered": 0, "moved": 0, "unmoved": 0}

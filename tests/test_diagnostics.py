@@ -18,7 +18,7 @@ from lipzoom.diagnostics import (
     zooming_number,
 )
 from lipzoom.environment import RewardModel, sine_model, triangle_model, twodim_model
-from lipzoom.geometry import Metric, MetricKind, lattice
+from lipzoom.geometry import Metric, lattice
 
 
 def test_near_optimal_set_triangle():
@@ -102,7 +102,7 @@ def _reference_greedy_cover_count(
 
 
 @pytest.mark.parametrize("cand_cap", [16, 64, 2048])
-@pytest.mark.parametrize("metric", [Metric(MetricKind.LINF, 2)], ids=["linf"])
+@pytest.mark.parametrize("metric", [Metric(2)], ids=["linf"])
 def test_greedy_cover_matches_reference_on_lattice_subsets(metric, cand_cap):
     rng = np.random.default_rng(cand_cap)
     for case in range(20):
@@ -126,7 +126,7 @@ def test_greedy_cover_zero_gain_fallback():
     # one candidate centre (the first point) reaches only itself, so the
     # second point can only be covered by the zero-gain fallback
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-    metric = Metric(MetricKind.LINF, 2)
+    metric = Metric(2)
     assert _reference_greedy_cover_count(pts, metric, 0.1, cand_cap=1) == 2
     assert _greedy_cover_count(pts, metric, 0.1, cand_cap=1) == 2
 

@@ -23,7 +23,7 @@ from lipzoom.environment import (
     twodim_model,
     variates,
 )
-from lipzoom.geometry import Metric, MetricKind, lattice
+from lipzoom.geometry import Metric, lattice
 
 SIGMA = math.sqrt(0.1)
 
@@ -54,9 +54,9 @@ def test_twodim_optimum_against_grid():
 
 
 @pytest.mark.parametrize("factory,metric", [
-    (triangle_model, Metric(MetricKind.ABSOLUTE, 1)),
-    (sine_model, Metric(MetricKind.ABSOLUTE, 1)),
-    (twodim_model, Metric(MetricKind.LINF, 2)),
+    (triangle_model, Metric(1)),
+    (sine_model, Metric(1)),
+    (twodim_model, Metric(2)),
 ])
 def test_lipschitz_on_random_pairs(factory, metric):
     model = factory()

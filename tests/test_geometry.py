@@ -9,7 +9,6 @@ from lipzoom.geometry import (
     ActiveRegion,
     GeometryError,
     Metric,
-    MetricKind,
     Point,
     _axis,
     _box_range,
@@ -23,35 +22,28 @@ from lipzoom.harness import ExperimentConfig, run_single
 
 
 def test_absolute_distance():
-    m = Metric(MetricKind.ABSOLUTE, 1)
+    m = Metric(1)
     assert m.distance((0.2,), (0.7,)) == pytest.approx(0.5)
     assert m.distance((0.7,), (0.2,)) == pytest.approx(0.5)
     assert m.distance((0.3,), (0.3,)) == 0.0
 
 
 def test_linf_distance():
-    m = Metric(MetricKind.LINF, 2)
+    m = Metric(2)
     assert m.distance((0.1, 0.9), (0.4, 0.5)) == pytest.approx(0.4)
     assert m.distance((0.0, 0.0), (1.0, 1.0)) == pytest.approx(1.0)
 
 
 def test_metric_validation():
     with pytest.raises(GeometryError):
-        Metric(MetricKind.ABSOLUTE, 2)
-    with pytest.raises(GeometryError):
-        Metric(MetricKind.LINF, 0)
-    m = Metric(MetricKind.LINF, 2)
+        Metric(0)
+    m = Metric(2)
     with pytest.raises(GeometryError):
         m.distance((0.1,), (0.2, 0.3))
 
 
-def test_rescaled_l2_is_not_a_metric_kind():
-    with pytest.raises(ValueError):
-        MetricKind("l2")
-
-
 def test_pairwise_matches_distance():
-    m = Metric(MetricKind.LINF, 3)
+    m = Metric(3)
     rng = np.random.default_rng(0)
     a = rng.random((5, 3))
     b = rng.random((4, 3))
@@ -73,14 +65,11 @@ def _reference_pairwise(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndar
     return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
 
 
-_PAIRWISE_METRICS = (
-    [Metric(MetricKind.ABSOLUTE, 1)]
-    + [Metric(MetricKind.LINF, d) for d in (1, 2, 3, 5)]
-)
+_PAIRWISE_METRICS = [Metric(d) for d in (1, 2, 3, 5)]
 
 
 @pytest.mark.parametrize(
-    "metric", _PAIRWISE_METRICS, ids=lambda m: f"{m.kind.value}-{m.dimension}d"
+    "metric", _PAIRWISE_METRICS, ids=lambda m: f"linf-{m.dimension}d"
 )
 def test_pairwise_bit_identical_to_reference(metric):
     rng = np.random.default_rng(metric.dimension)
@@ -103,28 +92,28 @@ def test_pairwise_bit_identical_to_reference(metric):
 
 
 def test_pairwise_rejects_dimension_mismatch():
-    m = Metric(MetricKind.LINF, 2)
+    m = Metric(2)
     with pytest.raises(GeometryError):
         m.pairwise([[0.1, 0.9]], [[0.1]])
     with pytest.raises(GeometryError):
         m.pairwise([[0.1]], [[0.1, 0.9]])
     with pytest.raises(GeometryError):
-        Metric(MetricKind.ABSOLUTE, 1).pairwise([[0.1, 0.9]], [[0.1, 0.9]])
+        Metric(1).pairwise([[0.1, 0.9]], [[0.1, 0.9]])
 
 
 def test_contains_many_rejects_dimension_mismatch():
     region = ActiveRegion(((0.5,),), 0.1)
     with pytest.raises(GeometryError):
-        region.contains_many(np.array([[0.5, 0.5]]), Metric(MetricKind.LINF, 2))
+        region.contains_many(np.array([[0.5, 0.5]]), Metric(2))
 
 
 def test_packing_rejects_dimension_mismatch():
     region = ActiveRegion(((0.5,),), 0.1)
     with pytest.raises(GeometryError):
-        maximal_packing(region, Metric(MetricKind.LINF, 2), 0.5, 1 / 8)
+        maximal_packing(region, Metric(2), 0.5, 1 / 8)
     with pytest.raises(GeometryError):
         maximal_packing(
-            ActiveRegion(((0.5, 0.5),), 0.1), Metric(MetricKind.ABSOLUTE, 1), 0.5, 1 / 8
+            ActiveRegion(((0.5, 0.5),), 0.1), Metric(1), 0.5, 1 / 8
         )
 
 
@@ -161,7 +150,7 @@ def _contains(region: ActiveRegion, p: Point, metric: Metric) -> bool:
 
 
 def test_whole_space_region_covers_everything():
-    m = Metric(MetricKind.LINF, 2)
+    m = Metric(2)
     region = ActiveRegion.whole_space(2)
     assert _contains(region, (0.0, 1.0), m)
     assert _contains(region, (1.0, 0.0), m)
@@ -169,7 +158,7 @@ def test_whole_space_region_covers_everything():
 
 
 def test_region_contains_boundary_closed():
-    m = Metric(MetricKind.ABSOLUTE, 1)
+    m = Metric(1)
     region = ActiveRegion(((0.25,),), 0.1)
     assert _contains(region, (0.35,), m)       # boundary point: closed ball
     assert not _contains(region, (0.36,), m)
@@ -177,13 +166,13 @@ def test_region_contains_boundary_closed():
 
 
 def test_packing_whole_interval_half():
-    m = Metric(MetricKind.ABSOLUTE, 1)
+    m = Metric(1)
     pts = maximal_packing(ActiveRegion.whole_space(1), m, 0.5, spacing=1 / 8)
     assert [p[0] for p in pts] == [0.0, 0.5, 1.0]
 
 
 def test_packing_whole_interval_one():
-    m = Metric(MetricKind.ABSOLUTE, 1)
+    m = Metric(1)
     pts = maximal_packing(ActiveRegion.whole_space(1), m, 1.0, spacing=1 / 4)
     assert [p[0] for p in pts] == [0.0, 1.0]
 
@@ -191,28 +180,28 @@ def test_packing_whole_interval_one():
 def test_packing_single_ball():
     # B(0.5, 0.25) spans [0.25, 0.75]; greedy with eps=0.5 accepts both ends
     # since their distance is exactly 0.5 and the packing condition is >= eps
-    m = Metric(MetricKind.ABSOLUTE, 1)
+    m = Metric(1)
     region = ActiveRegion(((0.5,),), 0.25)
     pts = maximal_packing(region, m, 0.5, spacing=1 / 8)
     assert [p[0] for p in pts] == [0.25, 0.75]
 
 
 def test_packing_requires_fine_spacing():
-    m = Metric(MetricKind.ABSOLUTE, 1)
+    m = Metric(1)
     with pytest.raises(GeometryError):
         maximal_packing(ActiveRegion.whole_space(1), m, 0.1, spacing=0.05)
 
 
 def test_packing_empty_region():
-    m = Metric(MetricKind.ABSOLUTE, 1)
+    m = Metric(1)
     assert maximal_packing(ActiveRegion((), 0.5), m, 0.5, spacing=1 / 8) == []
 
 
 # --- property-based checks: packing and maximality-implies-covering ---
 
 _PACKING_METRICS = [
-    Metric(MetricKind.ABSOLUTE, 1),
-    Metric(MetricKind.LINF, 2),
+    Metric(1),
+    Metric(2),
 ]
 _METRIC_IDS = ["abs-1d", "linf-2d"]
 _metrics = st.sampled_from(_PACKING_METRICS)
@@ -407,7 +396,7 @@ def test_box_matches_whole_lattice_scan(d, spacing):
     centres = [tuple(rng.choice(coords, d)) for _ in range(6)] + [
         tuple(rng.random(d)), tuple([0.0] * d), tuple([1.0] * d), tuple([0.99] * d)]
     for centre in centres:
-        dist = _reference_pairwise(Metric(MetricKind.LINF, d), cells, np.asarray([centre]))
+        dist = _reference_pairwise(Metric(d), cells, np.asarray([centre]))
         for r in [spacing, 0.2, 1.0, float(rng.choice(dist[:, 0]))]:
             want = (dist[:, 0] <= r).reshape((len(coords),) * d)
             got = np.zeros_like(want)
@@ -415,7 +404,7 @@ def test_box_matches_whole_lattice_scan(d, spacing):
             assert np.array_equal(got, want), (centre, r)
 
 
-_LINF_3D = Metric(MetricKind.LINF, 3)
+_LINF_3D = Metric(3)
 
 
 def test_packing_matches_reference_on_random_regions_3d():

@@ -36,7 +36,7 @@ from lipzoom.harness import (
     trial_rng,
 )
 from lipzoom.environment import REWARD_FACTORIES, qmc1_budget, qmc2_budget
-from lipzoom.geometry import Metric, MetricKind
+from lipzoom.geometry import Metric
 from regret_traces import read_traces_csv
 
 FAST = ExperimentConfig(algorithm="qzooming", reward="triangle", noise="bernoulli",
@@ -75,9 +75,9 @@ def test_config_bv_requires_gaussian():
 
 def test_reward_model_carries_metric():
     metrics = {name: make().metric for name, make in REWARD_FACTORIES.items()}
-    assert metrics == {"triangle": Metric(MetricKind.ABSOLUTE, 1),
-                       "sine": Metric(MetricKind.ABSOLUTE, 1),
-                       "twodim": Metric(MetricKind.LINF, 2)}
+    assert metrics == {"triangle": Metric(1),
+                       "sine": Metric(1),
+                       "twodim": Metric(2)}
     assert set(metrics) == set(CHOICES["reward"])
 
 
@@ -128,9 +128,9 @@ def test_run_single_passes_each_runner_exactly_its_parameters(monkeypatch):
     assert passed == {
         "qlae": quantum,
         "qlae_bv": quantum | {"c2"},
-        "qzooming": quantum | {"grid_resolution"},
-        "qzooming_bv": quantum | {"grid_resolution", "c2"},
-        "classical_zooming": common | {"rng", "grid_resolution"},
+        "qzooming": quantum,
+        "qzooming_bv": quantum | {"c2"},
+        "classical_zooming": common | {"rng"},
     }
 
 
@@ -333,7 +333,7 @@ SETTABLE = {
     "algorithm": ("qlae", "qlae"), "reward": ("twodim", "twodim"),
     "noise": ("gaussian", "gaussian"), "sigma": ("0.5", 0.5), "T": ("1234", 1234),
     "delta": ("0.1", 0.1), "trials": ("3", 3), "master_seed": ("11", 11),
-    "c1": ("3.5", 3.5), "c2": ("4.5", 4.5), "grid_resolution": ("64", 64),
+    "c1": ("3.5", 3.5), "c2": ("4.5", 4.5),
     "qmc_mode": ("empirical", "empirical"), "fault_injection": ("false", False),
     "checkpoint_every": ("10", 10),
 }
@@ -366,7 +366,7 @@ def test_field_round_trips_through_flag_and_config_file(name, tmp_path):
     assert from_file == from_flag
 
 
-@pytest.mark.parametrize("name", ["grid_resolution", "checkpoint_every"])
+@pytest.mark.parametrize("name", ["checkpoint_every"])
 def test_optional_field_accepts_none_in_config_file(name, tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"{name} = None\n")
@@ -379,6 +379,16 @@ def test_cli_audits_is_not_a_config_key(tmp_path, capsys):
     cfg.write_text("T = 1000\naudits = true\n")
     assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "unknown config key 'audits'" in capsys.readouterr().err
+
+
+def test_cli_grid_resolution_is_not_an_option(tmp_path, capsys):
+    # the zooming grid's spacing is fixed by the dimension: 1/512 in 1-D, 1/64 otherwise
+    assert cli_main(["run", "--grid-resolution", "64", "--out", str(tmp_path)]) == 2
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("grid_resolution = 64\n")
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"{cfg}:1: unknown config key 'grid_resolution'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_cli_bad_config_file(tmp_path):
@@ -421,7 +431,7 @@ def test_cli_rejects_flags_no_subcommand_reads(argv):
 
 @pytest.mark.parametrize("flags, name", [
     (["--algorithm", "qlae", "--c2", "50"], "c2"),
-    (["--algorithm", "qlae", "--grid-resolution", "64"], "grid_resolution"),
+    (["--algorithm", "classical_zooming", "--c1", "3"], "c1"),
     (["--algorithm", "classical_zooming", "--delta", "0.3"], "delta"),
     (["--algorithm", "classical_zooming", "--qmc-mode", "empirical"], "qmc_mode"),
     (["--noise", "bernoulli", "--sigma", "0.5"], "sigma"),
@@ -481,6 +491,20 @@ def test_cli_sweep_config_file_cannot_set_what_cells_set(line, tmp_path, capsys)
     assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     name = line.partition(" =")[0]
     assert f"{name} is not read by this sweep" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_rejects_a_value_no_cell_reads(tmp_path, capsys):
+    # once silently ignored: under the empirical oracle no cell reads
+    # fault_injection, and the sweep wrote the same CSVs with or without it
+    argv = ["sweep", "--qmc-mode", "empirical", "--T", "300", "--trials", "1",
+            "--out", str(tmp_path / "out")]
+    assert cli_main([*argv, "--no-fault-injection"]) == 2
+    assert "fault_injection is not read by this sweep" in capsys.readouterr().err
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("fault_injection = false\n")
+    assert cli_main([*argv, "--config", str(cfg)]) == 2
+    assert "fault_injection is not read by this sweep" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
