@@ -11,7 +11,7 @@ import numpy as np
 
 from .algorithms import EstimateRecord, StageAudit
 from .environment import RewardModel
-from .geometry import Metric, lattice
+from .geometry import lattice
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,10 @@ def _lattice_gaps(model: RewardModel, spacing: float) -> tuple[np.ndarray, np.nd
     """The lattice and the gap of each of its points, both read-only.
 
     A dimension fit asks for the near-optimal sets of one lattice at every
-    radius, so the per-point gap loop runs once per fit, not once per radius.
+    radius, so the gaps are evaluated once per fit, not once per radius.
     """
     cand = lattice(model.metric.dimension, spacing)
-    gaps = np.array([model.gap(tuple(p)) for p in cand])
+    gaps = model.mu_star - model.mu_many(cand)
     cand.flags.writeable = False
     gaps.flags.writeable = False
     return cand, gaps
@@ -85,10 +85,8 @@ def _interval_cover_count(xs: np.ndarray, radius: float) -> int:
     return n
 
 
-def _greedy_cover_count(
-    pts: np.ndarray, metric: Metric, radius: float, cand_cap: int = 2048
-) -> int:
-    """Greedy set cover: centers restricted to the points themselves.
+def _greedy_cover_count(pts: np.ndarray, radius: float, cand_cap: int = 2048) -> int:
+    """Greedy set cover under L-infinity: centers restricted to the points themselves.
 
     Candidate centers are subsampled to at most `cand_cap` to bound the
     work; any point the subsample cannot reach gets itself as a center, so
@@ -97,20 +95,29 @@ def _greedy_cover_count(
 
     `pts` must be sorted on its first column, as row-major lattice subsets
     are, so each ball is a mask over the index window of points within its
-    radius on axis 0.  Picks are lazy greedy: gains only fall, so a
-    heap top whose recounted gain equals its key is the first candidate of
-    largest gain, the pick plain greedy makes.
+    radius on axis 0.  The mask ANDs `|x_k - c_k| <= radius` over the axes,
+    which is `Metric.pairwise(...) <= radius` exactly: the L-infinity
+    distance is the max of those same differences.  Picks are lazy greedy:
+    gains only fall, so a heap top whose recounted gain equals its key is
+    the first candidate of largest gain, the pick plain greedy makes.
     """
-    x0 = pts[:, 0]
+    cols = [np.ascontiguousarray(pts[:, k]) for k in range(pts.shape[1])]
+    x0 = cols[0]
     reach = radius + 1e-9  # slack for rounding
 
-    def ball(c: int) -> tuple[int, int, np.ndarray]:
-        lo = int(np.searchsorted(x0, x0[c] - reach, "left"))
-        hi = int(np.searchsorted(x0, x0[c] + reach, "right"))
-        return lo, hi, metric.pairwise(pts[c], pts[lo:hi])[0] <= radius
+    def ball_masks(centers: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+        los = np.searchsorted(x0, x0[centers] - reach, "left").tolist()
+        his = np.searchsorted(x0, x0[centers] + reach, "right").tolist()
+        out = []
+        for c, lo, hi in zip(centers.tolist(), los, his):
+            mask = np.abs(x0[lo:hi] - x0[c]) <= radius
+            for col in cols[1:]:
+                mask &= np.abs(col[lo:hi] - col[c]) <= radius
+            out.append((lo, hi, mask))
+        return out
 
     n = len(pts)
-    balls = [ball(c) for c in range(0, n, max(1, -(-n // cand_cap)))]
+    balls = ball_masks(np.arange(0, n, max(1, -(-n // cand_cap))))
     heap = [(-int(np.count_nonzero(mask)), i) for i, (_, _, mask) in enumerate(balls)]
     heapq.heapify(heap)
     uncovered = np.ones(n, dtype=bool)
@@ -124,7 +131,7 @@ def _greedy_cover_count(
                 break
             heapq.heapreplace(heap, (-gain, i))
         if gain == 0:
-            lo, hi, mask = ball(int(np.argmax(uncovered)))
+            lo, hi, mask = ball_masks(np.argmax(uncovered, keepdims=True))[0]
         uncovered[lo:hi] &= ~mask
         count += 1
     return count
@@ -145,7 +152,7 @@ def zooming_number(model: RewardModel, r: float, spacing: float, divisor: int = 
     radius = r / divisor
     if model.metric.dimension == 1:
         return _interval_cover_count(pts[:, 0], radius)
-    return _greedy_cover_count(pts, model.metric, radius)
+    return _greedy_cover_count(pts, radius)
 
 
 def fit_zooming_dimension(model: RewardModel, divisor: int = 3) -> ZoomingProfile:

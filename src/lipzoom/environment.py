@@ -43,6 +43,19 @@ class RewardModel:
     def mu(self, x: Point) -> float:
         return min(1.0, max(0.0, float(self.raw(x))))
 
+    def mu_many(self, points: np.ndarray) -> np.ndarray:
+        """`mu` of each row of an (n, d) array.
+
+        It calls the same scalar `raw` on the same floats and clips as `mu`
+        does, so every entry equals `mu` of its row bit for bit, whatever
+        the reward; only the per-point Python overhead of `mu` is gone.
+        """
+        raws = np.fromiter(map(self.raw, map(tuple, points.tolist())), float, len(points))
+        # max(0.0, v) keeps v only when v > 0.0, and min(1.0, v) only when
+        # v < 1.0; the same tests map NaN and -0.0 to 0.0 as `mu` does
+        raws = np.where(raws > 0.0, raws, 0.0)
+        return np.where(raws < 1.0, raws, 1.0)
+
     def gap(self, x: Point) -> float:
         return self.mu_star - self.mu(x)
 

@@ -17,7 +17,13 @@ from lipzoom.diagnostics import (
     near_optimal_set,
     zooming_number,
 )
-from lipzoom.environment import RewardModel, sine_model, triangle_model, twodim_model
+from lipzoom.environment import (
+    REWARD_FACTORIES,
+    RewardModel,
+    sine_model,
+    triangle_model,
+    twodim_model,
+)
 from lipzoom.geometry import Metric, lattice
 
 
@@ -102,24 +108,31 @@ def _reference_greedy_cover_count(
 
 
 @pytest.mark.parametrize("cand_cap", [16, 64, 2048])
-@pytest.mark.parametrize("metric", [Metric(2)], ids=["linf"])
-def test_greedy_cover_matches_reference_on_lattice_subsets(metric, cand_cap):
+@pytest.mark.parametrize("metric,spacings,divisors", [
+    (Metric(2), (16, 32, 48), (2, 3, 14, 16)),
+    # coarser lattices keep the dense reference cheap; smaller divisors keep
+    # several points in each ball
+    (Metric(3), (6, 8, 12), (1, 2, 3)),
+], ids=["linf", "linf3d"])
+def test_greedy_cover_matches_reference_on_lattice_subsets(metric, spacings, divisors, cand_cap):
+    # the cover ANDs one test per axis; the reference thresholds pairwise
+    dimension = metric.dimension
     rng = np.random.default_rng(cand_cap)
     for case in range(20):
         # row-major lattice subsets, as near_optimal_set returns them: a
         # random annulus around a random peak, thinned at random
-        spacing = 1 / int(rng.choice([16, 32, 48]))
-        cand = lattice(2, spacing)
-        peak = rng.random(2)
+        spacing = 1 / int(rng.choice(spacings))
+        cand = lattice(dimension, spacing)
+        peak = rng.random(dimension)
         dist = metric.pairwise(cand, peak)[:, 0]
         r = float(rng.uniform(0.05, 0.4))
         keep = (dist >= r) & (dist < 2 * r) & (rng.random(len(cand)) < 0.9)
         pts = cand[keep]
         if not len(pts):
             continue
-        radius = r / int(rng.choice([2, 3, 14, 16]))
+        radius = r / int(rng.choice(divisors))
         want = _reference_greedy_cover_count(pts, metric, radius, cand_cap)
-        assert _greedy_cover_count(pts, metric, radius, cand_cap) == want, case
+        assert _greedy_cover_count(pts, radius, cand_cap) == want, case
 
 
 def test_greedy_cover_zero_gain_fallback():
@@ -128,7 +141,7 @@ def test_greedy_cover_zero_gain_fallback():
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])
     metric = Metric(2)
     assert _reference_greedy_cover_count(pts, metric, 0.1, cand_cap=1) == 2
-    assert _greedy_cover_count(pts, metric, 0.1, cand_cap=1) == 2
+    assert _greedy_cover_count(pts, 0.1, cand_cap=1) == 2
 
 
 def test_greedy_cover_memory_stays_within_ball_windows():
@@ -138,11 +151,47 @@ def test_greedy_cover_memory_stays_within_ball_windows():
     pts = near_optimal_set(model, 0.25, 1 / 256)
     tracemalloc.start()
     try:
-        _greedy_cover_count(pts, model.metric, 1 / 12)
+        _greedy_cover_count(pts, 1 / 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+# every lipzoom dim profile: counts at r = 1/4 ... 1/128, then the fitted
+# dimension and residual as dim prints them
+DIM_PROFILES = {
+    ("triangle", 2): ((3, 4, 4, 4, 4, 4), "0.0593", "0.0810"),
+    ("triangle", 3): ((3, 4, 4, 4, 4, 4), "0.0593", "0.0810"),
+    ("triangle", 14): ((10, 16, 16, 16, 16, 16), "0.0969", "0.1324"),
+    ("triangle", 16): ((12, 18, 18, 18, 16, 16), "0.0447", "0.1334"),
+    ("sine", 2): ((3, 2, 2, 4, 4, 6), "0.2571", "0.2530"),
+    ("sine", 3): ((4, 4, 4, 4, 6, 8), "0.1930", "0.1475"),
+    ("sine", 14): ((14, 10, 14, 18, 24, 35), "0.3075", "0.1820"),
+    ("sine", 16): ((15, 12, 16, 20, 26, 35), "0.2794", "0.1368"),
+    ("twodim", 2): ((17, 26, 26, 20, 15, 9), "0.0000", "0.2667"),
+    ("twodim", 3): ((37, 56, 50, 53, 34, 51), "0.0068", "0.1892"),
+    # at r <= 1/32 the balls of radius r/14 and r/16 are narrower than the
+    # 1/256 lattice, so each covers one point and the count is |X_r|
+    ("twodim", 14): ((634, 922, 528, 770, 193, 51), "0.0000", "0.5844"),
+    ("twodim", 16): ((634, 922, 528, 770, 193, 51), "0.0000", "0.5844"),
+}
+
+
+@pytest.mark.parametrize("reward,divisor", list(DIM_PROFILES), ids=str)
+def test_fit_dimension_profiles_pinned(reward, divisor):
+    counts, dim, resid = DIM_PROFILES[reward, divisor]
+    prof = fit_zooming_dimension(REWARD_FACTORIES[reward](), divisor)
+    assert prof.counts == counts
+    assert (f"{prof.fitted_dimension:.4f}", f"{prof.fit_residual:.4f}") == (dim, resid)
+
+
+def test_zooming_number_2d_calls_no_pairwise(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cover must build its masks without pairwise")
+
+    monkeypatch.setattr(Metric, "pairwise", refuse)
+    assert zooming_number(twodim_model(), 0.125, spacing=1 / 64, divisor=3) >= 1
 
 
 def test_fit_dimension_triangle_small():

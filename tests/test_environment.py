@@ -13,6 +13,7 @@ from lipzoom.environment import (
     NoiseModel,
     OracleMode,
     QuantumOracleSim,
+    RewardModel,
     RoundLedger,
     classical_sample,
     qmc1_budget,
@@ -74,6 +75,45 @@ def test_mu_range():
         for _ in range(200):
             v = model.mu(tuple(rng.random(d)))
             assert 0.0 <= v <= 1.0
+
+
+def _mu_loop(model, points):
+    # reference: the scalar mu of each row, as the dimension fit once did
+    return np.array([model.mu(tuple(p)) for p in points])
+
+
+@pytest.mark.parametrize("factory,spacing", [
+    (triangle_model, 1 / 8192),
+    (sine_model, 1 / 8192),
+    (twodim_model, 1 / 256),
+])
+def test_mu_many_equals_mu_on_dim_lattices(factory, spacing):
+    # exact, no tolerance: lipzoom dim reads its gaps from mu_many
+    model = factory()
+    pts = lattice(model.metric.dimension, spacing)
+    assert np.array_equal(model.mu_many(pts), _mu_loop(model, pts))
+
+
+@pytest.mark.parametrize("model", [
+    RewardModel(lambda x: 2.0 * x[0] - 0.5, 2.0, 1.0, (1.0,)),
+    RewardModel(lambda x: 3.0 * (x[0] - x[1]) + 0.5, 3.0, 1.0, (1.0, 0.0), Metric(2)),
+    RewardModel(lambda x: 0.5, 0.0, 0.5, (0.0,)),
+], ids=["clip-1d", "clip-2d", "constant"])
+def test_mu_many_equals_mu_on_clipped_and_constant_models(model):
+    pts = lattice(model.metric.dimension, 1 / 64)
+    raws = np.array([model.raw(tuple(p)) for p in pts])
+    if model.lipschitz_constant:
+        assert raws.min() < 0.0 and raws.max() > 1.0  # both clips are exercised
+    assert np.array_equal(model.mu_many(pts), _mu_loop(model, pts))
+
+
+def test_mu_many_clips_nan_and_negative_zero_as_mu():
+    # max(0.0, v) and min(1.0, v) keep v only on a strict comparison
+    model = RewardModel(lambda x: math.nan if x[0] > 0.5 else -0.0, 0.0, 0.0, (0.0,))
+    pts = lattice(1, 1 / 8)
+    got, want = model.mu_many(pts), _mu_loop(model, pts)
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got).any() and not np.isnan(got).any()
 
 
 def test_qmc1_budget_examples():
