@@ -4,6 +4,7 @@ dimension fits, clean-event and gap-bound lemma checks."""
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,20 +69,42 @@ def near_optimal_set(model: RewardModel, r: float, spacing: float) -> np.ndarray
     return cand[(gaps >= r) & (gaps < 2 * r)]
 
 
+def _box_ranges(
+    coords: np.ndarray, centres: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index ranges [lo, hi) of the k with abs(coords[k] - c) <= radius, one per centre.
+
+    The rule of `geometry._box_range` for all centres at once: `coords` is
+    sorted, so search the window within radius of each centre, with slack
+    for rounding, then step each end inward to the exact test.
+    """
+    def within(k: np.ndarray) -> np.ndarray:
+        return np.abs(coords[k] - centres) <= radius
+
+    reach = radius + 1e-9
+    lo = np.searchsorted(coords, centres - reach, "left")
+    hi = np.searchsorted(coords, centres + reach, "right")
+    # an empty range's lo may be len(coords); the clamp only keeps it indexable
+    while (step := (lo < hi) & ~within(np.minimum(lo, len(coords) - 1))).any():
+        lo += step
+    while (step := (hi > lo) & ~within(hi - 1)).any():
+        hi -= step
+    return lo, hi
+
+
 def _interval_cover_count(xs: np.ndarray, radius: float) -> int:
     """Minimal number of radius-`radius` balls centered at points of xs covering xs.
 
     Sweep from the left: for the leftmost uncovered point take the rightmost
-    feasible center, which is optimal for intervals on a line.
+    center within radius of it, which is optimal for intervals on a line;
+    the next uncovered point is the first past that center's ball.
     """
     xs = np.sort(xs)
-    n = 0
-    i = 0
+    his = _box_ranges(xs, xs, radius)[1].tolist()
+    n = i = 0
     while i < len(xs):
-        # rightmost center within radius of xs[i]
-        c = xs[np.searchsorted(xs, xs[i] + radius, side="right") - 1]
+        i = his[his[i] - 1]
         n += 1
-        i = int(np.searchsorted(xs, c + radius, side="right"))
     return n
 
 
@@ -93,46 +116,55 @@ def _greedy_cover_count(pts: np.ndarray, radius: float, cand_cap: int = 2048) ->
     the result is always a valid cover count (an upper bound on the
     optimum, as for plain greedy).
 
-    `pts` must be sorted on its first column, as row-major lattice subsets
-    are, so each ball is a mask over the index window of points within its
-    radius on axis 0.  The mask ANDs `|x_k - c_k| <= radius` over the axes,
-    which is `Metric.pairwise(...) <= radius` exactly: the L-infinity
-    distance is the max of those same differences.  Picks are lazy greedy:
-    gains only fall, so a heap top whose recounted gain equals its key is
-    the first candidate of largest gain, the pick plain greedy makes.
+    `pts` must be distinct points of a lattice, as near-optimal sets are:
+    the cover marks each point's cell in a boolean grid over the distinct
+    values of each axis (at most 257^2 cells at the `dim` spacing).  A
+    ball is the box of cells with `abs(x_k - c_k) <= radius` on every
+    axis, which is `Metric.pairwise(...) <= radius` exactly: the
+    L-infinity distance is the max of those same differences.  Initial
+    gains are exact box sums of one summed-area table.  Picks are lazy
+    greedy: gains only fall, so a heap top whose recounted gain equals its
+    key is the first candidate of largest gain, the pick plain greedy makes.
     """
-    cols = [np.ascontiguousarray(pts[:, k]) for k in range(pts.shape[1])]
-    x0 = cols[0]
-    reach = radius + 1e-9  # slack for rounding
+    n, d = pts.shape
+    axes = [np.unique(pts[:, k]) for k in range(d)]
+    cells = tuple(np.searchsorted(u, pts[:, k]) for k, u in enumerate(axes))
+    grid = np.zeros([len(u) for u in axes], dtype=bool)
+    grid[cells] = True
 
-    def ball_masks(centers: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
-        los = np.searchsorted(x0, x0[centers] - reach, "left").tolist()
-        his = np.searchsorted(x0, x0[centers] + reach, "right").tolist()
-        out = []
-        for c, lo, hi in zip(centers.tolist(), los, his):
-            mask = np.abs(x0[lo:hi] - x0[c]) <= radius
-            for col in cols[1:]:
-                mask &= np.abs(col[lo:hi] - col[c]) <= radius
-            out.append((lo, hi, mask))
-        return out
+    def box_ends(rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [_box_ranges(u, pts[rows, k], radius) for k, u in enumerate(axes)]
 
-    n = len(pts)
-    balls = ball_masks(np.arange(0, n, max(1, -(-n // cand_cap))))
-    heap = [(-int(np.count_nonzero(mask)), i) for i, (_, _, mask) in enumerate(balls)]
+    def boxes(ends: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[slice, ...]]:
+        return list(zip(*(map(slice, lo.tolist(), hi.tolist()) for lo, hi in ends)))
+
+    cand = np.arange(0, n, max(1, -(-n // cand_cap)))
+    ends = box_ends(cand)
+    sat = np.zeros([len(u) + 1 for u in axes], dtype=np.int32)
+    sat[(slice(1, None),) * d] = grid
+    for k in range(d):
+        np.cumsum(sat, axis=k, out=sat)
+    gains = np.zeros(len(cand), dtype=np.int64)
+    for corner in itertools.product((0, 1), repeat=d):
+        gains += (-1) ** (d - sum(corner)) * sat[tuple(e[s] for e, s in zip(ends, corner))]
+    balls = boxes(ends)
+    heap = [(-g, i) for i, g in enumerate(gains.tolist())]
     heapq.heapify(heap)
-    uncovered = np.ones(n, dtype=bool)
+    uncovered = n
     count = 0
-    while uncovered.any():
+    while uncovered:
         while True:
             key, i = heap[0]
-            lo, hi, mask = balls[i]
-            gain = int(np.count_nonzero(uncovered[lo:hi] & mask))
+            ball = balls[i]
+            gain = int(np.count_nonzero(grid[ball]))
             if gain == -key:
                 break
             heapq.heapreplace(heap, (-gain, i))
         if gain == 0:
-            lo, hi, mask = ball_masks(np.argmax(uncovered, keepdims=True))[0]
-        uncovered[lo:hi] &= ~mask
+            ball = boxes(box_ends(np.argmax(grid[cells], keepdims=True)))[0]
+            gain = int(np.count_nonzero(grid[ball]))
+        grid[ball] = False
+        uncovered -= gain
         count += 1
     return count
 

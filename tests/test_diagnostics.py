@@ -8,7 +8,9 @@ import pytest
 
 from lipzoom.algorithms import EstimateRecord, StageAudit
 from lipzoom.diagnostics import (
+    _box_ranges,
     _greedy_cover_count,
+    _interval_cover_count,
     audit_clean_event,
     audit_qlae_lemmas,
     audit_qzooming_lemma,
@@ -24,7 +26,7 @@ from lipzoom.environment import (
     triangle_model,
     twodim_model,
 )
-from lipzoom.geometry import Metric, lattice
+from lipzoom.geometry import Metric, _axis, _box_range, lattice
 
 
 def test_near_optimal_set_triangle():
@@ -133,6 +135,11 @@ def test_greedy_cover_matches_reference_on_lattice_subsets(metric, spacings, div
         radius = r / int(rng.choice(divisors))
         want = _reference_greedy_cover_count(pts, metric, radius, cand_cap)
         assert _greedy_cover_count(pts, radius, cand_cap) == want, case
+        # the same set in another row order: the candidate subsample and the
+        # fallback follow row order, so the reference sees the same rows
+        shuffled = pts[np.random.default_rng([cand_cap, case]).permutation(len(pts))]
+        want = _reference_greedy_cover_count(shuffled, metric, radius, cand_cap)
+        assert _greedy_cover_count(shuffled, radius, cand_cap) == want, ("shuffled", case)
 
 
 def test_greedy_cover_zero_gain_fallback():
@@ -156,6 +163,55 @@ def test_greedy_cover_memory_stays_within_ball_windows():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+    # the cover holds one grid over the 257^2 lattice cells, not a mask per candidate
+    assert peak < 6e6
+
+
+@pytest.mark.parametrize("spacing", [1 / 8, 1 / 64, 1 / 5.5, 0.3 / 5.5])
+def test_box_ranges_match_geometry_box_range(spacing):
+    coords = _axis(spacing).tolist()
+    rng = np.random.default_rng(len(coords))
+    # centres on the lattice (both faces and random cells) and off it (near
+    # and past both faces, and random points)
+    on = coords[:2] + coords[-2:] + rng.choice(coords, 6).tolist()
+    off = [1e-12, 0.01, 0.99, 1 - 1e-12, -0.02, 1.02] + rng.random(6).tolist()
+    centres = on + off
+    # radii exactly at a cell's distance from some centre, and between
+    at_cell = [abs(coords[k] - x) for x, k in zip(rng.choice(centres, 6),
+                                                   rng.integers(len(coords), size=6))]
+    for r in at_cell + [0.0, spacing / 3, spacing, 2.5 * spacing, 0.1, 0.5, 1.0, 3.0]:
+        lo, hi = _box_ranges(np.asarray(coords), np.asarray(centres), r)
+        want = [_box_range(coords, x, r) for x in centres]
+        assert list(zip(lo.tolist(), hi.tolist())) == want, r
+
+
+def _reference_interval_cover_count(xs: np.ndarray, radius: float) -> int:
+    """Sweep from the left with the abs test: the leftmost uncovered point's
+    rightmost centre within radius, then drop every point within radius of it."""
+    pts = sorted(xs.tolist())
+    uncovered = pts
+    count = 0
+    while uncovered:
+        centre = max(x for x in pts if abs(x - uncovered[0]) <= radius)
+        uncovered = [x for x in uncovered if not abs(x - centre) <= radius]
+        count += 1
+    return count
+
+
+def test_interval_cover_uses_the_abs_test():
+    # 0.4 - 0.3 is 0.10000000000000003, so the ball around 0.3 excludes 0.4
+    assert _interval_cover_count(np.arange(11) / 10, 0.1) == 5
+    rng = np.random.default_rng(5)
+    for case in range(300):
+        xs = _axis(1 / float(rng.choice([10, 16, 5.5, 30, 64])))
+        xs = xs[rng.random(len(xs)) < rng.uniform(0.3, 1.0)]
+        if not len(xs):
+            continue
+        # radii at exact point distances, where the rounding decides, and between
+        radius = float(rng.choice([abs(float(rng.choice(xs)) - float(rng.choice(xs))),
+                                   rng.uniform(0.0, 0.3)]))
+        want = _reference_interval_cover_count(xs, radius)
+        assert _interval_cover_count(rng.permutation(xs), radius) == want, (case, radius)
 
 
 # every lipzoom dim profile: counts at r = 1/4 ... 1/128, then the fitted
