@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, repeat
 from typing import Callable, Iterator
 
 import numpy as np
@@ -121,19 +122,19 @@ _VARIATE_BLOCK = 4096  # floats per generator call; keeps memory flat at any n
 
 
 def variates(noise: NoiseModel, rng: np.random.Generator, n: int) -> Iterator[float]:
-    """Yield the n base variates of n noisy draws: uniforms under Bernoulli
-    noise, standard normals under gaussian noise.
+    """An iterator over the n base variates of n noisy draws: uniforms under
+    Bernoulli noise, standard normals under gaussian noise.
 
     They are drawn in blocks, and a block of k floats equals k scalar
     `rng.random()` or `rng.standard_normal()` calls, generator state
-    included.  A block is drawn before its floats are yielded, so a caller
-    must consume this generator before anything else draws from `rng`.
+    included.  The iterator chains the block lists: creating it draws
+    nothing, and a block is drawn only when its first float is asked for,
+    so after k floats exactly ceil(k / 4096) blocks are drawn.  A caller
+    must consume the iterator before anything else draws from `rng`.
     """
-    draw = rng.random if noise.kind == NoiseKind.BERNOULLI else rng.standard_normal
-    while n > 0:
-        k = min(n, _VARIATE_BLOCK)
-        yield from draw(k).tolist()
-        n -= k
+    draw = rng.random if noise.kind == "bernoulli" else rng.standard_normal
+    blocks = range(n, 0, -_VARIATE_BLOCK)  # floats left before each block
+    return chain.from_iterable(draw(min(k, _VARIATE_BLOCK)).tolist() for k in blocks)
 
 
 def classical_sample(m: float, noise: NoiseModel, v: float) -> float:
@@ -143,8 +144,10 @@ def classical_sample(m: float, noise: NoiseModel, v: float) -> float:
     `model.mu(x)` once per arm (or per oracle call) and pass it in, since x
     is fixed across the draws they take there.
     """
-    if noise.kind == NoiseKind.BERNOULLI:
-        return float(v < m)
+    # kinds compare by value: on 3.11 each `NoiseKind.X` lookup goes through
+    # `EnumType.__getattr__`, which costs more than the rest of a draw
+    if noise.kind == "bernoulli":
+        return 1.0 if v < m else 0.0
     return m + noise.sigma * v
 
 
@@ -271,10 +274,13 @@ class RoundLedger:
         Checkpoints crossed by the burst are recorded with the exact regret
         at the checkpoint round (regret accrues linearly within a burst).
         """
-        start, start_regret = self.consumed, self.cumulative_regret
-        n = min(n, self.horizon - start)
+        start = self.consumed
+        left = self.horizon - start
+        if n > left:
+            n = left
         if n <= 0:
             return 0
+        start_regret = self.cumulative_regret
         self.consumed = end = start + n
         self.cumulative_regret = start_regret + n * gap
         ck = self.checkpoint_every
@@ -316,10 +322,13 @@ def qmc_estimate(
     used = ledger.consume(budget, model.mu_star - m)
     exhausted = used < budget
 
-    if oracle.mode == OracleMode.EMPIRICAL:
+    if oracle.mode == "empirical":
         noise = estimator.noise
-        draws = [classical_sample(m, noise, v) for v in variates(noise, oracle.rng, used)]
-        return float(np.mean(draws)), used, exhausted
+        # one draw per query, each through the module's `classical_sample`
+        # as bound at this call; the mean is numpy's pairwise sum over them
+        draws = map(classical_sample, repeat(m, used), repeat(noise, used),
+                    variates(noise, oracle.rng, used))
+        return float(np.fromiter(draws, float, used).mean()), used, exhausted
 
     if oracle.fault_injection and oracle.rng.random() < estimator.delta:
         sign = 1.0 if oracle.rng.random() < 0.5 else -1.0

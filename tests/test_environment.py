@@ -1,6 +1,7 @@
 """Reward models, noise draws, oracle budgets/contract and ledger accounting."""
 
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -236,6 +237,36 @@ def test_variates_match_scalar_draws(kind, n):
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
+@pytest.mark.parametrize("kind", list(NoiseKind))
+@pytest.mark.parametrize("n", [1, 4096, 10_000])
+def test_variates_draw_lazily_block_by_block(kind, n):
+    # the classical loop consumes the iterator round by round, so a block
+    # must be drawn only when its first float is asked for
+    noise = NoiseModel(kind, SIGMA if kind == NoiseKind.GAUSSIAN else 0.0)
+    rng, twin = np.random.default_rng(43), np.random.default_rng(43)
+    draw = twin.random if kind == NoiseKind.BERNOULLI else twin.standard_normal
+    it = variates(noise, rng, n)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    taken = blocks = 0
+    for k in sorted({0, 1, 4095, 4096, 4097, 8192, 8193, n}):
+        if k > n:
+            continue
+        assert len(list(itertools.islice(it, k - taken))) == k - taken
+        taken = k
+        while blocks < -(-k // 4096):  # ceil(k / 4096) blocks, each as variates sizes it
+            draw(min(4096, n - 4096 * blocks))
+            blocks += 1
+        assert rng.bit_generator.state == twin.bit_generator.state, k
+    assert next(it, None) is None
+
+
+def test_per_draw_path_names_no_enum_class():
+    # on 3.11 each NoiseKind.X / OracleMode.X lookup goes through
+    # EnumType.__getattr__ (~170 ns), more than the rest of a draw
+    assert "NoiseKind" not in classical_sample.__code__.co_names
+    assert "OracleMode" not in qmc_estimate.__code__.co_names
+
+
 def test_gaussian_noise_needs_sigma():
     with pytest.raises(EnvironmentConfigError):
         NoiseModel(NoiseKind.GAUSSIAN, 0.0)
@@ -287,6 +318,34 @@ def test_oracle_empirical_mode():
     assert abs(est - model.mu((0.2,))) < 0.2
 
 
+def _budget_eps(estimator, budget):
+    # an eps at which the qmc1 budget is exactly `budget` queries
+    eps = estimator.c1 * math.log(1.0 / estimator.delta) / (budget - 0.5)
+    assert estimator.queries(eps) == budget
+    return eps
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+@pytest.mark.parametrize("budget,horizon", [
+    (1, 10**9), (4095, 10**9), (4096, 10**9), (4097, 10**9), (4097, 3000),
+], ids=["1", "4095", "4096", "4097", "4097-truncated"])
+def test_empirical_estimate_equals_mean_of_listed_draws(kind, budget, horizon):
+    # exact: the estimate is numpy's mean of the same floats, drawn from
+    # the same stream, whatever the pipeline that feeds it
+    noise = NoiseModel(kind, SIGMA if kind == NoiseKind.GAUSSIAN else 0.0)
+    estimator = Estimator(noise, 0.05)
+    model, x = triangle_model(), (0.5,)
+    oracle = QuantumOracleSim(OracleMode.EMPIRICAL, False, np.random.default_rng(47))
+    twin = np.random.default_rng(47)
+    eps = _budget_eps(estimator, budget)
+    est, used, exhausted = qmc_estimate(oracle, estimator, model, x, eps, RoundLedger(horizon))
+    assert used == min(budget, horizon) and exhausted == (horizon < budget)
+    m = model.mu(x)
+    ref = float(np.mean([classical_sample(m, noise, v) for v in variates(noise, twin, used)]))
+    assert est == ref
+    assert oracle.rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_qmc2_variant_fallback():
     estimator = Estimator(NoiseModel(NoiseKind.GAUSSIAN, 0.05), 0.05, c2=2.0)
     # eps = 0.5 >= 4*sigma = 0.2: the bounded-variance guarantee is vacuous,
@@ -308,6 +367,36 @@ def test_ledger_checkpoints_and_interpolation():
     assert led.checkpoints == [(10, pytest.approx(2.0)), (20, pytest.approx(4.0))]
     led.consume(5, 1.0)  # crosses 30 exactly
     assert led.checkpoints[-1] == (30, pytest.approx(10.0))
+
+
+def _reference_consume(ledger, n, gap):
+    # reference: the charge before its per-round overhead was trimmed
+    start, start_regret = ledger.consumed, ledger.cumulative_regret
+    n = min(n, ledger.horizon - start)
+    if n <= 0:
+        return 0
+    ledger.consumed = end = start + n
+    ledger.cumulative_regret = start_regret + n * gap
+    ck = ledger.checkpoint_every
+    b = (start // ck + 1) * ck
+    while b <= end:
+        ledger.checkpoints.append((b, start_regret + (b - start) * gap))
+        b += ck
+    return n
+
+
+@pytest.mark.parametrize("checkpoint_every", [1, 7, None])
+def test_ledger_consume_matches_reference(checkpoint_every):
+    # exact, no tolerance: an ulp of drift would move a regret CSV byte
+    rng = np.random.default_rng(53)
+    led, ref = RoundLedger(5_000, checkpoint_every), RoundLedger(5_000, checkpoint_every)
+    while ref.remaining > 0 or rng.random() < 0.9:
+        n = int(rng.integers(0, rng.choice([2, 100, ref.remaining + 50], p=[0.5, 0.4, 0.1])))
+        gap = float(rng.random()) if rng.random() < 0.9 else 0.0
+        assert led.consume(n, gap) == _reference_consume(ref, n, gap)
+        assert (led.consumed, led.cumulative_regret) == (ref.consumed, ref.cumulative_regret)
+    assert led.checkpoints == ref.checkpoints
+    assert led.consumed == 5_000
 
 
 def test_ledger_default_checkpoint_every():
