@@ -248,9 +248,7 @@ def test_variates_draw_lazily_block_by_block(kind, n):
     it = variates(noise, rng, n)
     assert rng.bit_generator.state == twin.bit_generator.state
     taken = blocks = 0
-    for k in sorted({0, 1, 4095, 4096, 4097, 8192, 8193, n}):
-        if k > n:
-            continue
+    for k in sorted({k for k in (0, 1, 4095, 4096, 4097, 8192, 8193, n) if k <= n}):
         assert len(list(itertools.islice(it, k - taken))) == k - taken
         taken = k
         while blocks < -(-k // 4096):  # ceil(k / 4096) blocks, each as variates sizes it
