@@ -183,20 +183,20 @@ class _Cover:
     """Zooming activation lattice with a count, per candidate, of the balls covering it.
 
     The lattice spacing is fixed by the dimension: 1/512 in 1-D, 1/64
-    otherwise.  Ball i is centred on the i-th activated candidate.  `count`
-    has the lattice's shape, one entry per candidate, and `uncovered`
-    counts its zeros.  A ball is its box of candidates (`geometry.box`) and
-    its band `(lo, hi)`: the largest axis distance inside the box and the
-    smallest outside it.  A new radius in [lo, hi) keeps every axis range,
-    so `set_radius`, which the classical baseline calls every round,
-    returns at once.
+    otherwise.  Ball i is centred on `centres[i]`, the i-th activated
+    candidate.  `count` has the lattice's shape, one entry per candidate,
+    and `uncovered` counts its zeros.  A ball is its box of candidates
+    (`geometry.box`) and its band `(lo, hi)`: the largest axis distance
+    inside the box and the smallest outside it.  A new radius in [lo, hi)
+    keeps every axis range, so `set_radius`, which the classical baseline
+    calls every round, returns at once.
     """
 
     def __init__(self, dimension: int):
         self.coords = _axis(1.0 / (512 if dimension == 1 else 64)).tolist()
         self.count = np.zeros((len(self.coords),) * dimension, dtype=np.int32)
         self.uncovered = self.count.size
-        self._centres: list[Point] = []
+        self.centres: list[Point] = []
         self._boxes: list[tuple[slice, ...]] = []
         self._bands: list[tuple[float, float]] = []
 
@@ -206,17 +206,17 @@ class _Cover:
             return None
         idx = np.unravel_index(int(np.argmin(self.count)), self.count.shape)
         centre = tuple(self.coords[k] for k in idx)
-        self._centres.append(centre)
+        self.centres.append(centre)
         self._boxes.append((slice(0, 0),) * len(centre))
         self._bands.append((math.inf, -math.inf))
-        self.set_radius(len(self._centres) - 1, 1.0)
+        self.set_radius(len(self.centres) - 1, 1.0)
         return centre
 
     def set_radius(self, i: int, r: float) -> None:
         lo, hi = self._bands[i]
         if lo <= r < hi:
             return
-        coords, centre = self.coords, self._centres[i]
+        coords, centre = self.coords, self.centres[i]
         ball = box(coords, centre, r)
         lo, hi = -math.inf, math.inf
         for s, x in zip(ball, centre):
@@ -242,8 +242,7 @@ def _run_zooming(
     audits: bool,
 ) -> PolicyResult:
     ledger = RoundLedger(T, checkpoint_every)
-    cover = _Cover(model.metric.dimension)
-    points: list[Point] = []
+    cover = _Cover(model.metric.dimension)  # cover.centres are the active arms
     radii: list[float] = []
     estimates: list[float] = []  # unplayed arms sit at 0, consistent with eps=1
     records: list[EstimateRecord] = []
@@ -253,12 +252,11 @@ def _run_zooming(
     for s in itertools.count(1):
         y = cover.activate()
         if y is not None:
-            points.append(y)
             radii.append(1.0)
             estimates.append(0.0)
 
         if audits:
-            stage_audits.append(StageAudit(s, tuple(zip(points, radii))))
+            stage_audits.append(StageAudit(s, tuple(zip(cover.centres, radii))))
 
         i = select_arm(estimates, radii)
         radii[i] /= 2.0
@@ -266,10 +264,11 @@ def _run_zooming(
         cover.set_radius(i, eps)
         if ledger.consumed + estimator.queries(eps) > T:
             break
-        est, _, _ = qmc_estimate(oracle, estimator, model, points[i], eps, ledger)
+        x = cover.centres[i]
+        est, _, _ = qmc_estimate(oracle, estimator, model, x, eps, ledger)
         estimates[i] = est
         if audits:
-            records.append(EstimateRecord(s, points[i], eps, est, model.mu(points[i])))
+            records.append(EstimateRecord(s, x, eps, est, model.mu(x)))
 
     # stage s did not fit in the horizon
     return _finish(ledger, s - 1, records, stage_audits)
@@ -349,7 +348,7 @@ def run_classical_zooming(
         y = cover.activate()
         if y is not None:
             means.append(model.mu(y))
-            gaps.append(model.gap(y))
+            gaps.append(model.mu_star - means[-1])  # gap(y), without a second mu
             counts.append(0)
             sums.append(0.0)
             index.append(2.0)  # mean 0, radius 1

@@ -12,7 +12,7 @@ import numpy as np
 
 from .algorithms import EstimateRecord, StageAudit
 from .environment import RewardModel
-from .geometry import lattice
+from .geometry import _axis_ranges, _box_range, lattice
 
 
 @dataclass(frozen=True)
@@ -69,41 +69,19 @@ def near_optimal_set(model: RewardModel, r: float, spacing: float) -> np.ndarray
     return cand[(gaps >= r) & (gaps < 2 * r)]
 
 
-def _box_ranges(
-    coords: np.ndarray, centres: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index ranges [lo, hi) of the k with abs(coords[k] - c) <= radius, one per centre.
-
-    The rule of `geometry._box_range` for all centres at once: `coords` is
-    sorted, so search the window within radius of each centre, with slack
-    for rounding, then step each end inward to the exact test.
-    """
-    def within(k: np.ndarray) -> np.ndarray:
-        return np.abs(coords[k] - centres) <= radius
-
-    reach = radius + 1e-9
-    lo = np.searchsorted(coords, centres - reach, "left")
-    hi = np.searchsorted(coords, centres + reach, "right")
-    # an empty range's lo may be len(coords); the clamp only keeps it indexable
-    while (step := (lo < hi) & ~within(np.minimum(lo, len(coords) - 1))).any():
-        lo += step
-    while (step := (hi > lo) & ~within(hi - 1)).any():
-        hi -= step
-    return lo, hi
-
-
 def _interval_cover_count(xs: np.ndarray, radius: float) -> int:
     """Minimal number of radius-`radius` balls centered at points of xs covering xs.
 
     Sweep from the left: for the leftmost uncovered point take the rightmost
     center within radius of it, which is optimal for intervals on a line;
-    the next uncovered point is the first past that center's ball.
+    the next uncovered point is the first past that center's ball.  Both
+    are ends of `geometry._box_range` ranges.
     """
-    xs = np.sort(xs)
-    his = _box_ranges(xs, xs, radius)[1].tolist()
+    xs = sorted(xs.tolist())
     n = i = 0
     while i < len(xs):
-        i = his[his[i] - 1]
+        centre = _box_range(xs, xs[i], radius)[1] - 1
+        i = _box_range(xs, xs[centre], radius)[1]
         n += 1
     return n
 
@@ -121,7 +99,9 @@ def _greedy_cover_count(pts: np.ndarray, radius: float, cand_cap: int = 2048) ->
     values of each axis (at most 257^2 cells at the `dim` spacing).  A
     ball is the box of cells with `abs(x_k - c_k) <= radius` on every
     axis, which is `Metric.pairwise(...) <= radius` exactly: the
-    L-infinity distance is the max of those same differences.  Initial
+    L-infinity distance is the max of those same differences.  Its range
+    on axis k is looked up by the centre's cell in one
+    `geometry._axis_ranges` table over that axis's values.  Initial
     gains are exact box sums of one summed-area table.  Picks are lazy
     greedy: gains only fall, so a heap top whose recounted gain equals its
     key is the first candidate of largest gain, the pick plain greedy makes.
@@ -131,11 +111,13 @@ def _greedy_cover_count(pts: np.ndarray, radius: float, cand_cap: int = 2048) ->
     cells = tuple(np.searchsorted(u, pts[:, k]) for k, u in enumerate(axes))
     grid = np.zeros([len(u) for u in axes], dtype=bool)
     grid[cells] = True
+    # per axis, the (2, len(u)) ends [lo; hi) of the ball around each value
+    ranges = [np.asarray(_axis_ranges(u.tolist(), radius)) for u in axes]
 
-    def box_ends(rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [_box_ranges(u, pts[rows, k], radius) for k, u in enumerate(axes)]
+    def box_ends(rows: np.ndarray) -> list[np.ndarray]:
+        return [r[:, c[rows]] for r, c in zip(ranges, cells)]
 
-    def boxes(ends: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[slice, ...]]:
+    def boxes(ends: list[np.ndarray]) -> list[tuple[slice, ...]]:
         return list(zip(*(map(slice, lo.tolist(), hi.tolist()) for lo, hi in ends)))
 
     cand = np.arange(0, n, max(1, -(-n // cand_cap)))

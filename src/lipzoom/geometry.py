@@ -11,10 +11,13 @@ axis difference is, so the lattice cells of a ball form a box: one
 contiguous range of per-axis indices per axis.  `_box_range` is the one rule
 for that range; it compares the differences `Metric.pairwise` computes on
 the same coordinates, so a box holds exactly the cells a distance scan
-accepts.  The packing sweep builds no lattice array: a cell is an index
-tuple into the per-axis coordinates, and region membership and greedy
-exclusion set or clear boxes of one boolean per cell.  The zooming cover
-(`algorithms._Cover`) keeps each of its balls as a box too.
+accepts; `_axis_ranges` tabulates it over a whole axis.  The packing
+sweep builds no lattice array: a cell is an index tuple into the per-axis
+coordinates, and region membership and greedy exclusion set or clear
+boxes of one boolean per cell.  The zooming cover (`algorithms._Cover`)
+keeps each of its balls as a box too, and the `diagnostics` covers read
+theirs from `_axis_ranges` tables.  Sizes are checked as `not x > 0`,
+which rejects NaN too.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ class ActiveRegion:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise GeometryError(f"radius must be positive, got {self.radius}")
         object.__setattr__(self, "centers", tuple(self.centers))
 
@@ -107,7 +110,7 @@ def lattice(dimension: int, spacing: float) -> np.ndarray:
     Axis values are k*spacing for k = 0..floor(1/spacing); 1.0 is appended
     when the last multiple falls short of it.
     """
-    if spacing <= 0:
+    if not spacing > 0:
         raise GeometryError(f"lattice spacing must be positive, got {spacing}")
     axis = _axis(spacing)
     grids = np.meshgrid(*([axis] * dimension), indexing="ij")
@@ -142,12 +145,19 @@ def box(coords: list[float], centre: Point, r: float) -> tuple[slice, ...]:
     return tuple(slice(*_box_range(coords, x, r)) for x in centre)
 
 
+def _axis_ranges(
+    coords: list[float], r: float, strict: bool = False
+) -> tuple[tuple[int, ...], ...]:
+    """`_box_range` of every coordinate of the sorted, non-empty `coords`: the
+    pair (lo, hi), where [lo[j], hi[j]) holds the k within r of coords[j]."""
+    return tuple(zip(*(_box_range(coords, x, r, strict) for x in coords)))
+
+
 @functools.lru_cache(maxsize=64)
 def _exclusion_ranges(spacing: float, eps: float) -> tuple[tuple[int, ...], ...]:
-    """Per index j of `_axis(spacing)`, the range [clo[j], chi[j]) of the k with
-    abs(axis[k] - axis[j]) < eps.  Packings at one (spacing, eps) share it."""
-    coords = _axis(spacing).tolist()
-    return tuple(zip(*(_box_range(coords, x, eps, strict=True) for x in coords)))
+    """`_axis_ranges` of `_axis(spacing)` under abs(axis[k] - axis[j]) < eps.
+    Packings at one (spacing, eps) share it."""
+    return _axis_ranges(_axis(spacing).tolist(), eps, strict=True)
 
 
 def maximal_packing(
@@ -172,8 +182,10 @@ def maximal_packing(
     eligible cell, since the sweep never returns to an earlier one.  The
     points and their order are exactly those of a whole-lattice scan.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise GeometryError(f"packing radius must be positive, got {eps}")
+    if not spacing > 0:
+        raise GeometryError(f"lattice spacing must be positive, got {spacing}")
     if spacing > eps / 4 + 1e-12:
         raise GeometryError(
             f"lattice spacing {spacing} too coarse for eps={eps}; need <= eps/4"

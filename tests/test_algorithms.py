@@ -318,9 +318,11 @@ def test_classical_zooming_plays_every_round():
 @pytest.mark.parametrize("factory", [triangle_model, twodim_model], ids=["abs1d", "linf2d"])
 def test_classical_zooming_draws_and_charges_once_per_round(factory, monkeypatch):
     # the benchmark's completeness identity counts these calls; block
-    # variates keep one classical_sample call and one charge per round
-    calls = {"sample": 0, "consume": 0}
+    # variates keep one classical_sample call and one charge per round,
+    # and each activated arm's reward is evaluated once
+    calls = {"sample": 0, "consume": 0, "mu": 0, "activated": 0}
     sample, consume = algorithms.classical_sample, RoundLedger.consume
+    mu, activate = RewardModel.mu, _Cover.activate
 
     def counted_sample(*args):
         calls["sample"] += 1
@@ -330,10 +332,23 @@ def test_classical_zooming_draws_and_charges_once_per_round(factory, monkeypatch
         calls["consume"] += 1
         return consume(self, *args)
 
+    def counted_mu(self, x):
+        calls["mu"] += 1
+        return mu(self, x)
+
+    def counted_activate(self):
+        y = activate(self)
+        calls["activated"] += y is not None
+        return y
+
     monkeypatch.setattr(algorithms, "classical_sample", counted_sample)
     monkeypatch.setattr(RoundLedger, "consume", counted_consume)
+    monkeypatch.setattr(RewardModel, "mu", counted_mu)
+    monkeypatch.setattr(_Cover, "activate", counted_activate)
     res = run_classical_zooming(factory(), _gauss(), T=3_000, rng=np.random.default_rng(18))
-    assert calls == {"sample": 3_000, "consume": 3_000}
+    assert calls["activated"] > 1
+    assert calls == {"sample": 3_000, "consume": 3_000,
+                     "mu": calls["activated"], "activated": calls["activated"]}
     assert res.total_rounds == 3_000
 
 

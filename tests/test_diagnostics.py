@@ -8,7 +8,6 @@ import pytest
 
 from lipzoom.algorithms import EstimateRecord, StageAudit
 from lipzoom.diagnostics import (
-    _box_ranges,
     _greedy_cover_count,
     _interval_cover_count,
     audit_clean_event,
@@ -26,7 +25,7 @@ from lipzoom.environment import (
     triangle_model,
     twodim_model,
 )
-from lipzoom.geometry import Metric, _axis, _box_range, lattice
+from lipzoom.geometry import Metric, _axis, lattice
 
 
 def test_near_optimal_set_triangle():
@@ -165,24 +164,6 @@ def test_greedy_cover_memory_stays_within_ball_windows():
     assert peak < 20e6
     # the cover holds one grid over the 257^2 lattice cells, not a mask per candidate
     assert peak < 6e6
-
-
-@pytest.mark.parametrize("spacing", [1 / 8, 1 / 64, 1 / 5.5, 0.3 / 5.5])
-def test_box_ranges_match_geometry_box_range(spacing):
-    coords = _axis(spacing).tolist()
-    rng = np.random.default_rng(len(coords))
-    # centres on the lattice (both faces and random cells) and off it (near
-    # and past both faces, and random points)
-    on = coords[:2] + coords[-2:] + rng.choice(coords, 6).tolist()
-    off = [1e-12, 0.01, 0.99, 1 - 1e-12, -0.02, 1.02] + rng.random(6).tolist()
-    centres = on + off
-    # radii exactly at a cell's distance from some centre, and between
-    at_cell = [abs(coords[k] - x) for x, k in zip(rng.choice(centres, 6),
-                                                   rng.integers(len(coords), size=6))]
-    for r in at_cell + [0.0, spacing / 3, spacing, 2.5 * spacing, 0.1, 0.5, 1.0, 3.0]:
-        lo, hi = _box_ranges(np.asarray(coords), np.asarray(centres), r)
-        want = [_box_range(coords, x, r) for x in centres]
-        assert list(zip(lo.tolist(), hi.tolist())) == want, r
 
 
 def _reference_interval_cover_count(xs: np.ndarray, radius: float) -> int:
