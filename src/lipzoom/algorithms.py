@@ -188,8 +188,9 @@ class _Cover:
     and `uncovered` counts its zeros.  A ball is its box of candidates
     (`geometry.box`) and its band `(lo, hi)`: the largest axis distance
     inside the box and the smallest outside it.  A new radius in [lo, hi)
-    keeps every axis range, so `set_radius`, which the classical baseline
-    calls every round, returns at once.
+    keeps every axis range, so `set_radius` returns at once; it returns
+    the band, which lets the classical baseline skip the call while its
+    played arm's radius stays inside.
     """
 
     def __init__(self, dimension: int):
@@ -212,10 +213,11 @@ class _Cover:
         self.set_radius(len(self.centres) - 1, 1.0)
         return centre
 
-    def set_radius(self, i: int, r: float) -> None:
+    def set_radius(self, i: int, r: float) -> tuple[float, float]:
+        """Move ball i to radius r and return its band `(lo, hi)`, which holds r."""
         lo, hi = self._bands[i]
         if lo <= r < hi:
-            return
+            return lo, hi
         coords, centre = self.coords, self.centres[i]
         ball = box(coords, centre, r)
         lo, hi = -math.inf, math.inf
@@ -231,6 +233,7 @@ class _Cover:
             self.count[ball] += 1
             self._boxes[i] = ball
             self.uncovered = self.count.size - int(np.count_nonzero(self.count))
+        return lo, hi
 
 
 def _run_zooming(
@@ -332,34 +335,58 @@ def run_classical_zooming(
     Each round activates the first uncovered lattice candidate, plays the
     arm maximizing the running mean plus twice its confidence radius, and
     updates that arm's statistics.
+
+    Only the played arm's index moves (`log_t` is fixed), so arm i stays
+    the first-wins argmax while its index x has x > max(index[:i]) and
+    x >= max(index[i+1:]); an activation appends index 2.0 after i and
+    can only raise the second threshold.  The loop rescans only when that
+    test fails, keeps arm i's statistics in locals between rescans, and
+    calls `set_radius` only when the radius leaves i's band.
     """
     ledger = RoundLedger(T, checkpoint_every)
     cover = _Cover(model.metric.dimension)
     log_t = 2.0 * math.log(T)
+    sqrt = math.sqrt
     means: list[float] = []
     gaps: list[float] = []
     counts: list[int] = []
     sums: list[float] = []
     index: list[float] = []
+    # the played arm i: its count, sum, mean, gap, index and band, and the
+    # max index before and after it.  They start as the first round's
+    # activated arm 0, and before = inf makes that round rescan.
+    i, c, s, m, g, x = 0, 0, 0.0, 0.0, 0.0, 2.0
+    before, after = math.inf, -math.inf
+    lo, hi = math.inf, -math.inf
 
     # the loop draws its variates lazily, block by block; that keeps the
     # stream of T scalar draws only while nothing else in it reads rng
     for v in variates(noise, rng, T):
-        y = cover.activate()
-        if y is not None:
+        if cover.uncovered:
+            y = cover.activate()
             means.append(model.mu(y))
             gaps.append(model.mu_star - means[-1])  # gap(y), without a second mu
             counts.append(0)
             sums.append(0.0)
             index.append(2.0)  # mean 0, radius 1
+            if after < 2.0:
+                after = 2.0
 
-        i = index.index(max(index))  # first wins ties
-        y_draw = classical_sample(means[i], noise, v)
-        counts[i] += 1
-        sums[i] += y_draw
-        r = math.sqrt(log_t / counts[i])
-        index[i] = sums[i] / counts[i] + 2.0 * r
-        cover.set_radius(i, r)
-        ledger.consume(1, gaps[i])
+        if not (x > before and x >= after):
+            counts[i], sums[i], index[i] = c, s, x
+            i = index.index(max(index))  # first wins ties
+            before = max(index[:i], default=-math.inf)
+            after = max(index[i + 1:], default=-math.inf)
+            c, s, m, g = counts[i], sums[i], means[i], gaps[i]
+            lo, hi = math.inf, -math.inf  # the first play asks the cover
 
+        s += classical_sample(m, noise, v)
+        c += 1
+        r = sqrt(log_t / c)
+        x = s / c + 2.0 * r
+        if not lo <= r < hi:
+            lo, hi = cover.set_radius(i, r)
+        ledger.consume(1, g)
+
+    counts[i], sums[i], index[i] = c, s, x
     return _finish(ledger, T, [], [])

@@ -22,10 +22,13 @@ from lipzoom.environment import (
     QuantumOracleSim,
     RewardModel,
     RoundLedger,
+    classical_sample,
     qmc1_budget,
     qmc2_budget,
+    sine_model,
     triangle_model,
     twodim_model,
+    variates,
 )
 from lipzoom.geometry import Metric, lattice
 
@@ -120,7 +123,8 @@ def test_cover_matches_brute_force(metric):
                 # which stays inside by <=
                 r = float(rng.choice(dist[1:][dist[1:] <= max(radii[i], dist[1])]))
             before = cover.count.copy()
-            cover.set_radius(i, r)
+            band = cover.set_radius(i, r)
+            assert band == cover._bands[i] and band[0] <= r < band[1]
             radii[i] = r
             outcomes["moved" if (cover.count != before).any() else "unmoved"] += 1
             check_counts()
@@ -313,6 +317,55 @@ def test_classical_zooming_plays_every_round():
     assert res.total_rounds == 5_000
     assert res.checkpoints[-1][0] == 5_000
     assert res.final_regret > 0.0
+
+
+def _reference_classical_zooming(model, noise, T, rng, checkpoint_every=None):
+    # the per-round loop: rescan every arm, activate and set the radius each round
+    ledger = RoundLedger(T, checkpoint_every)
+    cover = _Cover(model.metric.dimension)
+    log_t = 2.0 * math.log(T)
+    means, gaps, counts, sums, index = [], [], [], [], []
+    for v in variates(noise, rng, T):
+        y = cover.activate()
+        if y is not None:
+            means.append(model.mu(y))
+            gaps.append(model.mu_star - means[-1])
+            counts.append(0)
+            sums.append(0.0)
+            index.append(2.0)
+        i = index.index(max(index))
+        counts[i] += 1
+        sums[i] += classical_sample(means[i], noise, v)
+        r = math.sqrt(log_t / counts[i])
+        index[i] = sums[i] / counts[i] + 2.0 * r
+        cover.set_radius(i, r)
+        ledger.consume(1, gaps[i])
+    return algorithms._finish(ledger, T, [], [])
+
+
+def _flat_model():
+    # Bernoulli draws as under a constant mean 0.4, so arms keep reaching
+    # equal indices and rescans meet first-wins ties; each arm's gap still
+    # differs, so regret shows which arm a tie picked (a constant reward's
+    # zero gaps would hide it)
+    return RewardModel(lambda x: 0.4 + 1e-9 * x[0], 1e-9, 0.4 + 1e-9, (1.0,))
+
+
+@pytest.mark.parametrize("noise", [_bern, _gauss], ids=["bernoulli", "gaussian"])
+@pytest.mark.parametrize("factory", [triangle_model, sine_model, twodim_model, _flat_model],
+                         ids=["triangle", "sine", "twodim", "flat"])
+def test_classical_zooming_matches_reference(factory, noise):
+    # the run-aware loop must reproduce the per-round loop exactly, generator included
+    for T in (1, 2, 300, 4097, 50_000):
+        for every in (None, 1, 7):
+            g, twin = np.random.default_rng(T + 3), np.random.default_rng(T + 3)
+            got = run_classical_zooming(factory(), noise(), T, g, every)
+            want = _reference_classical_zooming(factory(), noise(), T, twin, every)
+            setting = (T, every)
+            assert got.checkpoints == want.checkpoints, setting
+            assert got.final_regret == want.final_regret, setting
+            assert got.total_rounds == want.total_rounds == T, setting
+            assert g.bit_generator.state == twin.bit_generator.state, setting
 
 
 @pytest.mark.parametrize("factory", [triangle_model, twodim_model], ids=["abs1d", "linf2d"])
