@@ -147,7 +147,7 @@ def _cmd_audit(args) -> int:
             misses = ""
         print(f"trial {trial}: estimates={rep.total} clean-violations={rep.violations} "
               f"gap-violations={lem.gap_violations}{misses}")
-    frac = viol / total if total else 0.0
+    frac = diagnostics.CleanEventReport(total, viol).fraction
     print(f"clean-event violation fraction: {frac:.4f} over {total} estimates")
     return 0
 

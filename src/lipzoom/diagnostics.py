@@ -48,24 +48,25 @@ DIVISORS = (2, 3, 14, 16)
 
 
 @lru_cache(maxsize=1)
-def _lattice_gaps(model: RewardModel, spacing: float) -> tuple[np.ndarray, np.ndarray]:
-    """The lattice and the gap of each of its points, both read-only.
+def _lattice_gaps(model: RewardModel) -> tuple[np.ndarray, np.ndarray]:
+    """The `dim` lattice and the gap of each of its points, both read-only.
 
-    A dimension fit asks for the near-optimal sets of one lattice at every
-    radius, so the gaps are evaluated once per fit, not once per radius.
+    Its spacing is 1/8192 on a line and 1/256 in more dimensions.  A dimension
+    fit reads this one lattice at every radius, so its gaps are evaluated once.
     """
-    cand = lattice(model.metric.dimension, spacing)
+    dimension = model.metric.dimension
+    cand = lattice(dimension, 1.0 / 8192 if dimension == 1 else 1.0 / 256)
     gaps = model.mu_star - model.mu_many(cand)
     cand.flags.writeable = False
     gaps.flags.writeable = False
     return cand, gaps
 
 
-def near_optimal_set(model: RewardModel, r: float, spacing: float) -> np.ndarray:
-    """Lattice points with optimality gap in [r, 2r), an (n, d) array in row-major order."""
+def near_optimal_set(model: RewardModel, r: float) -> np.ndarray:
+    """`dim` lattice points with optimality gap in [r, 2r), an (n, d) array in row-major order."""
     if not (0 < r <= 1):
         raise ValueError(f"r must be in (0,1], got {r}")
-    cand, gaps = _lattice_gaps(model, spacing)
+    cand, gaps = _lattice_gaps(model)
     return cand[(gaps >= r) & (gaps < 2 * r)]
 
 
@@ -151,7 +152,7 @@ def _greedy_cover_count(pts: np.ndarray, radius: float, cand_cap: int = 2048) ->
     return count
 
 
-def zooming_number(model: RewardModel, r: float, spacing: float, divisor: int = 3) -> int:
+def zooming_number(model: RewardModel, r: float, divisor: int = 3) -> int:
     """Count of radius-(r/divisor) balls covering the near-optimal set.
 
     Exact (sweep) for one-dimensional metrics; greedy set-cover upper bound
@@ -160,7 +161,7 @@ def zooming_number(model: RewardModel, r: float, spacing: float, divisor: int = 
     if divisor not in DIVISORS:
         raise ValueError(f"divisor must be one of {', '.join(map(str, DIVISORS))}, "
                          f"got {divisor}")
-    pts = near_optimal_set(model, r, spacing)
+    pts = near_optimal_set(model, r)
     if len(pts) == 0:
         return 0
     radius = r / divisor
@@ -172,13 +173,12 @@ def zooming_number(model: RewardModel, r: float, spacing: float, divisor: int = 
 def fit_zooming_dimension(model: RewardModel, divisor: int = 3) -> ZoomingProfile:
     """Least-squares slope of log N_z(r) against log(1/r), clamped below at 0.
 
-    The radii are 1/4 down to 1/128; the lattice spacing is 1/8192 on a line
-    and 1/256 in more dimensions.  Radii with zero counts are dropped; fewer
-    than four usable radii yield dimension 0 by convention.
+    The radii are 1/4 down to 1/128, on the `dim` lattice of `_lattice_gaps`.
+    Radii with zero counts are dropped; fewer than four usable radii yield
+    dimension 0 by convention.
     """
     radii = tuple(2.0 ** -k for k in range(2, 8))
-    spacing = 1.0 / 8192 if model.metric.dimension == 1 else 1.0 / 256
-    counts = tuple(zooming_number(model, r, spacing, divisor) for r in radii)
+    counts = tuple(zooming_number(model, r, divisor) for r in radii)
     rs = [r for r, c in zip(radii, counts) if c > 0]
     cs = [c for c in counts if c > 0]
     if len(cs) < 4:
@@ -196,23 +196,28 @@ def audit_clean_event(records: list[EstimateRecord]) -> CleanEventReport:
     return CleanEventReport(len(records), violations)
 
 
+def _gap_bound_count(model: RewardModel, arms, k: float) -> tuple[int, int]:
+    """(checked, violations) over (x, r) pairs, a violation being gap(x) > k * r."""
+    flags = [model.gap(x) > k * r + 1e-12 for x, r in arms]
+    return len(flags), sum(flags)
+
+
 def audit_qlae_lemmas(stage_audits: list[StageAudit], model: RewardModel) -> LemmaReport:
     """Check the elimination run's gap bound and optimal-arm survival.
 
     Every active arm at stage m must satisfy gap <= 7 * eps_{m-1}; after
     every completed elimination some survivor must lie within eps_m of the
     optimizer.  Stages with no recorded survivors (interrupted by the
-    horizon) are skipped for the survival check.
+    horizon) are skipped for the survival check.  Distances are L-infinity:
+    the largest per-axis `abs` difference, the float `Metric.pairwise` gives.
     """
-    checked = gap_viol = surv_stages = surv_miss = 0
+    checked, gap_viol = _gap_bound_count(model, (arm for a in stage_audits for arm in a.arms), 7.0)
+    surv_stages = surv_miss = 0
     for a in stage_audits:
-        for x, eps_prev in a.arms:
-            checked += 1
-            if model.gap(x) > 7.0 * eps_prev + 1e-12:
-                gap_viol += 1
         if a.survivors:
             surv_stages += 1
-            near = model.metric.pairwise([x for x, _ in a.survivors], [model.x_star]).min()
+            near = min(max(abs(xk - sk) for xk, sk in zip(x, model.x_star))
+                       for x, _ in a.survivors)
             eps_m = a.survivors[0][1]
             if near > eps_m + 1e-12:
                 surv_miss += 1
@@ -230,11 +235,7 @@ def audit_qzooming_selected(
     in audit_qzooming_lemma is strictly stronger and can fail for arms
     whose radius was halved after their last selection.
     """
-    checked = gap_viol = 0
-    for r in records:
-        checked += 1
-        if model.gap(r.point) > 3.0 * (2.0 * r.eps) + 1e-12:
-            gap_viol += 1
+    checked, gap_viol = _gap_bound_count(model, ((r.point, 2.0 * r.eps) for r in records), 3.0)
     return LemmaReport(checked, gap_viol, 0, 0)
 
 
@@ -248,10 +249,5 @@ def audit_qzooming_lemma(
     run can have violations.  The form the rule guarantees is checked by
     audit_qzooming_selected.
     """
-    checked = gap_viol = 0
-    for a in stage_audits:
-        for x, eps_prev in a.arms:
-            checked += 1
-            if model.gap(x) > 3.0 * eps_prev + 1e-12:
-                gap_viol += 1
+    checked, gap_viol = _gap_bound_count(model, (arm for a in stage_audits for arm in a.arms), 3.0)
     return LemmaReport(checked, gap_viol, 0, 0)

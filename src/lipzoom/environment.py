@@ -162,7 +162,7 @@ def _ceil_budget(value: float) -> int:
 
 def qmc1_budget(eps: float, delta: float, c1: float = 2.0) -> int:
     """Query budget of the bounded-noise quantum mean estimator: ceil((c1/eps) ln(1/delta))."""
-    if eps <= 0:
+    if not eps > 0:
         raise EnvironmentConfigError(f"eps must be positive, got {eps}")
     if not (0 < delta < 1):
         raise EnvironmentConfigError(f"delta must be in (0,1), got {delta}")
@@ -176,7 +176,7 @@ def qmc2_budget(eps: float, sigma: float, delta: float, c2: float = 2.0) -> int:
           * ln(1/delta) ), with each log2 factor clamped below at 1.
     Requires eps < 4*sigma.
     """
-    if eps <= 0 or sigma <= 0:
+    if not eps > 0 or not sigma > 0:
         raise EnvironmentConfigError(f"eps and sigma must be positive, got {eps}, {sigma}")
     if not (0 < delta < 1):
         raise EnvironmentConfigError(f"delta must be in (0,1), got {delta}")
@@ -187,7 +187,7 @@ def qmc2_budget(eps: float, sigma: float, delta: float, c2: float = 2.0) -> int:
     ratio = 8.0 * sigma / eps
     l = math.log2(ratio)
     f1 = max(1.0, l ** 1.5)
-    f2 = max(1.0, math.log2(l)) if l > 0 else 1.0
+    f2 = max(1.0, math.log2(l))
     return _ceil_budget((c2 * sigma / eps) * f1 * f2 * math.log(1.0 / delta))
 
 

@@ -26,12 +26,13 @@ from lipzoom.environment import (
     twodim_model,
 )
 from lipzoom.geometry import Metric, _axis, lattice
+from lipzoom.harness import ExperimentConfig, run_single
 
 
 def test_near_optimal_set_triangle():
     # 0.2 <= 0.95|x - 1/3| < 0.4 gives two bands flanking the peak
     model = triangle_model()
-    pts = near_optimal_set(model, 0.2, spacing=1 / 2048)
+    pts = near_optimal_set(model, 0.2)
     lo, hi = 0.2 / 0.95, 0.4 / 0.95
     for (x,) in pts:
         assert lo - 1e-9 <= abs(x - 1 / 3) < hi + 1e-9
@@ -41,13 +42,13 @@ def test_near_optimal_set_triangle():
 
 def test_near_optimal_set_validation():
     with pytest.raises(ValueError):
-        near_optimal_set(triangle_model(), 0.0, spacing=1 / 64)
+        near_optimal_set(triangle_model(), 0.0)
 
 
 def test_zooming_number_triangle_matches_interval_oracle():
     model = triangle_model()
     r = 0.2
-    n = zooming_number(model, r, spacing=1 / 4096, divisor=3)
+    n = zooming_number(model, r, divisor=3)
     # independent oracle: the set is two intervals |x - 1/3| in [r, 2r)/0.95
     # clipped to [0,1]; balls of radius r/3 (diameter 2r/3) cover an interval
     # of length L in ceil(L / (2r/3)) pieces
@@ -62,16 +63,16 @@ def test_zooming_number_triangle_matches_interval_oracle():
 def test_zooming_number_zero_when_set_empty():
     # constant reward: every gap is 0, so X_r is empty for r > 0
     model = RewardModel(lambda x: 0.5, 0.0, 0.5, (0.0,))
-    assert zooming_number(model, 0.25, spacing=1 / 64) == 0
+    assert zooming_number(model, 0.25) == 0
 
 
 def test_zooming_number_divisor_validation():
     with pytest.raises(ValueError, match="^divisor must be one of 2, 3, 14, 16, got 5$"):
-        zooming_number(triangle_model(), 0.2, spacing=1 / 64, divisor=5)
+        zooming_number(triangle_model(), 0.2, divisor=5)
 
 
 def test_zooming_number_2d_greedy_upper_bound():
-    n = zooming_number(twodim_model(), 0.25, spacing=1 / 128, divisor=3)
+    n = zooming_number(twodim_model(), 0.25, divisor=3)
     assert n >= 1
 
 
@@ -154,7 +155,7 @@ def test_greedy_cover_memory_stays_within_ball_windows():
     # twodim at r = 1/4: 24026 points and 2003 candidates; a dense
     # (candidates x points) coverage matrix alone would take 48 MB
     model = twodim_model()
-    pts = near_optimal_set(model, 0.25, 1 / 256)
+    pts = near_optimal_set(model, 0.25)
     tracemalloc.start()
     try:
         _greedy_cover_count(pts, 1 / 12)
@@ -218,8 +219,11 @@ DIM_PROFILES = {
 @pytest.mark.parametrize("reward,divisor", list(DIM_PROFILES), ids=str)
 def test_fit_dimension_profiles_pinned(reward, divisor):
     counts, dim, resid = DIM_PROFILES[reward, divisor]
-    prof = fit_zooming_dimension(REWARD_FACTORIES[reward](), divisor)
+    model = REWARD_FACTORIES[reward]()
+    prof = fit_zooming_dimension(model, divisor)
     assert prof.counts == counts
+    # N_z(r) asked for at one radius reads the fit's lattice: one rule
+    assert tuple(zooming_number(model, r, divisor) for r in prof.radii) == counts
     assert (f"{prof.fitted_dimension:.4f}", f"{prof.fit_residual:.4f}") == (dim, resid)
 
 
@@ -228,7 +232,7 @@ def test_zooming_number_2d_calls_no_pairwise(monkeypatch):
         raise AssertionError("the cover must build its masks without pairwise")
 
     monkeypatch.setattr(Metric, "pairwise", refuse)
-    assert zooming_number(twodim_model(), 0.125, spacing=1 / 64, divisor=3) >= 1
+    assert zooming_number(twodim_model(), 0.125, divisor=3) >= 1
 
 
 def test_fit_dimension_triangle_small():
@@ -282,6 +286,67 @@ def test_audit_qlae_detects_survival_miss():
     audit = StageAudit(4, (((0.9,), 1 / 8),), (((0.9,), 1 / 16),))
     rep = audit_qlae_lemmas([audit], model)
     assert rep.survival_misses == 1
+
+
+def test_audit_qlae_survival_is_inclusive_at_eps():
+    # 0.5625 - 0.5 is exactly 1/16: a survivor eps_m from x* is no miss
+    model = RewardModel(lambda x: 0.5, 0.0, 0.5, (0.5,))
+    on_edge = StageAudit(4, (), (((0.5625,), 1 / 16), ((0.0,), 1 / 16)))
+    assert audit_qlae_lemmas([on_edge], model).survival_misses == 0
+    past_edge = StageAudit(4, (), (((0.5625,), 1 / 32),))
+    assert audit_qlae_lemmas([on_edge, past_edge], model).survival_misses == 1
+
+
+def _reference_survival_misses(stage_audits, x_star) -> int:
+    """Stages whose survivors all lie farther than eps_m from x*, by numpy rows."""
+    misses = 0
+    for a in stage_audits:
+        if a.survivors:
+            pts = np.asarray([x for x, _ in a.survivors], dtype=float)
+            near = np.abs(pts - np.asarray(x_star, dtype=float)).max(axis=1).min()
+            misses += bool(near > a.survivors[0][1] + 1e-12)
+    return misses
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_audit_qlae_survival_matches_numpy_reference(dimension):
+    # even cases sit on a 1/64 lattice with a dyadic eps_m, so survivors often
+    # lie exactly eps_m from x*; odd cases use arbitrary floats
+    rng = np.random.default_rng(dimension)
+
+    def points(n, on_lattice):
+        shape = (n, dimension)
+        return (rng.integers(0, 65, shape) / 64 if on_lattice else rng.random(shape)).tolist()
+
+    stages = misses = 0
+    for case in range(2000):
+        on_lattice = case % 2 == 0
+        x_star = tuple(points(1, on_lattice)[0])
+        model = RewardModel(lambda x: 0.5, 0.0, 0.5, x_star, Metric(dimension))
+        audits = []
+        for stage in range(1, 4):
+            eps = 2.0 ** -int(rng.integers(1, 6)) if on_lattice else float(rng.uniform(0, 0.5))
+            survivors = points(int(rng.integers(0, 5)), on_lattice)
+            audits.append(StageAudit(stage, (), tuple((tuple(x), eps) for x in survivors)))
+        rep = audit_qlae_lemmas(audits, model)
+        assert rep.survival_stages == sum(1 for a in audits if a.survivors), case
+        assert rep.survival_misses == _reference_survival_misses(audits, x_star), case
+        stages += rep.survival_stages
+        misses += rep.survival_misses
+    # both outcomes occur, so a wrong distance cannot pass by always agreeing
+    assert 0 < misses < stages
+
+
+def test_audit_qlae_lemmas_calls_no_pairwise(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the survival check must not call pairwise")
+
+    cfg = ExperimentConfig(algorithm="qlae", reward="twodim", noise="bernoulli", T=20_000,
+                           trials=1, master_seed=7, fault_injection=False, audits=True)
+    res = run_single(cfg, 0)
+    monkeypatch.setattr(Metric, "pairwise", refuse)
+    rep = audit_qlae_lemmas(res.stage_audits, twodim_model())
+    assert rep.survival_stages > 0 and rep.survival_misses == 0
 
 
 def test_audit_qzooming_counts():

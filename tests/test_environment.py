@@ -143,6 +143,17 @@ def test_budget_validation():
         qmc2_budget(0.1, -1.0, 0.05)
 
 
+def test_budget_rejects_nan_eps_and_sigma():
+    # NaN passes an `<= 0` test; it must fail the positivity check, not
+    # reach the budget's finiteness check
+    nan = float("nan")
+    with pytest.raises(EnvironmentConfigError, match="^eps must be positive, got nan$"):
+        qmc1_budget(nan, 0.05)
+    for eps, sigma in ((nan, SIGMA), (0.1, nan)):
+        with pytest.raises(EnvironmentConfigError, match="^eps and sigma must be positive"):
+            qmc2_budget(eps, sigma, 0.05)
+
+
 def test_budget_overflow_is_config_error():
     # (c/eps) ln(1/delta) overflows to inf for a huge constant or a delta
     # whose reciprocal is not a finite float
