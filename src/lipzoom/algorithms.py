@@ -1,10 +1,13 @@
 """Bandit policies: quantum adaptive elimination, quantum zooming and a classical baseline.
 
-Every policy runs until its next stage does not fit in the horizon T; there
-is no stage cap, and `PolicyResult.stages_completed` counts the stages that
-fit.  All five share the round ledger for regret accounting, and the quantum
-policies can emit audit records (per-estimate accuracy and per-stage
-gap-bound data) consumed by the diagnostics module.
+There is no stage cap: the horizon T ends every loop, and
+`PolicyResult.stages_completed` counts the stages that completed.  Elimination
+plays the stage that T cuts short and drops no arm in it, so it plays all T
+rounds.  Zooming stops before a stage whose budget would overflow T, and
+`RoundLedger.finalize` pads the unplayed rest at zero regret.  The classical
+baseline plays T one-round stages.  All five share the round ledger for regret
+accounting, and the quantum policies can emit audit records (per-estimate
+accuracy and per-stage gap-bound data) consumed by the diagnostics module.
 """
 
 from __future__ import annotations
@@ -92,42 +95,38 @@ def _run_elimination(
     checkpoint_every: int | None,
     audits: bool,
 ) -> PolicyResult:
-    metric = model.metric
     ledger = RoundLedger(T, checkpoint_every)
-    region = ActiveRegion.whole_space(metric.dimension)
-    eps = 0.5
-    arms = maximal_packing(region, metric, eps, spacing=eps / 4)
+    region = ActiveRegion.whole_space(model.metric.dimension)
     records: list[EstimateRecord] = []
     stage_audits: list[StageAudit] = []
 
     # every estimate plays at least one round, so the horizon ends the loop
     for m in itertools.count(1):
         eps = 2.0 ** -m
-        if audits:
-            stage_audits.append(
-                StageAudit(m, tuple((x, 2.0 ** -(m - 1)) for x in arms))
-            )
+        arms = maximal_packing(region, model.metric, eps, spacing=eps / 4)
         estimates: list[float] = []
         for x in arms:
             est, _, exhausted = qmc_estimate(oracle, estimator, model, x, eps, ledger)
             if exhausted:
-                # stage m did not fit in the horizon; its partial-budget
-                # estimates carry no contract, so no elimination runs on them
-                return _finish(ledger, m - 1, records, stage_audits)
+                break
             estimates.append(est)
             if audits:
                 records.append(EstimateRecord(m, x, eps, est, model.mu(x)))
-        mu_max = max(estimates)
-        survivors = [x for x, est in zip(arms, estimates) if est >= mu_max - 3.0 * eps]
+        # a stage the horizon cuts short eliminates nothing: its
+        # partial-budget estimates carry no contract, so it has no survivors
+        survivors = []
+        if not exhausted:
+            floor = max(estimates) - 3.0 * eps
+            survivors = [x for x, est in zip(arms, estimates) if est >= floor]
         if audits:
-            stage_audits[-1] = StageAudit(
-                m,
-                stage_audits[-1].arms,
-                tuple((x, eps) for x in survivors),
-            )
+            stage_audits.append(StageAudit(m, tuple((x, region.radius) for x in arms),
+                                           tuple((x, eps) for x in survivors)))
+        if exhausted:
+            break
         region = ActiveRegion(tuple(survivors), eps)
-        eps_next = eps / 2.0
-        arms = maximal_packing(region, metric, eps_next, spacing=eps_next / 4)
+
+    # stage m did not fit in the horizon
+    return _finish(ledger, m - 1, records, stage_audits)
 
 
 def run_qlae(
@@ -265,7 +264,7 @@ def _run_zooming(
         radii[i] /= 2.0
         eps = radii[i]
         cover.set_radius(i, eps)
-        if ledger.consumed + estimator.queries(eps) > T:
+        if estimator.queries(eps) > ledger.remaining:
             break
         x = cover.centres[i]
         est, _, _ = qmc_estimate(oracle, estimator, model, x, eps, ledger)

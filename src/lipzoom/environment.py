@@ -51,7 +51,7 @@ class RewardModel:
         does, so every entry equals `mu` of its row bit for bit, whatever
         the reward; only the per-point Python overhead of `mu` is gone.
         """
-        raws = np.fromiter(map(self.raw, map(tuple, points.tolist())), float, len(points))
+        raws = np.fromiter(map(self.raw, zip(*points.T.tolist())), float, len(points))
         # max(0.0, v) keeps v only when v > 0.0, and min(1.0, v) only when
         # v < 1.0; the same tests map NaN and -0.0 to 0.0 as `mu` does
         raws = np.where(raws > 0.0, raws, 0.0)

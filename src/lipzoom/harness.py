@@ -204,13 +204,12 @@ def emit_plot(
     x_max = max(max(s.rounds) for _, s in summaries)
     y_max = max(max(m + sd for m, sd in zip(s.mean, s.std)) for _, s in summaries)
     y_max = y_max if y_max > 0 else 1.0
-    x_min, y_min = 0.0, 0.0
 
     def sx(t: float) -> float:
-        return ml + pw * (t - x_min) / (x_max - x_min)
+        return ml + pw * (t / x_max)
 
     def sy(v: float) -> float:
-        return mt + ph * (1.0 - (v - y_min) / (y_max - y_min))
+        return mt + ph * (1.0 - v / y_max)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
@@ -225,8 +224,8 @@ def emit_plot(
     )
     parts.append(f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>')
     for k in range(5):
-        t = x_min + (x_max - x_min) * k / 4
-        v = y_min + (y_max - y_min) * k / 4
+        t = x_max * k / 4
+        v = y_max * k / 4
         parts.append(
             f'<text x="{sx(t):.1f}" y="{mt + ph + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{t:g}</text>'

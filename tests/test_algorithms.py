@@ -185,6 +185,36 @@ def test_qlae_truncates_at_horizon_exactly(run, noise, factory, T):
         assert bool(a.survivors) == (a.stage <= res.stages_completed)
 
 
+@pytest.mark.parametrize("T", [1, 50, 20_000])
+@pytest.mark.parametrize("factory", [triangle_model, twodim_model], ids=["abs1d", "linf2d"])
+@pytest.mark.parametrize("run, noise", [(run_qlae, _bern), (run_qlae_bv, _gauss)],
+                         ids=["qlae", "qlae_bv"])
+def test_qlae_stage_records_follow_the_packing_sequence(run, noise, factory, T, monkeypatch):
+    # stage m packs what stage m-1 left at eps_m = 2^-m, so each started
+    # stage makes one packing call; its record gives the packed arms the
+    # radius 2^-(m-1) and the survivors 2^-m
+    model = factory()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return geometry.maximal_packing(*args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "maximal_packing", counting)
+    res = run(model, noise(), _oracle(2), T=T, delta=0.05, audits=True)
+    assert len(calls) == res.stages_completed + 1
+    region = geometry.ActiveRegion.whole_space(model.metric.dimension)
+    want = geometry.maximal_packing(region, model.metric, 0.5, 0.125)
+    for a in res.stage_audits:
+        eps = 2.0 ** -a.stage
+        assert [x for x, _ in a.arms] == want
+        assert all(r == 2.0 * eps for _, r in a.arms)
+        assert all(r == eps for _, r in a.survivors)
+        if a.survivors:
+            region = geometry.ActiveRegion(tuple(x for x, _ in a.survivors), eps)
+            want = geometry.maximal_packing(region, model.metric, eps / 2, eps / 8)
+
+
 def test_qlae_deterministic_given_seed():
     model = triangle_model()
     a = run_qlae(model, _bern(), _oracle(3), T=30_000, delta=0.05)
