@@ -3,8 +3,6 @@ dimension fits, clean-event and gap-bound lemma checks."""
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -12,7 +10,7 @@ import numpy as np
 
 from .algorithms import EstimateRecord, StageAudit
 from .environment import RewardModel
-from .geometry import _axis_ranges, _box_range, lattice
+from .geometry import lattice
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class LemmaReport:
     survival_misses: int
 
 
-# the d that zooming_number accepts: it covers the set with radius-(r/d) balls
+# the d that zooming_number accepts: it covers the set with cells of side 2r/d
 DIVISORS = (2, 3, 14, 16)
 
 
@@ -70,104 +68,19 @@ def near_optimal_set(model: RewardModel, r: float) -> np.ndarray:
     return cand[(gaps >= r) & (gaps < 2 * r)]
 
 
-def _interval_cover_count(xs: np.ndarray, radius: float) -> int:
-    """Minimal number of radius-`radius` balls centered at points of xs covering xs.
-
-    Sweep from the left: for the leftmost uncovered point take the rightmost
-    center within radius of it, which is optimal for intervals on a line;
-    the next uncovered point is the first past that center's ball.  Both
-    are ends of `geometry._box_range` ranges.
-    """
-    xs = sorted(xs.tolist())
-    n = i = 0
-    while i < len(xs):
-        centre = _box_range(xs, xs[i], radius)[1] - 1
-        i = _box_range(xs, xs[centre], radius)[1]
-        n += 1
-    return n
-
-
-def _greedy_cover_count(pts: np.ndarray, radius: float, cand_cap: int = 2048) -> int:
-    """Greedy set cover under L-infinity: centers restricted to the points themselves.
-
-    Candidate centers are subsampled to at most `cand_cap` to bound the
-    work; any point the subsample cannot reach gets itself as a center, so
-    the result is always a valid cover count (an upper bound on the
-    optimum, as for plain greedy).
-
-    `pts` must be distinct points of a lattice, as near-optimal sets are:
-    the cover marks each point's cell in a boolean grid over the distinct
-    values of each axis (at most 257^2 cells at the `dim` spacing).  A
-    ball is the box of cells with `abs(x_k - c_k) <= radius` on every
-    axis, which is `Metric.pairwise(...) <= radius` exactly: the
-    L-infinity distance is the max of those same differences.  Its range
-    on axis k is looked up by the centre's cell in one
-    `geometry._axis_ranges` table over that axis's values.  Initial
-    gains are exact box sums of one summed-area table.  Picks are lazy
-    greedy: gains only fall, so a heap top whose recounted gain equals its
-    key is the first candidate of largest gain, the pick plain greedy makes.
-    """
-    n, d = pts.shape
-    axes = [np.unique(pts[:, k]) for k in range(d)]
-    cells = tuple(np.searchsorted(u, pts[:, k]) for k, u in enumerate(axes))
-    grid = np.zeros([len(u) for u in axes], dtype=bool)
-    grid[cells] = True
-    # per axis, the (2, len(u)) ends [lo; hi) of the ball around each value
-    ranges = [np.asarray(_axis_ranges(u.tolist(), radius)) for u in axes]
-
-    def box_ends(rows: np.ndarray) -> list[np.ndarray]:
-        return [r[:, c[rows]] for r, c in zip(ranges, cells)]
-
-    def boxes(ends: list[np.ndarray]) -> list[tuple[slice, ...]]:
-        return list(zip(*(map(slice, lo.tolist(), hi.tolist()) for lo, hi in ends)))
-
-    cand = np.arange(0, n, max(1, -(-n // cand_cap)))
-    ends = box_ends(cand)
-    sat = np.zeros([len(u) + 1 for u in axes], dtype=np.int32)
-    sat[(slice(1, None),) * d] = grid
-    for k in range(d):
-        np.cumsum(sat, axis=k, out=sat)
-    gains = np.zeros(len(cand), dtype=np.int64)
-    for corner in itertools.product((0, 1), repeat=d):
-        gains += (-1) ** (d - sum(corner)) * sat[tuple(e[s] for e, s in zip(ends, corner))]
-    balls = boxes(ends)
-    heap = [(-g, i) for i, g in enumerate(gains.tolist())]
-    heapq.heapify(heap)
-    uncovered = n
-    count = 0
-    while uncovered:
-        while True:
-            key, i = heap[0]
-            ball = balls[i]
-            gain = int(np.count_nonzero(grid[ball]))
-            if gain == -key:
-                break
-            heapq.heapreplace(heap, (-gain, i))
-        if gain == 0:
-            ball = boxes(box_ends(np.argmax(grid[cells], keepdims=True)))[0]
-            gain = int(np.count_nonzero(grid[ball]))
-        grid[ball] = False
-        uncovered -= gain
-        count += 1
-    return count
-
-
 def zooming_number(model: RewardModel, r: float, divisor: int = 3) -> int:
     """Count of radius-(r/divisor) balls covering the near-optimal set.
 
-    Exact (sweep) for one-dimensional metrics; greedy set-cover upper bound
-    otherwise.  Ball centers are restricted to the lattice points of the set.
+    The balls are the cells of side 2*r/divisor, floor(x / side) per axis,
+    that hold a point of the set: each cell is the closed L-infinity ball of
+    radius r/divisor about its centre.  So the count is a valid cover, at
+    most 2^d times the smallest one with free centres.
     """
     if divisor not in DIVISORS:
         raise ValueError(f"divisor must be one of {', '.join(map(str, DIVISORS))}, "
                          f"got {divisor}")
-    pts = near_optimal_set(model, r)
-    if len(pts) == 0:
-        return 0
-    radius = r / divisor
-    if model.metric.dimension == 1:
-        return _interval_cover_count(pts[:, 0], radius)
-    return _greedy_cover_count(pts, radius)
+    cells = np.floor(near_optimal_set(model, r) / (2 * r / divisor))
+    return len(set(map(tuple, cells.tolist())))
 
 
 def fit_zooming_dimension(model: RewardModel, divisor: int = 3) -> ZoomingProfile:

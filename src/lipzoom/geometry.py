@@ -11,13 +11,11 @@ axis difference is, so the lattice cells of a ball form a box: one
 contiguous range of per-axis indices per axis.  `_box_range` is the one rule
 for that range; it compares the differences `Metric.pairwise` computes on
 the same coordinates, so a box holds exactly the cells a distance scan
-accepts; `_axis_ranges` tabulates it over a whole axis.  The packing
-sweep builds no lattice array: a cell is an index tuple into the per-axis
-coordinates, and region membership and greedy exclusion set or clear
-boxes of one boolean per cell.  The zooming cover (`algorithms._Cover`)
-keeps each of its balls as a box too, and the `diagnostics` covers read
-theirs from `_axis_ranges` tables.  Sizes are checked as `not x > 0`,
-which rejects NaN too.
+accepts.  The packing sweep builds no lattice array: a cell is an index
+tuple into the per-axis coordinates, and region membership and greedy
+exclusion set or clear boxes of one boolean per cell.  The zooming cover
+(`algorithms._Cover`) keeps each of its balls as a box too.  Sizes are
+checked as `not x > 0`, which rejects NaN too.
 """
 
 from __future__ import annotations
@@ -145,19 +143,13 @@ def box(coords: list[float], centre: Point, r: float) -> tuple[slice, ...]:
     return tuple(slice(*_box_range(coords, x, r)) for x in centre)
 
 
-def _axis_ranges(
-    coords: list[float], r: float, strict: bool = False
-) -> tuple[tuple[int, ...], ...]:
-    """`_box_range` of every coordinate of the sorted, non-empty `coords`: the
-    pair (lo, hi), where [lo[j], hi[j]) holds the k within r of coords[j]."""
-    return tuple(zip(*(_box_range(coords, x, r, strict) for x in coords)))
-
-
 @functools.lru_cache(maxsize=64)
 def _exclusion_ranges(spacing: float, eps: float) -> tuple[tuple[int, ...], ...]:
-    """`_axis_ranges` of `_axis(spacing)` under abs(axis[k] - axis[j]) < eps.
-    Packings at one (spacing, eps) share it."""
-    return _axis_ranges(_axis(spacing).tolist(), eps, strict=True)
+    """The pair (lo, hi) over `axis = _axis(spacing)`, where [lo[j], hi[j])
+    holds the k with abs(axis[k] - axis[j]) < eps: the strict `_box_range`
+    of every axis value.  Packings at one (spacing, eps) share it."""
+    axis = _axis(spacing).tolist()
+    return tuple(zip(*(_box_range(axis, x, eps, strict=True) for x in axis)))
 
 
 def maximal_packing(

@@ -1,15 +1,13 @@
 """Near-optimal sets, zooming numbers, dimension fits and audit hooks."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from lipzoom.algorithms import EstimateRecord, StageAudit
 from lipzoom.diagnostics import (
-    _greedy_cover_count,
-    _interval_cover_count,
+    DIVISORS,
     audit_clean_event,
     audit_qlae_lemmas,
     audit_qzooming_lemma,
@@ -25,7 +23,7 @@ from lipzoom.environment import (
     triangle_model,
     twodim_model,
 )
-from lipzoom.geometry import Metric, _axis, lattice
+from lipzoom.geometry import Metric
 from lipzoom.harness import ExperimentConfig, run_single
 
 
@@ -71,100 +69,44 @@ def test_zooming_number_divisor_validation():
         zooming_number(triangle_model(), 0.2, divisor=5)
 
 
-def test_zooming_number_2d_greedy_upper_bound():
-    n = zooming_number(twodim_model(), 0.25, divisor=3)
-    assert n >= 1
+RADII = tuple(2.0 ** -k for k in range(2, 8))
 
 
-# --- windowed lazy greedy cover against the dense greedy ---
-
-def _reference_greedy_cover_count(
-    pts: np.ndarray, metric: Metric, radius: float, cand_cap: int = 2048
-) -> int:
-    """Greedy set cover: centers restricted to the points themselves.
-
-    Candidate centers are subsampled to at most `cand_cap` to bound the
-    coverage matrix; any point the subsample cannot reach gets itself as a
-    center, so the result is always a valid cover count (an upper bound on
-    the optimum, as for plain greedy).
-    """
-    n = len(pts)
-    stride = max(1, -(-n // cand_cap))
-    cand = np.arange(0, n, stride)
-    cover = np.zeros((len(cand), n), dtype=bool)
-    for lo in range(0, len(cand), 256):
-        sel = cand[lo:lo + 256]
-        cover[lo:lo + len(sel)] = metric.pairwise(pts[sel], pts) <= radius
-    uncovered = np.ones(n, dtype=bool)
-    count = 0
-    while uncovered.any():
-        gains = (cover & uncovered[None, :]).sum(axis=1)
-        best = int(np.argmax(gains))
-        if gains[best] == 0:
-            j = int(np.argmax(uncovered))
-            uncovered &= ~(metric.pairwise(pts[j:j + 1], pts)[0] <= radius)
-        else:
-            uncovered &= ~cover[best]
-        count += 1
-    return count
+def _cone(peak: list[float]) -> RewardModel:
+    """1 - ||x - peak||_inf, whose gap at x is its L-infinity distance to the peak."""
+    peak = tuple(peak)
+    return RewardModel(lambda x: 1.0 - max(abs(a - b) for a, b in zip(x, peak)),
+                       1.0, 1.0, peak, Metric(len(peak)))
 
 
-@pytest.mark.parametrize("cand_cap", [16, 64, 2048])
-@pytest.mark.parametrize("metric,spacings,divisors", [
-    (Metric(2), (16, 32, 48), (2, 3, 14, 16)),
-    # coarser lattices keep the dense reference cheap; smaller divisors keep
-    # several points in each ball
-    (Metric(3), (6, 8, 12), (1, 2, 3)),
-], ids=["linf", "linf3d"])
-def test_greedy_cover_matches_reference_on_lattice_subsets(metric, spacings, divisors, cand_cap):
-    # the cover ANDs one test per axis; the reference thresholds pairwise
-    dimension = metric.dimension
-    rng = np.random.default_rng(cand_cap)
-    for case in range(20):
-        # row-major lattice subsets, as near_optimal_set returns them: a
-        # random annulus around a random peak, thinned at random
-        spacing = 1 / int(rng.choice(spacings))
-        cand = lattice(dimension, spacing)
-        peak = rng.random(dimension)
-        dist = metric.pairwise(cand, peak)[:, 0]
-        r = float(rng.uniform(0.05, 0.4))
-        keep = (dist >= r) & (dist < 2 * r) & (rng.random(len(cand)) < 0.9)
-        pts = cand[keep]
-        if not len(pts):
-            continue
-        radius = r / int(rng.choice(divisors))
-        want = _reference_greedy_cover_count(pts, metric, radius, cand_cap)
-        assert _greedy_cover_count(pts, radius, cand_cap) == want, case
-        # the same set in another row order: the candidate subsample and the
-        # fallback follow row order, so the reference sees the same rows
-        shuffled = pts[np.random.default_rng([cand_cap, case]).permutation(len(pts))]
-        want = _reference_greedy_cover_count(shuffled, metric, radius, cand_cap)
-        assert _greedy_cover_count(shuffled, radius, cand_cap) == want, ("shuffled", case)
+# the shipped rewards and seeded cones with random peaks in 1-D and 2-D
+COUNT_MODELS = {name: factory() for name, factory in REWARD_FACTORIES.items()} | {
+    f"cone{d}d-{i}": _cone(np.random.default_rng([d, i]).random(d).tolist())
+    for d in (1, 2) for i in range(2)}
 
 
-def test_greedy_cover_zero_gain_fallback():
-    # one candidate centre (the first point) reaches only itself, so the
-    # second point can only be covered by the zero-gain fallback
-    pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-    metric = Metric(2)
-    assert _reference_greedy_cover_count(pts, metric, 0.1, cand_cap=1) == 2
-    assert _greedy_cover_count(pts, 0.1, cand_cap=1) == 2
+@pytest.mark.parametrize("name", list(COUNT_MODELS))
+def test_zooming_number_matches_brute_force_cells(name):
+    # distinct cells of side 2r/divisor, one scalar floor per coordinate
+    model = COUNT_MODELS[name]
+    for r in RADII:
+        pts = near_optimal_set(model, r).tolist()
+        for divisor in DIVISORS:
+            side = 2 * r / divisor
+            cells = {tuple(math.floor(x / side) for x in p) for p in pts}
+            assert zooming_number(model, r, divisor) == len(cells), (r, divisor)
 
 
-def test_greedy_cover_memory_stays_within_ball_windows():
-    # twodim at r = 1/4: 24026 points and 2003 candidates; a dense
-    # (candidates x points) coverage matrix alone would take 48 MB
-    model = twodim_model()
-    pts = near_optimal_set(model, 0.25)
-    tracemalloc.start()
-    try:
-        _greedy_cover_count(pts, 1 / 12)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6
-    # the cover holds one grid over the 257^2 lattice cells, not a mask per candidate
-    assert peak < 6e6
+def test_zooming_number_cells_are_closed_balls():
+    # cell k of side 2r/divisor is the closed L-infinity ball of radius
+    # r/divisor about (k + 0.5) * side, so the counted cells cover the set
+    for model in COUNT_MODELS.values():
+        for r in RADII:
+            pts = near_optimal_set(model, r)
+            for divisor in DIVISORS:
+                side = 2 * r / divisor
+                centres = (np.floor(pts / side) + 0.5) * side
+                assert np.all(np.abs(pts - centres).max(axis=1) <= r / divisor + 1e-12)
 
 
 def _reference_interval_cover_count(xs: np.ndarray, radius: float) -> int:
@@ -180,39 +122,37 @@ def _reference_interval_cover_count(xs: np.ndarray, radius: float) -> int:
     return count
 
 
-def test_interval_cover_uses_the_abs_test():
-    # 0.4 - 0.3 is 0.10000000000000003, so the ball around 0.3 excludes 0.4
-    assert _interval_cover_count(np.arange(11) / 10, 0.1) == 5
-    rng = np.random.default_rng(5)
-    for case in range(300):
-        xs = _axis(1 / float(rng.choice([10, 16, 5.5, 30, 64])))
-        xs = xs[rng.random(len(xs)) < rng.uniform(0.3, 1.0)]
-        if not len(xs):
+def test_zooming_number_1d_within_twice_the_interval_cover():
+    # on a line a ball of radius r/divisor meets at most two cells, and the
+    # points of one cell are covered by balls about its two extreme points
+    for model in COUNT_MODELS.values():
+        if model.metric.dimension != 1:
             continue
-        # radii at exact point distances, where the rounding decides, and between
-        radius = float(rng.choice([abs(float(rng.choice(xs)) - float(rng.choice(xs))),
-                                   rng.uniform(0.0, 0.3)]))
-        want = _reference_interval_cover_count(xs, radius)
-        assert _interval_cover_count(rng.permutation(xs), radius) == want, (case, radius)
+        for r in RADII:
+            xs = near_optimal_set(model, r)[:, 0]
+            for divisor in DIVISORS:
+                interval = _reference_interval_cover_count(xs, r / divisor)
+                count = zooming_number(model, r, divisor)
+                assert interval / 2 <= count <= 2 * interval, (r, divisor)
 
 
 # every lipzoom dim profile: counts at r = 1/4 ... 1/128, then the fitted
 # dimension and residual as dim prints them
 DIM_PROFILES = {
     ("triangle", 2): ((3, 4, 4, 4, 4, 4), "0.0593", "0.0810"),
-    ("triangle", 3): ((3, 4, 4, 4, 4, 4), "0.0593", "0.0810"),
-    ("triangle", 14): ((10, 16, 16, 16, 16, 16), "0.0969", "0.1324"),
-    ("triangle", 16): ((12, 18, 18, 18, 16, 16), "0.0447", "0.1334"),
-    ("sine", 2): ((3, 2, 2, 4, 4, 6), "0.2571", "0.2530"),
-    ("sine", 3): ((4, 4, 4, 4, 6, 8), "0.1930", "0.1475"),
-    ("sine", 14): ((14, 10, 14, 18, 24, 35), "0.3075", "0.1820"),
-    ("sine", 16): ((15, 12, 16, 20, 26, 35), "0.2794", "0.1368"),
-    ("twodim", 2): ((17, 26, 26, 20, 15, 9), "0.0000", "0.2667"),
-    ("twodim", 3): ((37, 56, 50, 53, 34, 51), "0.0068", "0.1892"),
-    # at r <= 1/32 the balls of radius r/14 and r/16 are narrower than the
-    # 1/256 lattice, so each covers one point and the count is |X_r|
-    ("twodim", 14): ((634, 922, 528, 770, 193, 51), "0.0000", "0.5844"),
-    ("twodim", 16): ((634, 922, 528, 770, 193, 51), "0.0000", "0.5844"),
+    ("triangle", 3): ((4, 6, 6, 6, 6, 6), "0.0836", "0.1142"),
+    ("triangle", 14): ((11, 17, 17, 17, 17, 17), "0.0897", "0.1226"),
+    ("triangle", 16): ((12, 19, 19, 19, 19, 19), "0.0947", "0.1295"),
+    ("sine", 2): ((4, 3, 4, 4, 6, 6), "0.1693", "0.1443"),
+    ("sine", 3): ((5, 4, 4, 6, 6, 10), "0.2097", "0.1890"),
+    ("sine", 14): ((15, 11, 15, 20, 26, 36), "0.2987", "0.1683"),
+    ("sine", 16): ((16, 13, 17, 22, 29, 40), "0.2987", "0.1412"),
+    ("twodim", 2): ((22, 25, 25, 25, 23, 20), "0.0000", "0.0754"),
+    ("twodim", 3): ((35, 45, 46, 45, 42, 34), "0.0000", "0.1219"),
+    # cells no wider than the 1/256 lattice hold one point each, at r <= 1/64
+    # for divisor 14 and r <= 1/32 for divisor 16, so the count there is |X_r|
+    ("twodim", 14): ((381, 634, 626, 598, 193, 51), "0.0000", "0.6181"),
+    ("twodim", 16): ((475, 815, 810, 770, 193, 51), "0.0000", "0.6759"),
 }
 
 

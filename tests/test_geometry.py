@@ -11,7 +11,6 @@ from lipzoom.geometry import (
     Metric,
     Point,
     _axis,
-    _axis_ranges,
     _box_range,
     _exclusion_ranges,
     box,
@@ -408,17 +407,6 @@ def test_box_range_matches_brute_force(spacing, strict):
                     if (abs(c - x) < r if strict else abs(c - x) <= r)]
             lo, hi = _box_range(coords, x, r, strict)
             assert near == list(range(lo, hi)), (x, r)
-    # the table over every value of an axis, here a seeded random subset of
-    # the lattice axis, as the distinct values of a near-optimal set are
-    sub = [c for c in coords if rng.random() < 0.4] or coords[:1]
-    gaps = [abs(a - b) for a, b in zip(sub, sub[1:])]
-    for r in gaps[:3] + [0.0, spacing, 2.5 * spacing, 0.1, 1.0]:
-        lo, hi = _axis_ranges(sub, r, strict)
-        assert len(lo) == len(hi) == len(sub)
-        for j, x in enumerate(sub):
-            near = [k for k, c in enumerate(sub)
-                    if (abs(c - x) < r if strict else abs(c - x) <= r)]
-            assert near == list(range(lo[j], hi[j])), (x, r)
 
 
 @pytest.mark.parametrize("d, spacing", [(1, 1 / 64), (2, 1 / 16), (2, 1 / 5.5), (3, 1 / 8)])

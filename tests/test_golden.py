@@ -163,45 +163,45 @@ def test_empirical_oracle_run_csvs_match_golden_digests(algorithm, reward, noise
     assert got == digests
 
 
-# `lipzoom dim` prints counts from the greedy cover (twodim) and the interval
-# sweep (triangle, sine).  At divisor 14 on twodim the subsampled candidate
-# centres leave points uncovered, so the cover's zero-gain fallback runs too.
+# `lipzoom dim` prints the number of cells of side 2r/divisor that hold a
+# point of the near-optimal set.  On twodim at divisor 14 the cells at
+# r <= 1/64 are narrower than the 1/256 lattice, so each holds one point.
 DIM_STDOUT = {
     ("triangle", 3): (
-        "r=0.25  N_z=3\n"
-        "r=0.125  N_z=4\n"
-        "r=0.0625  N_z=4\n"
-        "r=0.03125  N_z=4\n"
-        "r=0.015625  N_z=4\n"
-        "r=0.0078125  N_z=4\n"
-        "fitted zooming dimension (divisor 3): 0.0593  (residual 0.0810)\n"
+        "r=0.25  N_z=4\n"
+        "r=0.125  N_z=6\n"
+        "r=0.0625  N_z=6\n"
+        "r=0.03125  N_z=6\n"
+        "r=0.015625  N_z=6\n"
+        "r=0.0078125  N_z=6\n"
+        "fitted zooming dimension (divisor 3): 0.0836  (residual 0.1142)\n"
     ),
     ("sine", 3): (
-        "r=0.25  N_z=4\n"
+        "r=0.25  N_z=5\n"
         "r=0.125  N_z=4\n"
         "r=0.0625  N_z=4\n"
-        "r=0.03125  N_z=4\n"
+        "r=0.03125  N_z=6\n"
         "r=0.015625  N_z=6\n"
-        "r=0.0078125  N_z=8\n"
-        "fitted zooming dimension (divisor 3): 0.1930  (residual 0.1475)\n"
+        "r=0.0078125  N_z=10\n"
+        "fitted zooming dimension (divisor 3): 0.2097  (residual 0.1890)\n"
     ),
     ("twodim", 3): (
-        "r=0.25  N_z=37\n"
-        "r=0.125  N_z=56\n"
-        "r=0.0625  N_z=50\n"
-        "r=0.03125  N_z=53\n"
-        "r=0.015625  N_z=34\n"
-        "r=0.0078125  N_z=51\n"
-        "fitted zooming dimension (divisor 3): 0.0068  (residual 0.1892)\n"
+        "r=0.25  N_z=35\n"
+        "r=0.125  N_z=45\n"
+        "r=0.0625  N_z=46\n"
+        "r=0.03125  N_z=45\n"
+        "r=0.015625  N_z=42\n"
+        "r=0.0078125  N_z=34\n"
+        "fitted zooming dimension (divisor 3): 0.0000  (residual 0.1219)\n"
     ),
     ("twodim", 14): (
-        "r=0.25  N_z=634\n"
-        "r=0.125  N_z=922\n"
-        "r=0.0625  N_z=528\n"
-        "r=0.03125  N_z=770\n"
+        "r=0.25  N_z=381\n"
+        "r=0.125  N_z=634\n"
+        "r=0.0625  N_z=626\n"
+        "r=0.03125  N_z=598\n"
         "r=0.015625  N_z=193\n"
         "r=0.0078125  N_z=51\n"
-        "fitted zooming dimension (divisor 14): 0.0000  (residual 0.5844)\n"
+        "fitted zooming dimension (divisor 14): 0.0000  (residual 0.6181)\n"
     ),
 }
 

@@ -263,6 +263,16 @@ def test_sweep_cells_structure():
     assert all(c.T == 1000 and c.trials == 2 and c.master_seed == 7 for c in cells)
 
 
+def test_sweep_cells_ignore_added_rewards(monkeypatch):
+    # a reward added for `run` and `dim` leaves the default sweep, and so its
+    # CSV bytes, as they are
+    before = sweep_cells()
+    monkeypatch.setitem(REWARD_FACTORIES, "extra", REWARD_FACTORIES["triangle"])
+    monkeypatch.setitem(CHOICES, "reward", CHOICES["reward"] + ("extra",))
+    assert sweep_cells() == before
+    assert [c.reward for c in before[::6]] == ["triangle", "sine", "twodim"]
+
+
 def test_cli_run_happy_path(tmp_path, capsys):
     rc = cli_main(["run", "--algorithm", "qzooming", "--reward", "triangle",
                    "--noise", "bernoulli", "--T", "3000", "--trials", "1",
