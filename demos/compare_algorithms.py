@@ -2,7 +2,7 @@
 
 Runs the two quantum-oracle policies and the classical baseline at a small
 horizon, prints the final mean regrets and writes a combined SVG panel.
-Takes about 15 seconds.
+Takes well under a second (0.17-0.29 s on a 2-CPU Xeon host).
 """
 
 from pathlib import Path

@@ -54,6 +54,10 @@ class ExperimentConfig:
     checkpoint_every: int | None = None
     audits: bool = False
 
+    def __post_init__(self) -> None:
+        """`validate` runs on construction and on `replace`, so every instance is valid."""
+        self.validate()  # through self, so a wrapper set on the class runs
+
     def validate(self) -> None:
         problems = []
         for name, allowed in CHOICES.items():
@@ -73,12 +77,12 @@ class ExperimentConfig:
         if self.master_seed < 0:
             problems.append(f"master_seed must be >= 0, got {self.master_seed}")
         if self.noise == "gaussian" and not 0 < self.sigma < math.inf:
-            problems.append(
-                f"sigma must be finite and > 0 for gaussian noise, got {self.sigma}")
+            problems.append(f"sigma must be finite and > 0 for gaussian noise, got {self.sigma}")
         if "c2" in read and self.noise != "gaussian":
             problems.append(
-                f"algorithm {self.algorithm!r} requires gaussian noise, got {self.noise!r}"
-            )
+                f"algorithm {self.algorithm!r} requires gaussian noise, got {self.noise!r}")
+        if self.audits and "audits" not in read:
+            problems.append("audit requires a quantum algorithm")
         for name, value in (("c1", self.c1), ("c2", self.c2)):
             if not 1 < value < math.inf:
                 problems.append(f"{name} must be finite and > 1, got {value}")
@@ -113,7 +117,7 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 
 
 def reads(config: ExperimentConfig) -> set[str]:
-    """The config fields a run of `config` reads; its algorithm must be valid."""
+    """The config fields a run of `config` reads; outside `validate` its algorithm is valid."""
     params = inspect.signature(getattr(algorithms, f"run_{config.algorithm}")).parameters
     out = {"algorithm", "reward", "noise", "trials", "master_seed", *params} & vars(config).keys()
     if "oracle" in params:
@@ -126,7 +130,7 @@ def reads(config: ExperimentConfig) -> set[str]:
 
 
 def run_single(config: ExperimentConfig, trial: int) -> algorithms.PolicyResult:
-    config.validate()
+    """One trial of `config`, which construction has already validated."""
     model = REWARD_FACTORIES[config.reward]()
     noise = NoiseModel(NoiseKind(config.noise),
                        config.sigma if config.noise == "gaussian" else 0.0)
@@ -140,7 +144,6 @@ def run_single(config: ExperimentConfig, trial: int) -> algorithms.PolicyResult:
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[RegretTrace], Summary]:
     """Run all trials of one configuration; summary aggregates per checkpoint."""
-    config.validate()
     traces = []
     for trial in range(config.trials):
         result = run_single(config, trial)

@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -18,7 +19,7 @@ import pytest
 
 import lipzoom
 from lipzoom import algorithms
-from lipzoom.cli import _build_config, build_parser, cli_main
+from lipzoom.cli import _SETTABLE, _build_config, build_parser, cli_main
 from lipzoom.harness import (
     CHOICES,
     SWEEP_DEFAULTS,
@@ -48,24 +49,42 @@ def test_config_defaults_validate():
 
 
 def test_config_rejects_bad_fields():
-    cfg = replace(FAST, algorithm="nope", trials=0, delta=2.0)
     with pytest.raises(ConfigError) as exc:
-        cfg.validate()
+        replace(FAST, algorithm="nope", trials=0, delta=2.0)
     msgs = "\n".join(exc.value.problems)
     assert "algorithm" in msgs and "trials" in msgs and "delta" in msgs
     # values that would crash a run, or let it run wrong without an error
     gaussian = replace(FAST, algorithm="qzooming_bv", noise="gaussian")
-    for cfg, name in [
-        (replace(FAST, c1=math.inf), "c1"), (replace(FAST, c1=math.nan), "c1"),
-        (replace(FAST, c2=math.inf), "c2"), (replace(FAST, c2=math.nan), "c2"),
-        (replace(gaussian, sigma=math.inf), "sigma"),
-        (replace(gaussian, sigma=math.nan), "sigma"),
-        (replace(FAST, master_seed=-1), "master_seed"),
-        (replace(FAST, checkpoint_every=FAST.T + 1), "checkpoint_every"),
+    for base, name, value in [
+        (FAST, "c1", math.inf), (FAST, "c1", math.nan),
+        (FAST, "c2", math.inf), (FAST, "c2", math.nan),
+        (gaussian, "sigma", math.inf),
+        (gaussian, "sigma", math.nan),
+        (FAST, "master_seed", -1),
+        (FAST, "checkpoint_every", FAST.T + 1),
     ]:
         with pytest.raises(ConfigError) as exc:
-            cfg.validate()
-        assert len(exc.value.problems) == 1 and name in exc.value.problems[0], cfg
+            replace(base, **{name: value})
+        assert len(exc.value.problems) == 1 and name in exc.value.problems[0], (name, value)
+
+
+def test_config_is_checked_on_construction():
+    # construction raises every problem validate() finds, in its order
+    for build, problems in [
+        (lambda: ExperimentConfig(trials=0, delta=2.0),
+         ["delta must be in (0,1), got 2.0", "trials must be >= 1, got 0"]),
+        (lambda: replace(FAST, algorithm="qlae_bv"),
+         ["algorithm 'qlae_bv' requires gaussian noise, got 'bernoulli'"]),
+    ]:
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert exc.value.problems == problems
+
+
+def test_config_audits_need_a_quantum_algorithm():
+    with pytest.raises(ConfigError, match="^audit requires a quantum algorithm$"):
+        ExperimentConfig(algorithm="classical_zooming", audits=True)
+    assert replace(FAST, audits=True).audits
 
 
 def test_config_bv_requires_gaussian():
@@ -145,17 +164,36 @@ def test_runner_signatures_cover_the_cli():
     runs = []
     for alg in CHOICES["algorithm"]:
         for noise in CHOICES["noise"]:
-            config = ExperimentConfig(algorithm=alg, noise=noise)
             try:
-                config.validate()
+                runs.append(ExperimentConfig(algorithm=alg, noise=noise))
             except ConfigError:
                 continue
-            runs.append(config)
     parser = build_parser()
     for command, configs in (("run", runs), ("sweep", sweep_cells())):
         flags = set(vars(parser.parse_args([command]))) - {"command", "func", "config", "out"}
         unread = flags - set().union(*map(reads, configs))
         assert not unread, (command, unread)
+
+
+def test_readme_reads_table_matches_the_runners():
+    # README's per-algorithm "also reads" table, and the fields its preamble
+    # says every algorithm reads, against reads() of a run of that algorithm
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    intro, _, table = readme.partition("| algorithm | also reads |")
+    common = set(re.findall(r"`(\w+)`", intro[intro.rindex("Each algorithm reads"):]))
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.+) \|$", table.partition("\n\n")[0], re.M))
+    assert set(rows) == set(CHOICES["algorithm"])
+    for alg, cell in rows.items():
+        for noise in CHOICES["noise"]:  # the first noise the algorithm accepts
+            try:
+                config = ExperimentConfig(algorithm=alg, noise=noise, qmc_mode="contract")
+                break
+            except ConfigError:
+                continue
+        documented = common | (set() if cell == "nothing more" else set(cell.strip("`").split()))
+        if config.noise != "gaussian":  # "`sigma` under gaussian noise"
+            documented.discard("sigma")
+        assert reads(config) & _SETTABLE.keys() == documented, alg
 
 
 def test_run_single_repeatable():
@@ -516,6 +554,18 @@ def test_cli_sweep_rejects_a_value_no_cell_reads(tmp_path, capsys):
     assert cli_main([*argv, "--config", str(cfg)]) == 2
     assert "fault_injection is not read by this sweep" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_rejects_a_bad_cell_before_any_run(tmp_path, capsys):
+    # sigma is valid on the bernoulli base and invalid on every gaussian cell;
+    # once the sweep wrote the six triangle/bernoulli CSVs before it stopped
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--sigma", "-1", "--T", "300", "--trials", "1",
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "sigma must be finite and > 0 for gaussian noise" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_sweep_takes_a_value_some_cells_read(tmp_path, capsys):
