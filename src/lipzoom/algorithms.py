@@ -172,10 +172,9 @@ def run_qlae_bv(
     )
 
 
-def select_arm(estimates: list[float], radii: list[float]) -> int:
-    """Index of the arm maximizing estimate + 2*radius; first activated wins ties."""
-    idx = [e + 2.0 * r for e, r in zip(estimates, radii)]
-    return idx.index(max(idx))
+def select_arm(index: list[float]) -> int:
+    """The arm with the largest index (estimate + 2*radius); first activated wins ties."""
+    return index.index(max(index))
 
 
 class _Cover:
@@ -246,7 +245,9 @@ def _run_zooming(
     ledger = RoundLedger(T, checkpoint_every)
     cover = _Cover(model.metric.dimension)  # cover.centres are the active arms
     radii: list[float] = []
-    estimates: list[float] = []  # unplayed arms sit at 0, consistent with eps=1
+    # estimate + 2*radius per arm, written after each estimate; an unplayed
+    # arm sits at estimate 0 and radius 1
+    index: list[float] = []
     records: list[EstimateRecord] = []
     stage_audits: list[StageAudit] = []
 
@@ -255,12 +256,12 @@ def _run_zooming(
         y = cover.activate()
         if y is not None:
             radii.append(1.0)
-            estimates.append(0.0)
+            index.append(2.0)
 
         if audits:
             stage_audits.append(StageAudit(s, tuple(zip(cover.centres, radii))))
 
-        i = select_arm(estimates, radii)
+        i = select_arm(index)
         radii[i] /= 2.0
         eps = radii[i]
         cover.set_radius(i, eps)
@@ -268,7 +269,7 @@ def _run_zooming(
             break
         x = cover.centres[i]
         est, _, _ = qmc_estimate(oracle, estimator, model, x, eps, ledger)
-        estimates[i] = est
+        index[i] = est + 2.0 * eps
         if audits:
             records.append(EstimateRecord(s, x, eps, est, model.mu(x)))
 
@@ -339,8 +340,9 @@ def run_classical_zooming(
     the first-wins argmax while its index x has x > max(index[:i]) and
     x >= max(index[i+1:]); an activation appends index 2.0 after i and
     can only raise the second threshold.  The loop rescans only when that
-    test fails, keeps arm i's statistics in locals between rescans, and
-    calls `set_radius` only when the radius leaves i's band.
+    test fails, keeps arm i's statistics and the cover's band for it in
+    locals between rescans, and calls `set_radius` only when the radius
+    leaves that band.
     """
     ledger = RoundLedger(T, checkpoint_every)
     cover = _Cover(model.metric.dimension)
@@ -351,12 +353,11 @@ def run_classical_zooming(
     counts: list[int] = []
     sums: list[float] = []
     index: list[float] = []
-    # the played arm i: its count, sum, mean, gap, index and band, and the
-    # max index before and after it.  They start as the first round's
-    # activated arm 0, and before = inf makes that round rescan.
+    # the played arm i: its count, sum, mean, gap and index, and the max
+    # index before and after it.  They start as the first round's activated
+    # arm 0, and before = inf makes that round rescan, which reads i's band.
     i, c, s, m, g, x = 0, 0, 0.0, 0.0, 0.0, 2.0
     before, after = math.inf, -math.inf
-    lo, hi = math.inf, -math.inf
 
     # the loop draws its variates lazily, block by block; that keeps the
     # stream of T scalar draws only while nothing else in it reads rng
@@ -373,11 +374,11 @@ def run_classical_zooming(
 
         if not (x > before and x >= after):
             counts[i], sums[i], index[i] = c, s, x
-            i = index.index(max(index))  # first wins ties
+            i = select_arm(index)
             before = max(index[:i], default=-math.inf)
             after = max(index[i + 1:], default=-math.inf)
             c, s, m, g = counts[i], sums[i], means[i], gaps[i]
-            lo, hi = math.inf, -math.inf  # the first play asks the cover
+            lo, hi = cover._bands[i]  # it holds i's current radius
 
         s += classical_sample(m, noise, v)
         c += 1

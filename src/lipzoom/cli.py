@@ -72,7 +72,10 @@ def _add_config_flags(p: argparse.ArgumentParser, names=tuple(_SETTABLE)) -> Non
     p.add_argument("--config", metavar="FILE", help="key=value config file")
 
 
-def _build_config(args: argparse.Namespace, base: ExperimentConfig, read=reads) -> ExperimentConfig:
+def _build_cells(args: argparse.Namespace, base: ExperimentConfig,
+                 cells=lambda config: [config], read=reads) -> list[ExperimentConfig]:
+    """The configs a command runs: `cells` of `base` with the flags and the
+    config file applied.  A value that none of them reads is an error."""
     overrides: dict = {}
     if getattr(args, "config", None):
         overrides.update(_parse_config_file(args.config))
@@ -80,10 +83,15 @@ def _build_config(args: argparse.Namespace, base: ExperimentConfig, read=reads) 
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    config = replace(base, **overrides)
-    unread = sorted(overrides.keys() - read(config))
+    configs = cells(replace(base, **overrides))
+    unread = sorted(overrides.keys() - set().union(*map(read, configs)))
     if unread:
         raise ConfigError([f"{name} is not read by this {args.command}" for name in unread])
+    return configs
+
+
+def _build_config(args: argparse.Namespace, base: ExperimentConfig, read=reads) -> ExperimentConfig:
+    (config,) = _build_cells(args, base, read=read)
     return config
 
 
@@ -103,14 +111,14 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _sweep_reads(config: ExperimentConfig) -> set[str]:
-    """The fields a sweep lets a flag or config-file key set that some cell reads."""
-    return set().union(*map(reads, sweep_cells(config))).intersection(_SWEEP_SETTABLE)
+def _sweep_reads(cell: ExperimentConfig) -> set[str]:
+    """The fields a sweep cell reads that a flag or config-file key may set."""
+    return reads(cell).intersection(_SWEEP_SETTABLE)
 
 
 def _cmd_sweep(args) -> int:
     out = Path(args.out)
-    cells = sweep_cells(_build_config(args, SWEEP_DEFAULTS, _sweep_reads))
+    cells = _build_cells(args, SWEEP_DEFAULTS, sweep_cells, _sweep_reads)
     panels: dict[tuple[str, str], list] = {}
     for config in cells:
         name, summary = _run_and_emit(config, out)

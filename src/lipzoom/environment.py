@@ -197,13 +197,17 @@ class Estimator:
 
     QMC1 for bounded rewards, or, with `c2` set, QMC2 for bounded variance,
     which needs gaussian noise (Montanaro 2015).  `delta` is the failure
-    probability of one call.
+    probability of one call.  A run asks for the budget at every oracle call
+    but at only a few distinct eps, so each estimator keeps those it computed.
     """
 
     noise: NoiseModel
     delta: float
     c1: float = 2.0
     c2: float | None = None
+    _budgets: dict[float, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.c2 is not None and self.noise.kind != NoiseKind.GAUSSIAN:
@@ -214,11 +218,17 @@ class Estimator:
 
         The qmc1 budget with c1, or with `c2` set the qmc2 budget with c2,
         falling back to qmc1 with c1 when eps >= 4*sigma, where the
-        bounded-variance guarantee does not apply.
+        bounded-variance guarantee does not apply.  Each eps is computed
+        once; one whose budget raises is not stored, so it raises every time.
         """
-        if self.c2 is not None and eps < 4 * self.noise.sigma:
-            return qmc2_budget(eps, self.noise.sigma, self.delta, self.c2)
-        return qmc1_budget(eps, self.delta, self.c1)
+        q = self._budgets.get(eps)
+        if q is None:
+            if self.c2 is not None and eps < 4 * self.noise.sigma:
+                q = qmc2_budget(eps, self.noise.sigma, self.delta, self.c2)
+            else:
+                q = qmc1_budget(eps, self.delta, self.c1)
+            self._budgets[eps] = q
+        return q
 
 
 class OracleMode(str, Enum):
@@ -333,5 +343,7 @@ def qmc_estimate(
     if oracle.fault_injection and oracle.rng.random() < estimator.delta:
         sign = 1.0 if oracle.rng.random() < 0.5 else -1.0
         return m + sign * 2.0 * eps, used, exhausted
-    u = oracle.rng.uniform(-1.0, 1.0)
+    # numpy's uniform(-1.0, 1.0) is -1.0 + 2.0 * random(): the same float
+    # and the same generator state, without uniform's argument handling
+    u = 2.0 * oracle.rng.random() - 1.0
     return m + u * eps, used, exhausted

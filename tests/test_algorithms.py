@@ -1,5 +1,6 @@
 """Algorithm-level behavior: elimination, zooming, budgets and the baseline."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from lipzoom import algorithms, environment, geometry
 from lipzoom.algorithms import (
+    EstimateRecord,
+    StageAudit,
     _Cover,
     run_classical_zooming,
     run_qlae,
@@ -16,6 +19,7 @@ from lipzoom.algorithms import (
     select_arm,
 )
 from lipzoom.environment import (
+    Estimator,
     NoiseKind,
     NoiseModel,
     OracleMode,
@@ -48,22 +52,20 @@ def _gauss():
 
 
 def test_select_arm_example():
-    # a: (0.6, 0.25) -> 1.1 beats b: (0.8, 0.125) -> 1.05
-    assert select_arm([0.6, 0.8], [0.25, 0.125]) == 0
+    # a: 0.6 + 2 * 0.25 = 1.1 beats b: 0.8 + 2 * 0.125 = 1.05
+    assert select_arm([0.6 + 2.0 * 0.25, 0.8 + 2.0 * 0.125]) == 0
 
 
 def test_select_arm_tie_goes_to_earliest():
-    assert select_arm([0.5, 0.5], [0.25, 0.25]) == 0
+    assert select_arm([1.0, 1.0]) == 0
+    assert select_arm([0.5, 1.0, 1.0]) == 1
 
 
 def test_select_arm_shift_invariance():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        est = list(rng.random(6))
-        rad = list(rng.random(6))
-        base = select_arm(est, rad)
-        shifted = select_arm([e + 0.37 for e in est], rad)
-        assert base == shifted
+        index = list(rng.random(6) + 2.0 * rng.random(6))
+        assert select_arm(index) == select_arm([v + 0.37 for v in index])
 
 
 @pytest.mark.parametrize("metric", [Metric(1), Metric(2)])
@@ -323,6 +325,80 @@ def test_qzooming_bv_first_selection_budget():
     want = qmc2_budget(0.5, SIGMA, 0.05 / T, 2.0)
     assert want == 55
     assert res.total_rounds >= want
+
+
+def _reference_zooming(model, oracle, estimator, T, checkpoint_every, audits):
+    # the per-stage loop that rebuilds every arm's index from its estimate
+    # and radius at each stage
+    ledger = RoundLedger(T, checkpoint_every)
+    cover = _Cover(model.metric.dimension)
+    radii, estimates, records, stage_audits = [], [], [], []
+    for s in itertools.count(1):
+        y = cover.activate()
+        if y is not None:
+            radii.append(1.0)
+            estimates.append(0.0)
+        if audits:
+            stage_audits.append(StageAudit(s, tuple(zip(cover.centres, radii))))
+        idx = [e + 2.0 * r for e, r in zip(estimates, radii)]
+        i = idx.index(max(idx))
+        radii[i] /= 2.0
+        eps = radii[i]
+        cover.set_radius(i, eps)
+        if estimator.queries(eps) > ledger.remaining:
+            break
+        x = cover.centres[i]
+        est, _, _ = environment.qmc_estimate(oracle, estimator, model, x, eps, ledger)
+        estimates[i] = est
+        if audits:
+            records.append(EstimateRecord(s, x, eps, est, model.mu(x)))
+    return algorithms._finish(ledger, s - 1, records, stage_audits)
+
+
+@pytest.mark.parametrize("mode", list(OracleMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("noise,c2", [(_bern, None), (_gauss, None), (_gauss, 2.0)],
+                         ids=["qmc1-bernoulli", "qmc1-gaussian", "qmc2-gaussian"])
+@pytest.mark.parametrize("factory", [triangle_model, twodim_model], ids=["triangle", "twodim"])
+def test_zooming_matches_reference(factory, noise, c2, mode):
+    # the kept index must reproduce the rebuilt one exactly, generator included
+    for T in (1, 2, 300, 4097, 50_000, 200_000):
+        for audits in (False, True):
+            runs = []
+            for loop in (algorithms._run_zooming, _reference_zooming):
+                oracle = QuantumOracleSim(mode, True, np.random.default_rng(T + 5))
+                estimator = Estimator(noise(), 0.05 / T, 2.0, c2)
+                runs.append((loop(factory(), oracle, estimator, T, None, audits), oracle.rng))
+            (got, g), (want, twin) = runs
+            setting = (T, audits)
+            assert got.checkpoints == want.checkpoints, setting
+            assert got.final_regret == want.final_regret, setting
+            assert got.total_rounds == want.total_rounds, setting
+            assert got.stages_completed == want.stages_completed, setting
+            assert got.estimate_records == want.estimate_records, setting
+            assert got.stage_audits == want.stage_audits, setting
+            assert g.bit_generator.state == twin.bit_generator.state, setting
+
+
+@pytest.mark.parametrize("runner,noise,budget", [
+    (run_qlae, _bern, "qmc1_budget"), (run_qzooming_bv, _gauss, "qmc2_budget"),
+], ids=["qlae-qmc1", "qzooming_bv-qmc2"])
+def test_budget_is_computed_once_per_distinct_eps(runner, noise, budget, monkeypatch):
+    # a run asks its estimator for the same eps once per oracle call (and
+    # zooming once more per stage); only the first ask computes it
+    asked = []
+    original = getattr(environment, budget)
+
+    def counted(eps, *args):
+        asked.append(eps)
+        return original(eps, *args)
+
+    monkeypatch.setattr(environment, budget, counted)
+    res = runner(triangle_model(), noise(), _oracle(22), T=50_000, delta=0.05, audits=True)
+    assert len(asked) == len(set(asked))
+    # every estimate's eps, and the eps of the stage that did not fit
+    assert set(asked) >= {r.eps for r in res.estimate_records}
+    if runner is run_qlae:
+        assert set(asked) == {2.0 ** -m for m in range(1, res.stages_completed + 2)}
 
 
 def test_qzooming_deterministic_given_seed():

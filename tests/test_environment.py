@@ -363,6 +363,31 @@ def test_qmc2_variant_fallback():
     assert estimator.queries(0.1) == qmc2_budget(0.1, 0.05, 0.05, 2.0)
 
 
+def test_nonfinite_budget_raises_on_every_call():
+    # a budget that raises is not remembered
+    estimator = Estimator(NoiseModel(NoiseKind.BERNOULLI), 0.05, c1=1e308)
+    for _ in range(3):
+        with pytest.raises(EnvironmentConfigError, match="not finite"):
+            estimator.queries(0.5)
+
+
+def test_budget_memo_leaves_equality_hash_and_repr():
+    noise = NoiseModel(NoiseKind.BERNOULLI)
+    used, fresh = Estimator(noise, 0.05), Estimator(noise, 0.05)
+    assert used.queries(0.25) == used.queries(0.25) == qmc1_budget(0.25, 0.05)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 23, 47, 2**40 + 3])
+def test_contract_draw_equals_numpy_uniform(seed):
+    # the contract oracle draws 2 * random() - 1 in place of uniform(-1, 1)
+    g, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = [2.0 * g.random() - 1.0 for _ in range(20_000)]
+    want = [twin.uniform(-1.0, 1.0) for _ in range(20_000)]
+    assert got == want
+    assert g.bit_generator.state == twin.bit_generator.state
+
+
 def test_qmc2_variant_requires_gaussian():
     with pytest.raises(EnvironmentConfigError):
         Estimator(NoiseModel(NoiseKind.BERNOULLI), 0.05, c2=2.0)

@@ -568,6 +568,21 @@ def test_cli_sweep_rejects_a_bad_cell_before_any_run(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_sweep_builds_its_cells_once(tmp_path, monkeypatch):
+    # the cells the unread check reads are the cells the sweep runs
+    from lipzoom import cli
+
+    built = []
+
+    def counted(base):
+        built.append(sweep_cells(base))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "sweep_cells", counted)
+    assert cli_main(["sweep", "--T", "300", "--trials", "1", "--out", str(tmp_path)]) == 0
+    assert len(built) == 1 and len(built[0]) == 18
+
+
 def test_cli_sweep_takes_a_value_some_cells_read(tmp_path, capsys):
     # c2 reaches only the bounded-variance cells, and the sweep runs all 18
     assert cli_main(["sweep", "--c2", "5", "--T", "2000", "--trials", "1",
@@ -583,6 +598,30 @@ def _bench_module(name, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_layers_tool_times_every_layer(monkeypatch):
+    # tools/layers.py runs on this tree and fills every entry it reports
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends to it
+    path = Path(__file__).resolve().parent.parent / "tools" / "layers.py"
+    spec = importlib.util.spec_from_file_location("tools_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(layers)
+        report = layers.collect(reps=2)
+    finally:
+        sys.modules.pop("worker", None)  # imported by the script from benchmarks/
+    assert set(report["provenance"]) == {"git_revision", "git_dirty", "cpus", "python",
+                                         "numpy", "machine"}
+    sizes = {"qmc_estimate_us_per_call": 4, "zooming_us_per_stage": 4,
+             "classical_us_per_round": 6}
+    for section, size in sizes.items():
+        assert len(report[section]) == size
+        for entry in report[section].values():
+            for kind in ("raw", "scaled"):
+                q = entry[kind]
+                assert 0 < q["p25"] <= q["p50"] <= q["p75"] < math.inf
 
 
 def test_cli_accepts_benchmark_commands(monkeypatch):

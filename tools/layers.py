@@ -1,0 +1,161 @@
+"""Per-layer timings of lipzoom, written to BENCH_layers.json at the checkout root.
+
+    python3 tools/layers.py
+
+Each layer is timed in-process with `time.perf_counter_ns` on fixed seeded
+inputs, through no wrapper:
+
+* µs per contract-mode `qmc_estimate` call, qmc1 and qmc2 at eps 1/8 and
+  1/64 (fault injection on, as in the default config);
+* µs per quantum zooming stage, `run_qzooming` (bernoulli) and
+  `run_qzooming_bv` (gaussian) on triangle and twodim at T = 6e5: a whole
+  `harness.run_single` trial over its completed stages, oracle calls
+  included;
+* µs per classical round at T = 5e4 for the six classical cells of the
+  default sweep: a whole trial over T.
+
+Every number is the median and quartiles over REPS repetitions after one
+warm-up, raw and scaled to the reference host speed.  The scale is that of
+`benchmarks/worker.py`: after each repetition its "loop" kernel (a Python
+loop of small numpy calls, like the loops timed here) runs once, and the
+repetition's time is multiplied by REF_S["loop"] over the kernel's time.
+The script measures and checks nothing else; it uses only `qmc_estimate`,
+`Estimator`, `RoundLedger`, `ExperimentConfig`, `run_single` and
+`sweep_cells`, so the same file runs on older checkouts for before/after
+numbers.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+sys.dont_write_bytecode = True  # leave no bytecode cache in benchmarks/
+
+import numpy as np  # noqa: E402
+
+import worker  # noqa: E402
+from lipzoom import environment  # noqa: E402
+from lipzoom.environment import (  # noqa: E402
+    Estimator,
+    NoiseKind,
+    NoiseModel,
+    OracleMode,
+    QuantumOracleSim,
+    RoundLedger,
+    triangle_model,
+)
+from lipzoom.harness import ExperimentConfig, run_single, sweep_cells  # noqa: E402
+
+REPS = 21
+KERNEL = "loop"
+ORACLE_CALLS = 2_000  # qmc_estimate calls per repetition
+QUANTUM_T = 600_000  # the benchmark's quantum horizon (worker.QUANTUM_T)
+CLASSICAL_T = 50_000  # the default sweep's horizon
+
+
+def _stats(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"p25": q1, "p50": median, "p75": q3}
+
+
+def _time(fn, per: float, reps: int) -> dict:
+    """µs per unit of `fn()`'s work (`per` units per call), raw and scaled."""
+    fn()  # warm-up: imports, caches, first allocations
+    raw, scaled = [], []
+    for _ in range(reps):
+        t0 = time.perf_counter_ns()
+        fn()
+        us = (time.perf_counter_ns() - t0) / 1e3 / per
+        raw.append(us)
+        scaled.append(us * worker.REF_S[KERNEL] / worker.reference(KERNEL))
+    return {"raw": _stats(raw), "scaled": _stats(scaled)}
+
+
+def oracle_calls(reps: int) -> dict:
+    config = ExperimentConfig()
+    model, x = triangle_model(), (0.5,)
+    forms = {
+        "qmc1": Estimator(NoiseModel(NoiseKind.BERNOULLI), config.delta / QUANTUM_T,
+                          config.c1),
+        "qmc2": Estimator(NoiseModel(NoiseKind.GAUSSIAN, config.sigma),
+                          config.delta / QUANTUM_T, config.c1, config.c2),
+    }
+    out = {}
+    for form, estimator in forms.items():
+        for k in (3, 6):
+            eps = 2.0 ** -k
+            oracle = QuantumOracleSim(OracleMode.CONTRACT, config.fault_injection,
+                                      np.random.default_rng(k))
+
+            def calls():
+                # no checkpoint and no horizon within reach of the calls
+                ledger = RoundLedger(10**15, 10**15)
+                for _ in range(ORACLE_CALLS):
+                    environment.qmc_estimate(oracle, estimator, model, x, eps, ledger)
+
+            out[f"{form} eps=1/{2 ** k}"] = _time(calls, ORACLE_CALLS, reps)
+    return out
+
+
+def zooming_stages(reps: int) -> dict:
+    out = {}
+    for algorithm, noise in (("qzooming", "bernoulli"), ("qzooming_bv", "gaussian")):
+        for reward in ("triangle", "twodim"):
+            config = ExperimentConfig(algorithm=algorithm, reward=reward, noise=noise,
+                                      T=QUANTUM_T, master_seed=23)
+            stages = run_single(config, 0).stages_completed
+            entry = _time(lambda: run_single(config, 0), stages, reps)
+            out[f"{algorithm} {reward} {noise}"] = {**entry, "stages": stages}
+    return out
+
+
+def classical_rounds(reps: int) -> dict:
+    out = {}
+    for cell in sweep_cells():
+        if cell.algorithm == "classical_zooming":
+            config = replace(cell, T=CLASSICAL_T)
+            out[f"{cell.reward} {cell.noise}"] = _time(
+                lambda: run_single(config, 0), CLASSICAL_T, reps)
+    return out
+
+
+def provenance() -> dict:
+    def git(*args):
+        return subprocess.run(["git", "--no-optional-locks", "-C", str(ROOT), *args],
+                              capture_output=True, text=True, timeout=30).stdout.strip()
+
+    return {"git_revision": git("rev-parse", "HEAD") or None,
+            "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+            "cpus": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "machine": platform.machine()}
+
+
+def collect(reps: int = REPS) -> dict:
+    return {
+        "provenance": provenance(),
+        "repetitions": reps,
+        "scale": f"benchmarks/worker.py reference({KERNEL!r}), REF_S = {worker.REF_S[KERNEL]}",
+        "qmc_estimate_us_per_call": oracle_calls(reps),
+        "zooming_us_per_stage": zooming_stages(reps),
+        "classical_us_per_round": classical_rounds(reps),
+    }
+
+
+def main() -> None:
+    path = ROOT / "BENCH_layers.json"
+    path.write_text(json.dumps(collect(), indent=2) + "\n")
+    print(f"wrote {path}")
+
+
+if __name__ == "__main__":
+    main()
