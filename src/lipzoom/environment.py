@@ -283,6 +283,9 @@ class RoundLedger:
 
         Checkpoints crossed by the burst are recorded with the exact regret
         at the checkpoint round (regret accrues linearly within a burst).
+        The burst covers rounds start+1..end, so it crosses a multiple of
+        `checkpoint_every` exactly when end % checkpoint_every < n; only
+        then does it look for checkpoints.
         """
         start = self.consumed
         left = self.horizon - start
@@ -294,10 +297,11 @@ class RoundLedger:
         self.consumed = end = start + n
         self.cumulative_regret = start_regret + n * gap
         ck = self.checkpoint_every
-        b = (start // ck + 1) * ck
-        while b <= end:
-            self.checkpoints.append((b, start_regret + (b - start) * gap))
-            b += ck
+        if end % ck < n:
+            b = (start // ck + 1) * ck
+            while b <= end:
+                self.checkpoints.append((b, start_regret + (b - start) * gap))
+                b += ck
         return n
 
     def finalize(self) -> None:

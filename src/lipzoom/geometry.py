@@ -14,8 +14,13 @@ the same coordinates, so a box holds exactly the cells a distance scan
 accepts.  The packing sweep builds no lattice array: a cell is an index
 tuple into the per-axis coordinates, and region membership and greedy
 exclusion set or clear boxes of one boolean per cell.  The zooming cover
-(`algorithms._Cover`) keeps each of its balls as a box too.  Sizes are
-checked as `not x > 0`, which rejects NaN too.
+(`algorithms._Cover`) keeps each of its balls as a box too, but builds it
+without `box`: its lattice spacing is 1/n with n a power of two and its
+centres are lattice points, so every coordinate is exactly k/n, every axis
+difference is exactly |k - j|/n, and the box is the cells with
+|k - j| <= int(min(r, 1) * n), found by no search.  `box` stays the rule
+for centres that need not sit on the lattice searched, as in the packing.
+Sizes are checked as `not x > 0`, which rejects NaN too.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from lipzoom.environment import (
     twodim_model,
     variates,
 )
-from lipzoom.geometry import Metric, lattice
+from lipzoom.geometry import GeometryError, Metric, lattice
 
 SIGMA = math.sqrt(0.1)
 
@@ -131,6 +131,75 @@ def test_cover_matches_brute_force(metric):
             outcomes["moved" if (cover.count != before).any() else "unmoved"] += 1
             check_counts()
     assert min(outcomes.values()) >= 10
+
+
+def _reference_band(coords, ball, centre):
+    # the band loop over a box of `geometry.box`: the largest axis distance
+    # inside the box and the smallest outside it
+    lo, hi = -math.inf, math.inf
+    for s, x in zip(ball, centre):
+        lo = max(lo, abs(coords[s.start] - x), abs(coords[s.stop - 1] - x))
+        if s.start > 0:
+            hi = min(hi, abs(coords[s.start - 1] - x))
+        if s.stop < len(coords):
+            hi = min(hi, abs(coords[s.stop] - x))
+    return lo, hi
+
+
+@pytest.mark.parametrize("dimension,sample", [(1, None), (2, 60)], ids=["abs1d", "linf2d"])
+def test_cover_boxes_and_bands_match_geometry_box(dimension, sample):
+    # the integer box of each ball must be `geometry.box`'s, and its band the
+    # band loop's, exactly, whatever the radius; every lattice cell is opened
+    # as a centre by activating it at radius 0
+    rng = np.random.default_rng(31)
+    cover = _Cover(dimension)
+    coords = cover.coords
+    n = len(coords) - 1
+    for i in range(cover.count.size):
+        assert cover.activate() is not None
+        cover.set_radius(i, 0.0)
+    assert cover.activate() is None
+    balls = range(len(cover.centres))
+    if sample is not None:
+        corners = [0, n, n * (n + 1), len(cover.centres) - 1]
+        balls = corners + rng.choice(len(cover.centres), sample, replace=False).tolist()
+    for i in balls:
+        centre = cover.centres[i]
+        radii = [2.0 ** -k for k in range(13)]
+        radii += rng.uniform(0.0, 1.0, 8).tolist()
+        radii += [1.0, math.nextafter(1.0, 2.0), 3.5, 1e3, 1e308]
+        # cell distances: the nearest ones, a seeded few, and those about
+        # the farthest face, where the box stops being clipped
+        reach = max(max(round(x * n), n - round(x * n)) for x in centre)
+        cells = {0, 1, 2, reach - 1, reach, *rng.integers(0, n + 1, 6).tolist()}
+        for k in sorted(cells):
+            if 0 <= k <= n:
+                radii.append(k / n)
+                if k:
+                    radii.append(math.nextafter(k / n, 0.0))
+        for r in rng.permutation(radii).tolist():
+            band = cover.set_radius(i, r)
+            ball = geometry.box(coords, centre, r)
+            assert cover._boxes[i] == ball, (centre, r)
+            assert band == cover._bands[i] == _reference_band(coords, ball, centre), (centre, r)
+            assert band[0] <= r < band[1]
+    want = np.zeros_like(cover.count)
+    for i in range(len(cover.centres)):
+        want[cover._boxes[i]] += 1
+    np.testing.assert_array_equal(cover.count, want)
+    assert cover.uncovered == np.count_nonzero(want == 0)
+
+
+@pytest.mark.parametrize("r", [math.nan, -math.inf, -1.0, -5e-324])
+def test_cover_rejects_nan_and_negative_radius(r):
+    cover = _Cover(2)
+    cover.activate()
+    cover.set_radius(0, 0.25)
+    count, band, ball = cover.count.copy(), cover._bands[0], cover._boxes[0]
+    with pytest.raises(GeometryError, match="non-negative"):
+        cover.set_radius(0, r)
+    np.testing.assert_array_equal(cover.count, count)
+    assert (cover._bands[0], cover._boxes[0]) == (band, ball)
 
 
 def test_zooming_builds_no_lattice_and_calls_no_pairwise(monkeypatch):

@@ -419,18 +419,34 @@ def _reference_consume(ledger, n, gap):
     return n
 
 
-@pytest.mark.parametrize("checkpoint_every", [1, 7, None])
+@pytest.mark.parametrize("checkpoint_every", [1, 5, 7, 50, None])
 def test_ledger_consume_matches_reference(checkpoint_every):
-    # exact, no tolerance: an ulp of drift would move a regret CSV byte
+    # exact, no tolerance: an ulp of drift would move a regret CSV byte.
+    # Bursts of ck - 1, ck and ck + 1 rounds and negative ones put the
+    # crossing test end % ck < n at its edges
     rng = np.random.default_rng(53)
     led, ref = RoundLedger(5_000, checkpoint_every), RoundLedger(5_000, checkpoint_every)
+    ck = ref.checkpoint_every
+    edges = [ck - 1, ck, ck + 1, -1, -ck]
     while ref.remaining > 0 or rng.random() < 0.9:
-        n = int(rng.integers(0, rng.choice([2, 100, ref.remaining + 50], p=[0.5, 0.4, 0.1])))
+        if rng.random() < 0.3:
+            n = int(rng.choice(edges))
+        else:
+            n = int(rng.integers(0, rng.choice([2, 100, ref.remaining + 50], p=[0.5, 0.4, 0.1])))
         gap = float(rng.random()) if rng.random() < 0.9 else 0.0
         assert led.consume(n, gap) == _reference_consume(ref, n, gap)
         assert (led.consumed, led.cumulative_regret) == (ref.consumed, ref.cumulative_regret)
     assert led.checkpoints == ref.checkpoints
     assert led.consumed == 5_000
+    # every burst of -2..2ck+1 rounds from every start in three checkpoint periods
+    for start in range(3 * ck):
+        for n in range(-2, 2 * ck + 2):
+            led, ref = RoundLedger(5_000, ck), RoundLedger(5_000, ck)
+            led.consumed = ref.consumed = start
+            led.cumulative_regret = ref.cumulative_regret = 0.1 * start
+            assert led.consume(n, 0.3) == _reference_consume(ref, n, 0.3)
+            assert (led.consumed, led.cumulative_regret, led.checkpoints) == \
+                (ref.consumed, ref.cumulative_regret, ref.checkpoints), (start, n)
 
 
 def test_ledger_default_checkpoint_every():

@@ -615,7 +615,8 @@ def test_layers_tool_times_every_layer(monkeypatch):
     assert set(report["provenance"]) == {"git_revision", "git_dirty", "cpus", "python",
                                          "numpy", "machine"}
     sizes = {"qmc_estimate_us_per_call": 4, "zooming_us_per_stage": 4,
-             "classical_us_per_round": 6}
+             "classical_us_per_round": 6, "cover_us_per_move": 2,
+             "ledger_us_per_charge": 1}
     for section, size in sizes.items():
         assert len(report[section]) == size
         for entry in report[section].values():

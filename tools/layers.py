@@ -12,7 +12,12 @@ inputs, through no wrapper:
   `harness.run_single` trial over its completed stages, oracle calls
   included;
 * µs per classical round at T = 5e4 for the six classical cells of the
-  default sweep: a whole trial over T.
+  default sweep: a whole trial over T;
+* µs per `_Cover.set_radius` move, 1-D and 2-D: a replay of a seeded
+  sequence of radii, each outside its ball's band so that every call moves
+  the ball's box, on a cover whose balls were opened beforehand;
+* µs per `RoundLedger.consume(1, g)` charge: T = 5e4 one-round charges at
+  the default checkpoint interval.
 
 Every number is the median and quartiles over REPS repetitions after one
 warm-up, raw and scaled to the reference host speed.  The scale is that of
@@ -20,9 +25,9 @@ warm-up, raw and scaled to the reference host speed.  The scale is that of
 loop of small numpy calls, like the loops timed here) runs once, and the
 repetition's time is multiplied by REF_S["loop"] over the kernel's time.
 The script measures and checks nothing else; it uses only `qmc_estimate`,
-`Estimator`, `RoundLedger`, `ExperimentConfig`, `run_single` and
-`sweep_cells`, so the same file runs on older checkouts for before/after
-numbers.
+`Estimator`, `RoundLedger`, `ExperimentConfig`, `run_single`,
+`sweep_cells` and `_Cover`'s `activate` and `set_radius`, so the same file
+runs on older checkouts for before/after numbers.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ import numpy as np  # noqa: E402
 
 import worker  # noqa: E402
 from lipzoom import environment  # noqa: E402
+from lipzoom.algorithms import _Cover  # noqa: E402
 from lipzoom.environment import (  # noqa: E402
     Estimator,
     NoiseKind,
@@ -61,6 +67,8 @@ KERNEL = "loop"
 ORACLE_CALLS = 2_000  # qmc_estimate calls per repetition
 QUANTUM_T = 600_000  # the benchmark's quantum horizon (worker.QUANTUM_T)
 CLASSICAL_T = 50_000  # the default sweep's horizon
+COVER_BALLS = 32  # balls opened before the timed moves
+COVER_MOVES = 2_000  # set_radius moves per repetition
 
 
 def _stats(values: list[float]) -> dict[str, float]:
@@ -68,13 +76,15 @@ def _stats(values: list[float]) -> dict[str, float]:
     return {"p25": q1, "p50": median, "p75": q3}
 
 
-def _time(fn, per: float, reps: int) -> dict:
-    """µs per unit of `fn()`'s work (`per` units per call), raw and scaled."""
-    fn()  # warm-up: imports, caches, first allocations
+def _time(fn, per: float, reps: int, setup=tuple) -> dict:
+    """µs per unit of `fn(*setup())`'s work (`per` units per call), raw and
+    scaled; `setup()` runs before each call and is not timed."""
+    fn(*setup())  # warm-up: imports, caches, first allocations
     raw, scaled = [], []
     for _ in range(reps):
+        args = setup()
         t0 = time.perf_counter_ns()
-        fn()
+        fn(*args)
         us = (time.perf_counter_ns() - t0) / 1e3 / per
         raw.append(us)
         scaled.append(us * worker.REF_S[KERNEL] / worker.reference(KERNEL))
@@ -129,6 +139,56 @@ def classical_rounds(reps: int) -> dict:
     return out
 
 
+def _opened_cover(dimension: int) -> tuple[_Cover, list[float]]:
+    """A cover with COVER_BALLS balls, each opened and then shrunk to a seeded
+    radius, which leaves room for the next activation; and their radii."""
+    rng = np.random.default_rng(dimension)
+    cover, radii = _Cover(dimension), []
+    while len(radii) < COVER_BALLS and cover.activate() is not None:
+        radii.append(2.0 ** -rng.uniform(3, 9 if dimension == 1 else 6))
+        cover.set_radius(len(radii) - 1, radii[-1])
+    return cover, radii
+
+
+def cover_moves(reps: int) -> dict:
+    out = {}
+    for dimension in (1, 2):
+        # seeded radii, log-uniform over the lattice's scales, each kept only
+        # if it leaves its ball's band: every call of the replay moves a box
+        rng = np.random.default_rng(40 + dimension)
+        cover, radii = _opened_cover(dimension)
+        bands = [cover.set_radius(i, r) for i, r in enumerate(radii)]
+        moves = []
+        while len(moves) < COVER_MOVES:
+            i = int(rng.integers(len(radii)))
+            r = 2.0 ** -rng.uniform(0, 10 if dimension == 1 else 7)
+            lo, hi = bands[i]
+            if not lo <= r < hi:
+                moves.append((i, r))
+                bands[i] = cover.set_radius(i, r)
+
+        def replay(cover):
+            set_radius = cover.set_radius
+            for i, r in moves:
+                set_radius(i, r)
+
+        out[f"{dimension}-D"] = _time(replay, COVER_MOVES, reps,
+                                      setup=lambda: _opened_cover(dimension)[:1])
+    return out
+
+
+def ledger_charges(reps: int) -> dict:
+    gaps = np.random.default_rng(5).random(CLASSICAL_T).tolist()
+
+    def charges(ledger):
+        consume = ledger.consume
+        for g in gaps:
+            consume(1, g)
+
+    entry = _time(charges, CLASSICAL_T, reps, setup=lambda: (RoundLedger(CLASSICAL_T),))
+    return {"consume(1, g)": entry}
+
+
 def provenance() -> dict:
     def git(*args):
         return subprocess.run(["git", "--no-optional-locks", "-C", str(ROOT), *args],
@@ -148,6 +208,8 @@ def collect(reps: int = REPS) -> dict:
         "qmc_estimate_us_per_call": oracle_calls(reps),
         "zooming_us_per_stage": zooming_stages(reps),
         "classical_us_per_round": classical_rounds(reps),
+        "cover_us_per_move": cover_moves(reps),
+        "ledger_us_per_charge": ledger_charges(reps),
     }
 
 
