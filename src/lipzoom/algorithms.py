@@ -28,7 +28,7 @@ from .environment import (
     qmc_estimate,
     variates,
 )
-from .geometry import ActiveRegion, GeometryError, Point, _axis, maximal_packing
+from .geometry import ActiveRegion, Point, _Cover, maximal_packing
 
 
 @dataclass(frozen=True)
@@ -175,82 +175,6 @@ def run_qlae_bv(
 def select_arm(index: list[float]) -> int:
     """The arm with the largest index (estimate + 2*radius); first activated wins ties."""
     return index.index(max(index))
-
-
-class _Cover:
-    """Zooming activation lattice with a count, per candidate, of the balls covering it.
-
-    The lattice is `_axis(1/n)` with n = 512 in 1-D and 64 otherwise, so
-    candidate k on an axis sits at exactly k/n, and ball i is centred on
-    `centres[i]`, the i-th activated candidate, at cells `_cells[i]`.  Every
-    axis difference is then exactly |k - j|/n, and the candidates within r
-    of a centre are the cells with |k - j| <= w, w = int(min(r, 1) * n) on
-    every axis: the same box as `geometry.box`, without its search.  `count`
-    has the lattice's shape, one entry per candidate, and `uncovered` counts
-    its zeros.  A ball keeps its box, a numpy view of `count` on it, and its
-    band `(lo, hi)`: the largest axis distance inside the box and the
-    smallest outside it (inf when the box spans the whole lattice on every
-    axis).  A new radius in [lo, hi) keeps the box, so `set_radius` returns
-    at once; it returns the band, which lets the classical baseline skip
-    the call while its played arm's radius stays inside.
-    """
-
-    def __init__(self, dimension: int):
-        self.n = 512 if dimension == 1 else 64
-        self.coords = _axis(1.0 / self.n).tolist()
-        self.count = np.zeros((self.n + 1,) * dimension, dtype=np.int32)
-        self.uncovered = self.count.size
-        self.centres: list[Point] = []
-        self._cells: list[tuple[int, ...]] = []
-        self._reach: list[int] = []  # cells from the centre to the farthest face
-        self._boxes: list[tuple[slice, ...]] = []
-        self._views: list[np.ndarray] = []
-        self._bands: list[tuple[float, float]] = []
-
-    def activate(self) -> Point | None:
-        """Open a radius-1 ball on the first uncovered candidate and return it, or None."""
-        if not self.uncovered:
-            return None
-        k, cells = int(np.argmin(self.count)), []
-        for _ in range(self.count.ndim):
-            k, j = divmod(k, self.n + 1)
-            cells.append(j)
-        cells.reverse()
-        centre = tuple([self.coords[j] for j in cells])
-        self.centres.append(centre)
-        self._cells.append(tuple(cells))
-        self._reach.append(max(max(j, self.n - j) for j in cells))
-        self._boxes.append((slice(0, 0),) * len(cells))
-        self._views.append(self.count[self._boxes[-1]])
-        self._bands.append((math.inf, -math.inf))
-        self.set_radius(len(self.centres) - 1, 1.0)
-        return centre
-
-    def set_radius(self, i: int, r: float) -> tuple[float, float]:
-        """Move ball i to radius r and return its band `(lo, hi)`, which holds
-        any finite r.  A NaN or negative r raises GeometryError.
-        """
-        band = self._bands[i]
-        if band[0] <= r < band[1]:
-            return band
-        if not r >= 0:
-            raise GeometryError(f"radius must be non-negative, got {r}")
-        n, reach = self.n, self._reach[i]
-        w = int(min(r, 1.0) * n)
-        if w >= reach:
-            w, hi = reach, math.inf
-        else:
-            hi = (w + 1) / n
-        lo = w / n
-        self._bands[i] = (lo, hi)
-        if lo != band[0]:  # lo is the box's half-width in cells over n
-            self._views[i] -= 1
-            ball = tuple([slice(max(0, j - w), min(n, j + w) + 1) for j in self._cells[i]])
-            self._boxes[i] = ball
-            self._views[i] = view = self.count[ball]
-            view += 1
-            self.uncovered = self.count.size - int(np.count_nonzero(self.count))
-        return lo, hi
 
 
 def _run_zooming(

@@ -1,4 +1,5 @@
-"""Metric geometry on the unit cube: distances, ball regions and greedy packings.
+"""Metric geometry on the unit cube: distances, ball regions, greedy packings
+and the zooming activation cover.
 
 The arm space is always [0,1]^d with the L-infinity metric, |.| when
 d = 1, of diameter 1.  Packings are built by a deterministic greedy sweep
@@ -6,27 +7,24 @@ over a finite lattice of candidate points; because a maximal packing is
 automatically a covering, the returned points also cover every lattice
 candidate inside the region to within the packing radius.
 
-Under L-infinity a distance is at most r, or below eps, exactly when every
-axis difference is, so the lattice cells of a ball form a box: one
-contiguous range of per-axis indices per axis.  `_box_range` is the one rule
-for that range; it compares the differences `Metric.pairwise` computes on
-the same coordinates, so a box holds exactly the cells a distance scan
-accepts.  The packing sweep builds no lattice array: a cell is an index
-tuple into the per-axis coordinates, and region membership and greedy
-exclusion set or clear boxes of one boolean per cell.  The zooming cover
-(`algorithms._Cover`) keeps each of its balls as a box too, but builds it
-without `box`: its lattice spacing is 1/n with n a power of two and its
-centres are lattice points, so every coordinate is exactly k/n, every axis
-difference is exactly |k - j|/n, and the box is the cells with
-|k - j| <= int(min(r, 1) * n), found by no search.  `box` stays the rule
-for centres that need not sit on the lattice searched, as in the packing.
-Sizes are checked as `not x > 0`, which rejects NaN too.
+Every lattice is dyadic, spacing 1/n with n = 2^p, so coordinate k is
+exactly k/n and two coordinates differ by exactly |k - j|/n.  Under
+L-infinity a distance is at most r, or below eps, exactly when every axis
+difference is, so the lattice cells of a ball form a box: one contiguous
+range of per-axis indices per axis.  About a lattice cell j the box is
+`_cells_within`, the cells with |k - j| <= w, found by no search; the
+packing's exclusion and the cover's balls are such boxes.  `box` is the
+rule for centres off the lattice, as the packing's region centres: it
+compares the differences `Metric.pairwise` computes, so a box holds
+exactly the cells a distance scan accepts.  No lattice array is built: a
+cell is an index tuple into the per-axis coordinates.  Sizes are checked
+as `not x > 0`, which rejects NaN too.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,46 +97,37 @@ class ActiveRegion:
 
 
 def _axis(spacing: float) -> np.ndarray:
-    """Lattice coordinates along one axis: k*spacing, then 1.0 if short of it."""
-    n = int(np.floor(1.0 / spacing + 1e-12))
-    axis = np.arange(n + 1) * spacing
-    if axis[-1] < 1.0 - 1e-12:
-        axis = np.append(axis, 1.0)
-    return np.minimum(axis, 1.0)
+    """Lattice coordinates along one axis: k/n for k = 0..n, where spacing = 1/n
+    and n = 2^p; any other spacing raises GeometryError."""
+    if not spacing > 0:
+        raise GeometryError(f"lattice spacing must be positive, got {spacing}")
+    if not (spacing <= 1.0 and math.frexp(spacing)[0] == 0.5):
+        raise GeometryError(
+            f"lattice spacing must be 1/2^p for an integer p >= 0, got {spacing}")
+    n = int(1.0 / spacing)
+    return np.arange(n + 1) / n
 
 
 def lattice(dimension: int, spacing: float) -> np.ndarray:
-    """Row-major lattice over [0,1]^d with the given spacing.
-
-    Axis values are k*spacing for k = 0..floor(1/spacing); 1.0 is appended
-    when the last multiple falls short of it.
-    """
-    if not spacing > 0:
-        raise GeometryError(f"lattice spacing must be positive, got {spacing}")
+    """Row-major lattice over [0,1]^d with spacing 1/n, n = 2^p: axis values k/n, k = 0..n."""
     axis = _axis(spacing)
     grids = np.meshgrid(*([axis] * dimension), indexing="ij")
     return np.stack(grids, axis=-1).reshape(-1, dimension)
 
 
-def _box_range(
-    coords: list[float], x: float, r: float, strict: bool = False
-) -> tuple[int, int]:
-    """Index range [lo, hi) of the k with abs(coords[k] - x) <= r, or < r when strict.
+def _box_range(coords: list[float], x: float, r: float) -> tuple[int, int]:
+    """Index range [lo, hi) of the k with abs(coords[k] - x) <= r.
 
     `coords` is sorted, and the range is contiguous because float
     subtraction is monotone: bisect the window within r of x, with slack
     for rounding, then step each end inward to the exact test.
     """
-    def within(k: int) -> bool:
-        diff = abs(coords[k] - x)
-        return diff < r if strict else diff <= r
-
     reach = r + 1e-9
     lo = bisect.bisect_left(coords, x - reach)
     hi = bisect.bisect_right(coords, x + reach)
-    while lo < hi and not within(lo):
+    while lo < hi and not abs(coords[lo] - x) <= r:
         lo += 1
-    while hi > lo and not within(hi - 1):
+    while hi > lo and not abs(coords[hi - 1] - x) <= r:
         hi -= 1
     return lo, hi
 
@@ -148,13 +137,13 @@ def box(coords: list[float], centre: Point, r: float) -> tuple[slice, ...]:
     return tuple(slice(*_box_range(coords, x, r)) for x in centre)
 
 
-@functools.lru_cache(maxsize=64)
-def _exclusion_ranges(spacing: float, eps: float) -> tuple[tuple[int, ...], ...]:
-    """The pair (lo, hi) over `axis = _axis(spacing)`, where [lo[j], hi[j])
-    holds the k with abs(axis[k] - axis[j]) < eps: the strict `_box_range`
-    of every axis value.  Packings at one (spacing, eps) share it."""
-    axis = _axis(spacing).tolist()
-    return tuple(zip(*(_box_range(axis, x, eps, strict=True) for x in axis)))
+def _cells_within(cells: list[int] | tuple[int, ...], w: int, n: int) -> tuple[slice, ...]:
+    """The cells k with |k - j| <= w on every axis, j = `cells`, as one slice
+    per axis of cells 0..n: max(0, j - w) to min(n, j + w) + 1, written
+    without the max/min calls, which double its cost per packing acceptance
+    and per cover move."""
+    return tuple([slice(j - w if j > w else 0, j + w + 1 if j + w < n else n + 1)
+                  for j in cells])
 
 
 def maximal_packing(
@@ -173,17 +162,17 @@ def maximal_packing(
 
     No lattice array is built (see the module docstring): a cell is an
     index tuple into `_axis(spacing)`, and the sweep keeps one boolean per
-    cell.  Membership sets each centre's box and each acceptance clears
-    its eps-exclusion box, both by slicing.  An exclusion starts at the
-    accepted cell's own axis-0 index, and a forward cursor finds the next
-    eligible cell, since the sweep never returns to an earlier one.  The
-    points and their order are exactly those of a whole-lattice scan.
+    cell.  Membership sets each centre's `box` and each acceptance clears
+    its exclusion, `_cells_within` w: |k - j| * spacing < eps holds exactly
+    when |k - j| < eps / spacing, as spacing is a power of two.  A forward
+    cursor finds the next eligible cell, since the sweep never returns to
+    an earlier one.  The points and their order are exactly those of a
+    whole-lattice scan.
     """
     if not eps > 0:
         raise GeometryError(f"packing radius must be positive, got {eps}")
-    if not spacing > 0:
-        raise GeometryError(f"lattice spacing must be positive, got {spacing}")
-    if spacing > eps / 4 + 1e-12:
+    coords = _axis(spacing).tolist()
+    if 4 * spacing > eps:
         raise GeometryError(
             f"lattice spacing {spacing} too coarse for eps={eps}; need <= eps/4"
         )
@@ -195,14 +184,13 @@ def maximal_packing(
         raise GeometryError(
             f"centre dimension mismatch: expected {d}, got shape {centres.shape}"
         )
-    coords = _axis(spacing).tolist()
-    n = len(coords)
-    eligible = np.zeros((n,) * d, dtype=bool)
+    n = len(coords) - 1
+    eligible = np.zeros((n + 1,) * d, dtype=bool)
     for c in centres.tolist():
         eligible[box(coords, c, region.radius)] = True
-    lo, hi = _exclusion_ranges(spacing, eps)
+    w = math.ceil(min(eps, 2.0) / spacing) - 1  # any eps past the diameter excludes all
 
-    strides = [n**k for k in range(d - 1, -1, -1)]
+    strides = [(n + 1)**k for k in range(d - 1, -1, -1)]
     flat = eligible.reshape(-1)
     accepted: list[Point] = []
     i = 0
@@ -215,6 +203,81 @@ def maximal_packing(
             k, rest = divmod(rest, stride)
             idx.append(k)
         accepted.append(tuple([coords[k] for k in idx]))
-        eligible[(slice(idx[0], hi[idx[0]]), *[slice(lo[k], hi[k]) for k in idx[1:]])] = False
+        eligible[_cells_within(idx, w, n)] = False
         i += 1
     return accepted
+
+
+class _Cover:
+    """Zooming activation lattice with a count, per candidate, of the balls covering it.
+
+    The lattice is `_axis(1/n)` with n = 512 in 1-D and 64 otherwise, and
+    ball i is centred on `centres[i]`, the i-th activated candidate, at
+    cells `_cells[i]`.  Its candidates within r are the box
+    `_cells_within(_cells[i], w, n)`, w = int(min(r, 1) * n).  `count` has
+    the lattice's shape, one entry per candidate, and `uncovered` counts
+    its zeros.  A ball keeps its box, a numpy view of `count` on it, and its
+    band `(lo, hi)`: the largest axis distance inside the box and the
+    smallest outside it (inf when the box spans the whole lattice on every
+    axis).  A new radius in [lo, hi) keeps the box, so `set_radius` returns
+    at once; it returns the band, which lets the classical baseline skip
+    the call while its played arm's radius stays inside.
+    """
+
+    sides = (512, 64)  # lattice cells per axis on a line, and in more dimensions
+
+    def __init__(self, dimension: int):
+        self.n = self.sides[0] if dimension == 1 else self.sides[1]
+        self.coords = _axis(1.0 / self.n).tolist()
+        self.count = np.zeros((self.n + 1,) * dimension, dtype=np.int32)
+        self.uncovered = self.count.size
+        self.centres: list[Point] = []
+        self._cells: list[tuple[int, ...]] = []
+        self._reach: list[int] = []  # cells from the centre to the farthest face
+        self._boxes: list[tuple[slice, ...]] = []
+        self._views: list[np.ndarray] = []
+        self._bands: list[tuple[float, float]] = []
+
+    def activate(self) -> Point | None:
+        """Open a radius-1 ball on the first uncovered candidate and return it, or None."""
+        if not self.uncovered:
+            return None
+        k, cells = int(np.argmin(self.count)), []
+        for _ in range(self.count.ndim):
+            k, j = divmod(k, self.n + 1)
+            cells.append(j)
+        cells.reverse()
+        centre = tuple([self.coords[j] for j in cells])
+        self.centres.append(centre)
+        self._cells.append(tuple(cells))
+        self._reach.append(max(max(j, self.n - j) for j in cells))
+        self._boxes.append((slice(0, 0),) * len(cells))
+        self._views.append(self.count[self._boxes[-1]])
+        self._bands.append((math.inf, -math.inf))
+        self.set_radius(len(self.centres) - 1, 1.0)
+        return centre
+
+    def set_radius(self, i: int, r: float) -> tuple[float, float]:
+        """Move ball i to radius r and return its band `(lo, hi)`, which holds
+        any finite r.  A NaN or negative r raises GeometryError.
+        """
+        band = self._bands[i]
+        if band[0] <= r < band[1]:
+            return band
+        if not r >= 0:
+            raise GeometryError(f"radius must be non-negative, got {r}")
+        n, reach = self.n, self._reach[i]
+        w = int(min(r, 1.0) * n)
+        if w >= reach:
+            w, hi = reach, math.inf
+        else:
+            hi = (w + 1) / n
+        lo = w / n
+        self._bands[i] = (lo, hi)
+        if lo != band[0]:  # lo is the box's half-width in cells over n
+            self._views[i] -= 1
+            self._boxes[i] = ball = _cells_within(self._cells[i], w, n)
+            self._views[i] = view = self.count[ball]
+            view += 1
+            self.uncovered = self.count.size - int(np.count_nonzero(self.count))
+        return lo, hi

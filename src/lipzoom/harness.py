@@ -65,6 +65,13 @@ class ExperimentConfig:
             if value not in allowed:
                 problems.append(f"{name} must be one of {allowed}, got {value!r}")
         read = reads(self) if self.algorithm in CHOICES["algorithm"] else set()
+        counts = {"T": self.T, "trials": self.trials, "master_seed": self.master_seed}
+        if self.checkpoint_every is not None:
+            counts["checkpoint_every"] = self.checkpoint_every
+        for name, value in counts.items():
+            # a bool is an int to isinstance, and a float count runs wrong or crashes
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                problems.append(f"{name} must be an integer, got {value!r}")
         if self.T < 1:
             problems.append(f"T must be >= 1, got {self.T}")
         if not (0 < self.delta < 1):

@@ -50,7 +50,7 @@ def test_twodim_optimum_against_grid():
     m = twodim_model()
     assert m.mu(m.x_star) == pytest.approx(1.2 - 0.3 * math.hypot(0.8, 0.3))
     # brute-force confirmation that the first kink is the global optimum
-    pts = lattice(2, 1e-3 * 4)  # 251x251 grid is plenty at this smoothness
+    pts = lattice(2, 1 / 256)  # 257x257 grid is plenty at this smoothness
     best = max(m.mu(tuple(p)) for p in pts)
     assert best <= m.mu_star + 1e-9
 

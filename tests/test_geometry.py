@@ -1,5 +1,7 @@
 """Metric, region, lattice and packing tests, including property-based checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +12,9 @@ from lipzoom.geometry import (
     GeometryError,
     Metric,
     Point,
+    _Cover,
     _axis,
     _box_range,
-    _exclusion_ranges,
     box,
     lattice,
     maximal_packing,
@@ -120,9 +122,9 @@ def test_packing_rejects_dimension_mismatch():
 def test_lattice_endpoints():
     pts = lattice(1, 0.25)
     assert np.allclose(pts[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0])
-    # non-divisor spacing still reaches 1.0
-    pts = lattice(1, 0.3)
-    assert pts[0, 0] == 0.0 and pts[-1, 0] == 1.0
+    # every lattice is dyadic: a spacing that does not divide 1 has no lattice
+    with pytest.raises(GeometryError, match=r"1/2\^p"):
+        lattice(1, 0.3)
 
 
 def test_lattice_2d_row_major():
@@ -136,6 +138,23 @@ def test_lattice_2d_row_major():
 def test_lattice_bad_spacing():
     with pytest.raises(GeometryError):
         lattice(1, 0.0)
+
+
+def test_lattice_packing_and_cover_reject_non_dyadic_spacing(monkeypatch):
+    region = ActiveRegion.whole_space(1)
+    builds = [
+        lambda: lattice(1, 0.3),
+        lambda: lattice(2, 1 / 5.5),
+        lambda: lattice(1, 2.0),
+        lambda: maximal_packing(region, Metric(1), 0.5, 0.1),
+        lambda: maximal_packing(ActiveRegion((), 0.5), Metric(1), 0.5, 0.1),
+        lambda: _Cover(1),
+        lambda: _Cover(2),
+    ]
+    monkeypatch.setattr(_Cover, "sides", (48, 48))
+    for build in builds:
+        with pytest.raises(GeometryError, match=r"1/2\^p"):
+            build()
 
 
 _NAN = float("nan")
@@ -196,6 +215,9 @@ def test_packing_whole_interval_one():
     m = Metric(1)
     pts = maximal_packing(ActiveRegion.whole_space(1), m, 1.0, spacing=1 / 4)
     assert [p[0] for p in pts] == [0.0, 1.0]
+    # beyond the diameter every cell is within eps of the first
+    for eps in (1.5, 1e300, math.inf):
+        assert maximal_packing(ActiveRegion.whole_space(1), m, eps, spacing=1 / 4) == [(0.0,)]
 
 
 def test_packing_single_ball():
@@ -304,7 +326,7 @@ def _reference_packing(
 
 
 def _random_packing_case(rng, metric):
-    """Off-lattice centres, some near a face, with dyadic or non-dyadic spacing."""
+    """Off-lattice centres, some near a face, at spacing eps/4 or eps/8."""
     d = metric.dimension
     eps = 2.0 ** -int(rng.integers(1, 7))
     # the reference costs (accepted points) x (region candidates), so in
@@ -314,7 +336,7 @@ def _random_packing_case(rng, metric):
     near_face = rng.random(centres.shape) < 0.25
     k = int(near_face.sum())
     centres[near_face] = rng.choice([0.0, 0.97], k) + 0.03 * rng.random(k)
-    spacing = eps / 4 if rng.random() < 0.5 else float(rng.uniform(eps / 8, eps / 4))
+    spacing = eps / 4 if rng.random() < 0.5 else eps / 8
     region = ActiveRegion(tuple(tuple(c) for c in centres.tolist()), radius)
     return region, eps, spacing
 
@@ -330,10 +352,13 @@ def test_packing_matches_reference_on_random_regions(metric, seed):
 
 
 @pytest.mark.parametrize("metric", _PACKING_METRICS, ids=_METRIC_IDS)
-@pytest.mark.parametrize("eps", [0.5, 0.125, 1 / 16])
+@pytest.mark.parametrize("eps", [0.5, 0.125, 1 / 16, 0.3, 3 / 16])
 def test_packing_matches_reference_on_whole_space(metric, eps):
+    # the lattice is dyadic, eps need not be: eps/spacing is 4.8 and 9.6
+    # at 0.3, and a whole 6 and 12 at 3/16, where < and <= differ
     region = ActiveRegion.whole_space(metric.dimension)
-    for spacing in (eps / 4, eps / 5.5):
+    coarsest = 2.0 ** math.floor(math.log2(eps / 4))
+    for spacing in (coarsest, coarsest / 2):
         want = _reference_packing(region, metric, eps, spacing)
         assert maximal_packing(region, metric, eps, spacing) == want
 
@@ -372,29 +397,20 @@ def test_packing_matches_reference_on_qlae_survivor_regions():
         assert len(got) > 0
 
 
-# --- lattice-free box exclusion ---
+# --- lattice-free boxes ---
 
-@pytest.mark.parametrize("eps", [0.5, 0.25, 1 / 16, 1 / 64, 0.3])
-@pytest.mark.parametrize("divisor", [4, 5.5])
-def test_exclusion_ranges_match_brute_force(eps, divisor):
-    spacing = eps / divisor
-    axis = _axis(spacing).tolist()
-    assert axis[-1] == 1.0
-    if divisor == 5.5:
-        assert axis[-1] - axis[-2] < spacing  # the appended 1.0 face
-    clo, chi = _exclusion_ranges(spacing, eps)
-    assert len(clo) == len(chi) == len(axis)
-    for j, x in enumerate(axis):
-        near = [k for k, y in enumerate(axis) if abs(y - x) < eps]
-        assert near == list(range(clo[j], chi[j])), j
+def _sorted_coords(spacing: float) -> list[float]:
+    """k * spacing up to 1, then 1.0 if short of it: a sorted axis at any spacing."""
+    n = int(1 / spacing)
+    return [k * spacing for k in range(n + 1)] + ([1.0] if n * spacing < 1.0 else [])
 
 
 @pytest.mark.parametrize("spacing", [1 / 8, 1 / 64, 1 / 5.5, 0.3 / 5.5])
-@pytest.mark.parametrize("strict", [False, True])
-def test_box_range_matches_brute_force(spacing, strict):
-    coords = _axis(spacing).tolist()
+def test_box_range_matches_brute_force(spacing):
+    # `_box_range` takes any sorted coordinates, not only a dyadic lattice
+    coords = _sorted_coords(spacing)
     assert coords[-1] == 1.0
-    rng = np.random.default_rng(len(coords) + strict)
+    rng = np.random.default_rng(len(coords))
     # on the lattice: both faces and random cells; off it: near and past
     # both faces, and random points
     on = coords[:2] + coords[-2:] + rng.choice(coords, 6).tolist()
@@ -403,13 +419,12 @@ def test_box_range_matches_brute_force(spacing, strict):
         # radii exactly at a cell's distance, where < and <= differ, and between
         at_cell = [abs(coords[k] - x) for k in rng.integers(len(coords), size=4)]
         for r in at_cell + [spacing / 3, spacing, 2.5 * spacing, 0.1, 0.5, 1.0, 3.0]:
-            near = [k for k, c in enumerate(coords)
-                    if (abs(c - x) < r if strict else abs(c - x) <= r)]
-            lo, hi = _box_range(coords, x, r, strict)
+            near = [k for k, c in enumerate(coords) if abs(c - x) <= r]
+            lo, hi = _box_range(coords, x, r)
             assert near == list(range(lo, hi)), (x, r)
 
 
-@pytest.mark.parametrize("d, spacing", [(1, 1 / 64), (2, 1 / 16), (2, 1 / 5.5), (3, 1 / 8)])
+@pytest.mark.parametrize("d, spacing", [(1, 1 / 64), (2, 1 / 16), (2, 1 / 32), (3, 1 / 8)])
 def test_box_matches_whole_lattice_scan(d, spacing):
     coords = _axis(spacing).tolist()
     cells = lattice(d, spacing)
@@ -444,7 +459,7 @@ def test_packing_matches_reference_on_random_regions_3d():
 @pytest.mark.parametrize("eps", [0.5, 0.25, 0.125])
 def test_packing_matches_reference_on_whole_space_3d(eps):
     region = ActiveRegion.whole_space(3)
-    for spacing in (eps / 4, eps / 5.5):
+    for spacing in (eps / 4, eps / 8):
         want = _reference_packing(region, _LINF_3D, eps, spacing)
         assert maximal_packing(region, _LINF_3D, eps, spacing) == want
 
@@ -464,7 +479,7 @@ def test_packing_builds_no_lattice_and_calls_no_pairwise(monkeypatch):
     region, eps3, _ = _random_packing_case(rng, _LINF_3D)
     while eps3 < 1 / 8:  # keeps the whole-lattice reference cheap
         region, eps3, _ = _random_packing_case(rng, _LINF_3D)
-    cases = [twodim, (region, _LINF_3D, eps3, eps3 / 5.5)]
+    cases = [twodim, (region, _LINF_3D, eps3, eps3 / 8)]
     wants = [_reference_packing(*case) for case in cases]
 
     def refuse(*args, **kwargs):

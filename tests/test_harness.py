@@ -81,6 +81,19 @@ def test_config_is_checked_on_construction():
         assert exc.value.problems == problems
 
 
+@pytest.mark.parametrize("name, value", [
+    ("T", 5000.0), ("T", True), ("trials", 2.0), ("master_seed", 1.5),
+    ("checkpoint_every", 50.0),
+], ids=["T-float", "T-bool", "trials", "master_seed", "checkpoint_every"])
+def test_config_counts_must_be_integers(name, value):
+    # a float T writes float checkpoint rounds or crashes a run, and True
+    # runs one round; numpy integers stay accepted
+    with pytest.raises(ConfigError) as exc:
+        replace(FAST, **{name: value})
+    assert exc.value.problems == [f"{name} must be an integer, got {value!r}"]
+    assert getattr(replace(FAST, **{name: np.int64(50)}), name) == 50
+
+
 def test_config_audits_need_a_quantum_algorithm():
     with pytest.raises(ConfigError, match="^audit requires a quantum algorithm$"):
         ExperimentConfig(algorithm="classical_zooming", audits=True)
@@ -616,7 +629,7 @@ def test_layers_tool_times_every_layer(monkeypatch):
                                          "numpy", "machine"}
     sizes = {"qmc_estimate_us_per_call": 4, "zooming_us_per_stage": 4,
              "classical_us_per_round": 6, "cover_us_per_move": 2,
-             "ledger_us_per_charge": 1}
+             "ledger_us_per_charge": 1, "packing_ms_per_call": 16}
     for section, size in sizes.items():
         assert len(report[section]) == size
         for entry in report[section].values():

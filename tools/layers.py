@@ -17,7 +17,11 @@ inputs, through no wrapper:
   sequence of radii, each outside its ball's band so that every call moves
   the ball's box, on a cover whose balls were opened beforehand;
 * µs per `RoundLedger.consume(1, g)` charge: T = 5e4 one-round charges at
-  the default checkpoint interval.
+  the default checkpoint interval;
+* ms per `maximal_packing` call, by d and eps: each stage region of a
+  seeded qlae run (triangle and twodim at T = 6e5, seed 23, audits on),
+  re-packed as the run packed it: the whole space at eps 1/2, then each
+  stage's survivors, with that stage's eps as radius, at eps/2.
 
 Every number is the median and quartiles over REPS repetitions after one
 warm-up, raw and scaled to the reference host speed.  The scale is that of
@@ -25,9 +29,10 @@ warm-up, raw and scaled to the reference host speed.  The scale is that of
 loop of small numpy calls, like the loops timed here) runs once, and the
 repetition's time is multiplied by REF_S["loop"] over the kernel's time.
 The script measures and checks nothing else; it uses only `qmc_estimate`,
-`Estimator`, `RoundLedger`, `ExperimentConfig`, `run_single`,
-`sweep_cells` and `_Cover`'s `activate` and `set_radius`, so the same file
-runs on older checkouts for before/after numbers.
+`Estimator`, `RoundLedger`, `ExperimentConfig`, `run_single`'s results and
+stage audits, `sweep_cells`, `_Cover`'s `activate` and `set_radius`,
+`ActiveRegion` and `maximal_packing`, so the same file runs on older
+checkouts for before/after numbers.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import worker  # noqa: E402
 from lipzoom import environment  # noqa: E402
 from lipzoom.algorithms import _Cover  # noqa: E402
 from lipzoom.environment import (  # noqa: E402
+    REWARD_FACTORIES,
     Estimator,
     NoiseKind,
     NoiseModel,
@@ -60,6 +66,7 @@ from lipzoom.environment import (  # noqa: E402
     RoundLedger,
     triangle_model,
 )
+from lipzoom.geometry import ActiveRegion, maximal_packing  # noqa: E402
 from lipzoom.harness import ExperimentConfig, run_single, sweep_cells  # noqa: E402
 
 REPS = 21
@@ -189,6 +196,26 @@ def ledger_charges(reps: int) -> dict:
     return {"consume(1, g)": entry}
 
 
+def packings(reps: int) -> dict:
+    out = {}
+    for reward in ("triangle", "twodim"):
+        config = ExperimentConfig(algorithm="qlae", reward=reward, T=QUANTUM_T,
+                                  master_seed=23, audits=True)
+        metric = REWARD_FACTORIES[reward]().metric
+        stages = [(ActiveRegion.whole_space(metric.dimension), 0.5)]
+        for audit in run_single(config, 0).stage_audits:
+            if audit.survivors:
+                eps = audit.survivors[0][1]
+                stages.append((ActiveRegion(tuple(x for x, _ in audit.survivors), eps), eps / 2))
+        for region, eps in stages:
+            args = (region, metric, eps, eps / 4)
+            # 1000 units per call: µs per unit is ms per call
+            entry = _time(lambda: maximal_packing(*args), 1e3, reps)
+            key = f"d={metric.dimension} eps=1/{round(1 / eps)}"
+            out[key] = {**entry, "arms": len(maximal_packing(*args))}
+    return out
+
+
 def provenance() -> dict:
     def git(*args):
         return subprocess.run(["git", "--no-optional-locks", "-C", str(ROOT), *args],
@@ -210,6 +237,7 @@ def collect(reps: int = REPS) -> dict:
         "classical_us_per_round": classical_rounds(reps),
         "cover_us_per_move": cover_moves(reps),
         "ledger_us_per_charge": ledger_charges(reps),
+        "packing_ms_per_call": packings(reps),
     }
 
 
