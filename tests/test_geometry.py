@@ -15,6 +15,7 @@ from lipzoom.geometry import (
     _Cover,
     _axis,
     _box_range,
+    _cells_within,
     box,
     lattice,
     maximal_packing,
@@ -397,6 +398,24 @@ def test_packing_matches_reference_on_qlae_survivor_regions():
         assert len(got) > 0
 
 
+# --- the packing's exclusion box ---
+
+@pytest.mark.parametrize("eps", [0.5, 0.25, 1 / 16, 1 / 64, 0.3])
+@pytest.mark.parametrize("divisor", [4, 5.5])
+def test_exclusion_ranges_match_brute_force(eps, divisor):
+    # the packing clears `_cells_within` w = ceil(eps / spacing) - 1 about an
+    # accepted cell, on the finest dyadic lattice at or below eps / divisor;
+    # that box must hold exactly the axis values at distance < eps
+    spacing = 2.0 ** math.floor(math.log2(eps / divisor))
+    axis = _axis(spacing).tolist()
+    n = len(axis) - 1
+    w = math.ceil(eps / spacing) - 1
+    for j, x in enumerate(axis):
+        near = [k for k, y in enumerate(axis) if abs(y - x) < eps]
+        (cells,) = _cells_within((j,), w, n)
+        assert near == list(range(n + 1))[cells], j
+
+
 # --- lattice-free boxes ---
 
 def _sorted_coords(spacing: float) -> list[float]:
@@ -406,11 +425,14 @@ def _sorted_coords(spacing: float) -> list[float]:
 
 
 @pytest.mark.parametrize("spacing", [1 / 8, 1 / 64, 1 / 5.5, 0.3 / 5.5])
-def test_box_range_matches_brute_force(spacing):
-    # `_box_range` takes any sorted coordinates, not only a dyadic lattice
+@pytest.mark.parametrize("strict", [False, True])
+def test_box_range_matches_brute_force(spacing, strict):
+    # `_box_range` takes any sorted coordinates, not only a dyadic lattice.
+    # strict asks for the k with abs(c - x) < r, which for floats is the
+    # <= rule at the float just below r: exactness one ulp inside each radius
     coords = _sorted_coords(spacing)
     assert coords[-1] == 1.0
-    rng = np.random.default_rng(len(coords))
+    rng = np.random.default_rng(len(coords) + strict)
     # on the lattice: both faces and random cells; off it: near and past
     # both faces, and random points
     on = coords[:2] + coords[-2:] + rng.choice(coords, 6).tolist()
@@ -419,8 +441,9 @@ def test_box_range_matches_brute_force(spacing):
         # radii exactly at a cell's distance, where < and <= differ, and between
         at_cell = [abs(coords[k] - x) for k in rng.integers(len(coords), size=4)]
         for r in at_cell + [spacing / 3, spacing, 2.5 * spacing, 0.1, 0.5, 1.0, 3.0]:
-            near = [k for k, c in enumerate(coords) if abs(c - x) <= r]
-            lo, hi = _box_range(coords, x, r)
+            near = [k for k, c in enumerate(coords)
+                    if (abs(c - x) < r if strict else abs(c - x) <= r)]
+            lo, hi = _box_range(coords, x, math.nextafter(r, -math.inf) if strict else r)
             assert near == list(range(lo, hi)), (x, r)
 
 
