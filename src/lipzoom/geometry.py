@@ -146,6 +146,12 @@ def _cells_within(cells: list[int] | tuple[int, ...], w: int, n: int) -> tuple[s
                   for j in cells])
 
 
+def _exclusion_width(eps: float, spacing: float) -> int:
+    """The w with |k - j| * spacing < eps exactly when |k - j| <= w: spacing
+    is a power of two, so the test is |k - j| < eps / spacing, exactly."""
+    return math.ceil(min(eps, 2.0) / spacing) - 1  # any eps past the diameter excludes all
+
+
 def maximal_packing(
     region: ActiveRegion,
     metric: Metric,
@@ -163,11 +169,10 @@ def maximal_packing(
     No lattice array is built (see the module docstring): a cell is an
     index tuple into `_axis(spacing)`, and the sweep keeps one boolean per
     cell.  Membership sets each centre's `box` and each acceptance clears
-    its exclusion, `_cells_within` w: |k - j| * spacing < eps holds exactly
-    when |k - j| < eps / spacing, as spacing is a power of two.  A forward
-    cursor finds the next eligible cell, since the sweep never returns to
-    an earlier one.  The points and their order are exactly those of a
-    whole-lattice scan.
+    its exclusion, `_cells_within` w = `_exclusion_width(eps, spacing)`.
+    A forward cursor finds the next eligible cell, since the sweep never
+    returns to an earlier one.  The points and their order are exactly
+    those of a whole-lattice scan.
     """
     if not eps > 0:
         raise GeometryError(f"packing radius must be positive, got {eps}")
@@ -188,7 +193,7 @@ def maximal_packing(
     eligible = np.zeros((n + 1,) * d, dtype=bool)
     for c in centres.tolist():
         eligible[box(coords, c, region.radius)] = True
-    w = math.ceil(min(eps, 2.0) / spacing) - 1  # any eps past the diameter excludes all
+    w = _exclusion_width(eps, spacing)
 
     strides = [(n + 1)**k for k in range(d - 1, -1, -1)]
     flat = eligible.reshape(-1)
@@ -224,10 +229,8 @@ class _Cover:
     the call while its played arm's radius stays inside.
     """
 
-    sides = (512, 64)  # lattice cells per axis on a line, and in more dimensions
-
     def __init__(self, dimension: int):
-        self.n = self.sides[0] if dimension == 1 else self.sides[1]
+        self.n = 512 if dimension == 1 else 64
         self.coords = _axis(1.0 / self.n).tolist()
         self.count = np.zeros((self.n + 1,) * dimension, dtype=np.int32)
         self.uncovered = self.count.size

@@ -12,10 +12,10 @@ from lipzoom.geometry import (
     GeometryError,
     Metric,
     Point,
-    _Cover,
     _axis,
     _box_range,
     _cells_within,
+    _exclusion_width,
     box,
     lattice,
     maximal_packing,
@@ -141,7 +141,8 @@ def test_lattice_bad_spacing():
         lattice(1, 0.0)
 
 
-def test_lattice_packing_and_cover_reject_non_dyadic_spacing(monkeypatch):
+def test_lattice_and_packing_reject_non_dyadic_spacing():
+    # `_Cover` takes no spacing: its lattice is `_axis` at fixed 1/512 and 1/64
     region = ActiveRegion.whole_space(1)
     builds = [
         lambda: lattice(1, 0.3),
@@ -149,10 +150,7 @@ def test_lattice_packing_and_cover_reject_non_dyadic_spacing(monkeypatch):
         lambda: lattice(1, 2.0),
         lambda: maximal_packing(region, Metric(1), 0.5, 0.1),
         lambda: maximal_packing(ActiveRegion((), 0.5), Metric(1), 0.5, 0.1),
-        lambda: _Cover(1),
-        lambda: _Cover(2),
     ]
-    monkeypatch.setattr(_Cover, "sides", (48, 48))
     for build in builds:
         with pytest.raises(GeometryError, match=r"1/2\^p"):
             build()
@@ -403,13 +401,13 @@ def test_packing_matches_reference_on_qlae_survivor_regions():
 @pytest.mark.parametrize("eps", [0.5, 0.25, 1 / 16, 1 / 64, 0.3])
 @pytest.mark.parametrize("divisor", [4, 5.5])
 def test_exclusion_ranges_match_brute_force(eps, divisor):
-    # the packing clears `_cells_within` w = ceil(eps / spacing) - 1 about an
+    # the packing clears `_cells_within` w = `_exclusion_width` about an
     # accepted cell, on the finest dyadic lattice at or below eps / divisor;
     # that box must hold exactly the axis values at distance < eps
     spacing = 2.0 ** math.floor(math.log2(eps / divisor))
     axis = _axis(spacing).tolist()
     n = len(axis) - 1
-    w = math.ceil(eps / spacing) - 1
+    w = _exclusion_width(eps, spacing)
     for j, x in enumerate(axis):
         near = [k for k, y in enumerate(axis) if abs(y - x) < eps]
         (cells,) = _cells_within((j,), w, n)
