@@ -196,8 +196,7 @@ def _run_zooming(
 
     # every stage plays at least one round, so the horizon ends the loop
     for s in itertools.count(1):
-        y = cover.activate()
-        if y is not None:
+        if cover.activate() is not None:
             radii.append(1.0)
             index.append(2.0)
 
@@ -276,8 +275,10 @@ def run_classical_zooming(
     """Classical zooming baseline: one noisy sample per round.
 
     Each round activates the first uncovered lattice candidate, plays the
-    arm maximizing the running mean plus twice its confidence radius, and
-    updates that arm's statistics.
+    arm maximizing the running mean plus twice its confidence radius
+    sqrt(2 ln T * max(1, 4 sigma^2) / count), and updates that arm's
+    statistics.  The radius is Hoeffding's for rewards in [0,1], whose
+    variance proxy is 1/4, widened for sigma-sub-Gaussian noise above it.
 
     Only the played arm's index moves (`log_t` is fixed), so arm i stays
     the first-wins argmax while its index x has x > max(index[:i]) and
@@ -285,11 +286,11 @@ def run_classical_zooming(
     can only raise the second threshold.  The loop rescans only when that
     test fails, keeps arm i's statistics and the cover's band for it in
     locals between rescans, and calls `set_radius` only when the radius
-    leaves that band.
+    leaves that band, and `activate` only in round 1 and after such a call.
     """
     ledger = RoundLedger(T, checkpoint_every)
     cover = _Cover(model.metric.dimension)
-    log_t = 2.0 * math.log(T)
+    log_t = 2.0 * math.log(T) * max(1.0, 4.0 * noise.sigma**2)
     sqrt, inf = math.sqrt, math.inf
     means: list[float] = []
     gaps: list[float] = []
@@ -301,19 +302,21 @@ def run_classical_zooming(
     # arm 0, and before = inf makes that round rescan, which reads i's band.
     i, c, s, m, g, x = 0, 0, 0.0, 0.0, 0.0, 2.0
     before, after = inf, -inf
+    moved = True  # only a move uncovers a candidate: a new ball has radius 1
 
     # the loop draws its variates lazily, block by block; that keeps the
     # stream of T scalar draws only while nothing else in it reads rng
     for v in variates(noise, rng, T):
-        if cover.uncovered:
-            y = cover.activate()
-            means.append(model.mu(y))
-            gaps.append(model.mu_star - means[-1])  # gap(y), without a second mu
-            counts.append(0)
-            sums.append(0.0)
-            index.append(2.0)  # mean 0, radius 1
-            if after < 2.0:
-                after = 2.0
+        if moved:
+            moved = False
+            if (y := cover.activate()) is not None:
+                means.append(model.mu(y))
+                gaps.append(model.mu_star - means[-1])  # gap(y), without a second mu
+                counts.append(0)
+                sums.append(0.0)
+                index.append(2.0)  # mean 0, radius 1
+                if after < 2.0:
+                    after = 2.0
 
         if not (x > before and x >= after):
             counts[i], sums[i], index[i] = c, s, x
@@ -329,6 +332,7 @@ def run_classical_zooming(
         x = s / c + 2.0 * r
         if not lo <= r < hi:
             lo, hi = cover.set_radius(i, r)
+            moved = True
         ledger.consume(1, g)
 
     counts[i], sums[i], index[i] = c, s, x

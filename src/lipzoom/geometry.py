@@ -146,6 +146,15 @@ def _cells_within(cells: list[int] | tuple[int, ...], w: int, n: int) -> tuple[s
                   for j in cells])
 
 
+def _flat_cells(k: int, n: int, d: int) -> tuple[int, ...]:
+    """The per-axis cells of row-major flat index k over (n + 1)^d lattice cells."""
+    cells = []
+    for _ in range(d):
+        k, j = divmod(k, n + 1)
+        cells.append(j)
+    return tuple(cells[::-1])
+
+
 def _exclusion_width(eps: float, spacing: float) -> int:
     """The w with |k - j| * spacing < eps exactly when |k - j| <= w: spacing
     is a power of two, so the test is |k - j| < eps / spacing, exactly."""
@@ -195,7 +204,6 @@ def maximal_packing(
         eligible[box(coords, c, region.radius)] = True
     w = _exclusion_width(eps, spacing)
 
-    strides = [(n + 1)**k for k in range(d - 1, -1, -1)]
     flat = eligible.reshape(-1)
     accepted: list[Point] = []
     i = 0
@@ -203,10 +211,7 @@ def maximal_packing(
         i += int(flat[i:].argmax())
         if not flat[i]:
             break
-        idx, rest = [], i
-        for stride in strides:
-            k, rest = divmod(rest, stride)
-            idx.append(k)
+        idx = _flat_cells(i, n, d)
         accepted.append(tuple([coords[k] for k in idx]))
         eligible[_cells_within(idx, w, n)] = False
         i += 1
@@ -220,9 +225,9 @@ class _Cover:
     ball i is centred on `centres[i]`, the i-th activated candidate, at
     cells `_cells[i]`.  Its candidates within r are the box
     `_cells_within(_cells[i], w, n)`, w = int(min(r, 1) * n).  `count` has
-    the lattice's shape, one entry per candidate, and `uncovered` counts
-    its zeros.  A ball keeps its box, a numpy view of `count` on it, and its
-    band `(lo, hi)`: the largest axis distance inside the box and the
+    the lattice's shape, one entry per candidate, and a zero is an
+    uncovered candidate.  A ball keeps a numpy view of `count` on its box
+    and its band `(lo, hi)`: the largest axis distance inside the box and the
     smallest outside it (inf when the box spans the whole lattice on every
     axis).  A new radius in [lo, hi) keeps the box, so `set_radius` returns
     at once; it returns the band, which lets the classical baseline skip
@@ -233,29 +238,23 @@ class _Cover:
         self.n = 512 if dimension == 1 else 64
         self.coords = _axis(1.0 / self.n).tolist()
         self.count = np.zeros((self.n + 1,) * dimension, dtype=np.int32)
-        self.uncovered = self.count.size
         self.centres: list[Point] = []
         self._cells: list[tuple[int, ...]] = []
         self._reach: list[int] = []  # cells from the centre to the farthest face
-        self._boxes: list[tuple[slice, ...]] = []
         self._views: list[np.ndarray] = []
         self._bands: list[tuple[float, float]] = []
 
     def activate(self) -> Point | None:
         """Open a radius-1 ball on the first uncovered candidate and return it, or None."""
-        if not self.uncovered:
+        k = int(self.count.argmin())  # the first minimum in row-major order
+        if self.count.flat[k]:
             return None
-        k, cells = int(np.argmin(self.count)), []
-        for _ in range(self.count.ndim):
-            k, j = divmod(k, self.n + 1)
-            cells.append(j)
-        cells.reverse()
+        cells = _flat_cells(k, self.n, self.count.ndim)
         centre = tuple([self.coords[j] for j in cells])
         self.centres.append(centre)
-        self._cells.append(tuple(cells))
+        self._cells.append(cells)
         self._reach.append(max(max(j, self.n - j) for j in cells))
-        self._boxes.append((slice(0, 0),) * len(cells))
-        self._views.append(self.count[self._boxes[-1]])
+        self._views.append(self.count[:0])  # empty until the move below
         self._bands.append((math.inf, -math.inf))
         self.set_radius(len(self.centres) - 1, 1.0)
         return centre
@@ -279,8 +278,6 @@ class _Cover:
         self._bands[i] = (lo, hi)
         if lo != band[0]:  # lo is the box's half-width in cells over n
             self._views[i] -= 1
-            self._boxes[i] = ball = _cells_within(self._cells[i], w, n)
-            self._views[i] = view = self.count[ball]
+            self._views[i] = view = self.count[_cells_within(self._cells[i], w, n)]
             view += 1
-            self.uncovered = self.count.size - int(np.count_nonzero(self.count))
         return lo, hi

@@ -65,35 +65,48 @@ class ExperimentConfig:
             if value not in allowed:
                 problems.append(f"{name} must be one of {allowed}, got {value!r}")
         read = reads(self) if self.algorithm in CHOICES["algorithm"] else set()
-        counts = {"T": self.T, "trials": self.trials, "master_seed": self.master_seed}
+        # each numeric field's type first, so that no range check below
+        # compares a wrong type: a bool is an int to isinstance, a float
+        # count runs wrong or crashes, and numpy numbers are accepted
+        integer, real = (int, np.integer), (int, float, np.integer, np.floating)
+        kinds = {"T": integer, "trials": integer, "master_seed": integer,
+                 "delta": real, "c1": real, "c2": real}
         if self.checkpoint_every is not None:
-            counts["checkpoint_every"] = self.checkpoint_every
-        for name, value in counts.items():
-            # a bool is an int to isinstance, and a float count runs wrong or crashes
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                problems.append(f"{name} must be an integer, got {value!r}")
-        if self.T < 1:
+            kinds["checkpoint_every"] = integer
+        if self.noise == "gaussian":
+            kinds["sigma"] = real
+        typed = set()
+        for name, kind in kinds.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is integer else "a real number"
+                problems.append(f"{name} must be {what}, got {value!r}")
+            else:
+                typed.add(name)
+        if "T" in typed and self.T < 1:
             problems.append(f"T must be >= 1, got {self.T}")
-        if not (0 < self.delta < 1):
+        if "delta" in typed and not (0 < self.delta < 1):
             problems.append(f"delta must be in (0,1), got {self.delta}")
-        elif self.T >= 1 and "delta" in read and self.delta / self.T == 0.0:
+        elif ({"delta", "T"} <= typed and self.T >= 1 and "delta" in read
+              and self.delta / self.T == 0.0):
             problems.append(
                 f"delta must be large enough that delta/T > 0, got {self.delta} with T={self.T}")
-        if self.trials < 1:
+        if "trials" in typed and self.trials < 1:
             problems.append(f"trials must be >= 1, got {self.trials}")
-        if self.master_seed < 0:
+        if "master_seed" in typed and self.master_seed < 0:
             problems.append(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.noise == "gaussian" and not 0 < self.sigma < math.inf:
+        if "sigma" in typed and not 0 < self.sigma < math.inf:
             problems.append(f"sigma must be finite and > 0 for gaussian noise, got {self.sigma}")
         if "c2" in read and self.noise != "gaussian":
             problems.append(
                 f"algorithm {self.algorithm!r} requires gaussian noise, got {self.noise!r}")
         if self.audits and "audits" not in read:
             problems.append("audit requires a quantum algorithm")
-        for name, value in (("c1", self.c1), ("c2", self.c2)):
-            if not 1 < value < math.inf:
+        for name in ("c1", "c2"):
+            value = getattr(self, name)
+            if name in typed and not 1 < value < math.inf:
                 problems.append(f"{name} must be finite and > 1, got {value}")
-        if self.checkpoint_every is not None and not 1 <= self.checkpoint_every <= self.T:
+        if {"checkpoint_every", "T"} <= typed and not 1 <= self.checkpoint_every <= self.T:
             problems.append(
                 f"checkpoint_every must be in [1, T={self.T}], got {self.checkpoint_every}")
         if problems:

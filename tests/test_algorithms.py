@@ -77,11 +77,14 @@ def test_cover_matches_brute_force(metric):
     centres, radii = [], []
     outcomes = {"activated": 0, "covered": 0, "moved": 0, "unmoved": 0}
 
-    def check_counts():
-        assert cover.uncovered == np.count_nonzero(cover.count == 0)
+    def check_counts(i):
+        # the count, and ball i's box as its band implies it
         d = metric.pairwise(cand, np.asarray(centres))
-        np.testing.assert_array_equal(
-            cover.count.reshape(-1), (d <= np.asarray(radii)).sum(axis=1))
+        within = d <= np.asarray(radii)
+        np.testing.assert_array_equal(cover.count.reshape(-1), within.sum(axis=1))
+        ball = np.zeros(cover.count.shape, dtype=bool)
+        ball[_band_box(cover, i)] = True
+        np.testing.assert_array_equal(ball.reshape(-1), within[:, i])
 
     for _ in range(300):
         if centres:
@@ -100,7 +103,7 @@ def test_cover_matches_brute_force(metric):
             outcomes["activated"] += 1
             centres.append(got)
             radii.append(1.0)
-        check_counts()
+        check_counts(len(centres) - 1)
         for _ in range(int(rng.integers(1, 4))):
             i = int(rng.integers(len(centres)))
             dist = np.unique(metric.pairwise(cand, np.asarray(centres[i : i + 1])))
@@ -129,8 +132,14 @@ def test_cover_matches_brute_force(metric):
             assert band == cover._bands[i] and band[0] <= r < band[1]
             radii[i] = r
             outcomes["moved" if (cover.count != before).any() else "unmoved"] += 1
-            check_counts()
+            check_counts(i)
     assert min(outcomes.values()) >= 10
+
+
+def _band_box(cover, i):
+    # the box ball i's band implies: its lower end is the box's half-width
+    # in cells over n
+    return geometry._cells_within(cover._cells[i], round(cover._bands[i][0] * cover.n), cover.n)
 
 
 def _reference_band(coords, ball, centre):
@@ -180,14 +189,14 @@ def test_cover_boxes_and_bands_match_geometry_box(dimension, sample):
         for r in rng.permutation(radii).tolist():
             band = cover.set_radius(i, r)
             ball = geometry.box(coords, centre, r)
-            assert cover._boxes[i] == ball, (centre, r)
+            assert _band_box(cover, i) == ball, (centre, r)
             assert band == cover._bands[i] == _reference_band(coords, ball, centre), (centre, r)
             assert band[0] <= r < band[1]
     want = np.zeros_like(cover.count)
     for i in range(len(cover.centres)):
-        want[cover._boxes[i]] += 1
+        want[_band_box(cover, i)] += 1
     np.testing.assert_array_equal(cover.count, want)
-    assert cover.uncovered == np.count_nonzero(want == 0)
+    assert cover.activate() is None  # every cell is a centre, so covered
 
 
 @pytest.mark.parametrize("r", [math.nan, -math.inf, -1.0, -5e-324])
@@ -195,11 +204,39 @@ def test_cover_rejects_nan_and_negative_radius(r):
     cover = _Cover(2)
     cover.activate()
     cover.set_radius(0, 0.25)
-    count, band, ball = cover.count.copy(), cover._bands[0], cover._boxes[0]
+    count, band, ball = cover.count.copy(), cover._bands[0], _band_box(cover, 0)
+    assert count[ball].min() == count.max() == 1 and count.sum() == count[ball].size
     with pytest.raises(GeometryError, match="non-negative"):
         cover.set_radius(0, r)
     np.testing.assert_array_equal(cover.count, count)
-    assert (cover._bands[0], cover._boxes[0]) == (band, ball)
+    assert (cover._bands[0], _band_box(cover, 0)) == (band, ball)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_cover_activates_the_first_zero_in_row_major_order(dimension):
+    # activate() returns None exactly when every count is positive, and
+    # otherwise opens the first zero of the count in row-major order; between
+    # activations the widest ball shrinks by seeded factors, up to twice
+    rng = np.random.default_rng(50 + dimension)
+    cover, radii = _Cover(dimension), []
+    outcomes = {"opened": 0, "none": 0}
+    for _ in range(150):
+        count = cover.count.copy()
+        got = cover.activate()
+        if count.min() > 0:
+            assert got is None
+            np.testing.assert_array_equal(cover.count, count)
+            outcomes["none"] += 1
+        else:
+            first = np.unravel_index(np.flatnonzero(count == 0)[0], count.shape)
+            assert got == tuple(cover.coords[j] for j in first) == cover.centres[-1]
+            radii.append(1.0)
+            outcomes["opened"] += 1
+        for _ in range(int(rng.integers(0, 3))):
+            i = radii.index(max(radii))
+            radii[i] *= rng.uniform(0.2, 0.8)
+            cover.set_radius(i, radii[i])
+    assert min(outcomes.values()) >= 25
 
 
 def test_zooming_builds_no_lattice_and_calls_no_pairwise(monkeypatch):
@@ -498,7 +535,7 @@ def _reference_classical_zooming(model, noise, T, rng, checkpoint_every=None):
     # the per-round loop: rescan every arm, activate and set the radius each round
     ledger = RoundLedger(T, checkpoint_every)
     cover = _Cover(model.metric.dimension)
-    log_t = 2.0 * math.log(T)
+    log_t = 2.0 * math.log(T) * max(1.0, 4.0 * noise.sigma**2)
     means, gaps, counts, sums, index = [], [], [], [], []
     for v in variates(noise, rng, T):
         y = cover.activate()
@@ -516,6 +553,25 @@ def _reference_classical_zooming(model, noise, T, rng, checkpoint_every=None):
         cover.set_radius(i, r)
         ledger.consume(1, gaps[i])
     return algorithms._finish(ledger, T, [], [])
+
+
+@pytest.mark.parametrize("sigma,widen", [(None, 1), (SIGMA, 1), (0.5, 1), (1.0, 2), (3.0, 6)],
+                         ids=["bernoulli", "default", "half", "one", "three"])
+def test_classical_radius_widens_with_sigma_above_one_half(sigma, widen, monkeypatch):
+    # the radius is sqrt(2 ln T * max(1, 4 sigma^2) / count): Hoeffding's for
+    # rewards in [0,1] up to sigma = 1/2, so sigma = 1 doubles it; a radius
+    # per round, each at the played arm's whole count
+    noise = _bern() if sigma is None else NoiseModel(NoiseKind.GAUSSIAN, sigma)
+    args, sqrt = [], math.sqrt
+    monkeypatch.setattr(math, "sqrt", lambda a: args.append(a) or sqrt(a))
+    T = 2_000
+    run_classical_zooming(triangle_model(), noise, T, np.random.default_rng(24))
+    log_t = 2.0 * math.log(T) * widen**2
+    assert len(args) == T
+    # round 1 plays a new arm, at count 1
+    assert sqrt(args[0]) == pytest.approx(widen * sqrt(2.0 * math.log(T)), rel=1e-15)
+    counts = np.array([log_t / a for a in args])
+    np.testing.assert_allclose(counts, np.round(counts), rtol=1e-12)
 
 
 def _flat_model():

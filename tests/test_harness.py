@@ -94,6 +94,23 @@ def test_config_counts_must_be_integers(name, value):
     assert getattr(replace(FAST, **{name: np.int64(50)}), name) == 50
 
 
+@pytest.mark.parametrize("changes, name", [
+    ({"T": "5"}, "T"), ({"T": None}, "T"), ({"master_seed": None}, "master_seed"),
+    ({"delta": "0.1"}, "delta"), ({"noise": "gaussian", "sigma": None}, "sigma"),
+    ({"c1": "x"}, "c1"),
+], ids=["T-str", "T-None", "master_seed-None", "delta-str", "sigma-None", "c1-str"])
+def test_config_numbers_are_type_checked_first(changes, name):
+    # a wrong type is a ConfigError naming its field, not a TypeError from a
+    # range check; numpy numbers stay accepted
+    with pytest.raises(ConfigError) as exc:
+        replace(FAST, **changes)
+    what = "a real number" if name in ("delta", "sigma", "c1") else "an integer"
+    assert exc.value.problems == [f"{name} must be {what}, got {changes[name]!r}"]
+    ok = {"T": np.int64(50), "master_seed": np.int64(3), "delta": np.float32(0.25),
+          "sigma": np.float32(0.5), "c1": np.float32(2.5)}[name]
+    assert getattr(replace(FAST, **{**changes, name: ok}), name) == ok
+
+
 def test_config_audits_need_a_quantum_algorithm():
     with pytest.raises(ConfigError, match="^audit requires a quantum algorithm$"):
         ExperimentConfig(algorithm="classical_zooming", audits=True)
@@ -629,7 +646,8 @@ def test_layers_tool_times_every_layer(monkeypatch):
                                          "numpy", "machine"}
     sizes = {"qmc_estimate_us_per_call": 4, "zooming_us_per_stage": 4,
              "classical_us_per_round": 6, "cover_us_per_move": 2,
-             "ledger_us_per_charge": 1, "packing_ms_per_call": 16}
+             "cover_us_per_activate": 4, "ledger_us_per_charge": 1,
+             "packing_ms_per_call": 16}
     for section, size in sizes.items():
         assert len(report[section]) == size
         for entry in report[section].values():

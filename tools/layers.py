@@ -16,6 +16,11 @@ inputs, through no wrapper:
 * µs per `_Cover.set_radius` move, 1-D and 2-D: a replay of a seeded
   sequence of radii, each outside its ball's band so that every call moves
   the ball's box, on a cover whose balls were opened beforehand;
+* µs per `_Cover.activate` call, 1-D and 2-D, on covers opened as for
+  the moves: "covered" calls on such a cover after one more activation,
+  whose radius-1 ball covers every candidate, so each call returns None;
+  "opening" calls, one on each of ACTIVATIONS such covers, each of which
+  opens a ball;
 * µs per `RoundLedger.consume(1, g)` charge: T = 5e4 one-round charges at
   the default checkpoint interval;
 * ms per `maximal_packing` call, by d and eps: each stage region of a
@@ -76,6 +81,7 @@ QUANTUM_T = 600_000  # the benchmark's quantum horizon (worker.QUANTUM_T)
 CLASSICAL_T = 50_000  # the default sweep's horizon
 COVER_BALLS = 32  # balls opened before the timed moves
 COVER_MOVES = 2_000  # set_radius moves per repetition
+ACTIVATIONS = 100  # activate calls per repetition
 
 
 def _stats(values: list[float]) -> dict[str, float]:
@@ -184,6 +190,26 @@ def cover_moves(reps: int) -> dict:
     return out
 
 
+def cover_activations(reps: int) -> dict:
+    def calls(covers):
+        for cover in covers:
+            cover.activate()
+
+    def covered(dimension):
+        cover = _opened_cover(dimension)[0]
+        cover.activate()
+        return ([cover] * ACTIVATIONS,)
+
+    out = {}
+    for dimension in (1, 2):
+        out[f"{dimension}-D covered"] = _time(calls, ACTIVATIONS, reps,
+                                              setup=lambda: covered(dimension))
+        out[f"{dimension}-D opening"] = _time(
+            calls, ACTIVATIONS, reps,
+            setup=lambda: ([_opened_cover(dimension)[0] for _ in range(ACTIVATIONS)],))
+    return out
+
+
 def ledger_charges(reps: int) -> dict:
     gaps = np.random.default_rng(5).random(CLASSICAL_T).tolist()
 
@@ -236,6 +262,7 @@ def collect(reps: int = REPS) -> dict:
         "zooming_us_per_stage": zooming_stages(reps),
         "classical_us_per_round": classical_rounds(reps),
         "cover_us_per_move": cover_moves(reps),
+        "cover_us_per_activate": cover_activations(reps),
         "ledger_us_per_charge": ledger_charges(reps),
         "packing_ms_per_call": packings(reps),
     }
