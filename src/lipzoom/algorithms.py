@@ -290,7 +290,7 @@ def run_classical_zooming(
     """
     ledger = RoundLedger(T, checkpoint_every)
     cover = _Cover(model.metric.dimension)
-    log_t = 2.0 * math.log(T) * max(1.0, 4.0 * noise.sigma**2)
+    log_t = 2.0 * math.log(T) * max(1.0, 4.0 * noise.sigma * noise.sigma)
     sqrt, inf = math.sqrt, math.inf
     means: list[float] = []
     gaps: list[float] = []

@@ -3,6 +3,8 @@ dimension fits, clean-event and gap-bound lemma checks."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -10,7 +12,7 @@ import numpy as np
 
 from .algorithms import EstimateRecord, StageAudit
 from .environment import RewardModel
-from .geometry import lattice
+from .geometry import _axis
 
 
 @dataclass(frozen=True)
@@ -47,25 +49,47 @@ DIVISORS = (2, 3, 14, 16)
 
 @lru_cache(maxsize=1)
 def _lattice_gaps(model: RewardModel) -> tuple[np.ndarray, np.ndarray]:
-    """The `dim` lattice and the gap of each of its points, both read-only.
+    """The `dim` lattice's axis and the gap of each of its points, both read-only.
 
-    Its spacing is 1/8192 on a line and 1/256 in more dimensions.  A dimension
-    fit reads this one lattice at every radius, so its gaps are evaluated once.
+    Its spacing is 1/8192 on a line and 1/256 in more dimensions.  The gaps
+    form a grid of the lattice's shape, one axis per dimension, so the point
+    at index (i, j, ...) is (axis[i], axis[j], ...); no point array is
+    built.  A dimension fit reads this one lattice at every radius, so its
+    gaps are evaluated once.
     """
     dimension = model.metric.dimension
-    cand = lattice(dimension, 1.0 / 8192 if dimension == 1 else 1.0 / 256)
-    gaps = model.mu_star - model.mu_many(cand)
-    cand.flags.writeable = False
+    axis = _axis(1.0 / 8192 if dimension == 1 else 1.0 / 256)
+    shape = (len(axis),) * dimension
+    # row-major, as np.ndindex(shape): the last coordinate varies fastest
+    points = itertools.product(axis.tolist(), repeat=dimension)
+    gaps = model.mu_many(points, math.prod(shape))
+    np.subtract(model.mu_star, gaps, out=gaps)
+    axis.flags.writeable = False
     gaps.flags.writeable = False
-    return cand, gaps
+    return axis, gaps.reshape(shape)
 
 
 def near_optimal_set(model: RewardModel, r: float) -> np.ndarray:
     """`dim` lattice points with optimality gap in [r, 2r), an (n, d) array in row-major order."""
     if not (0 < r <= 1):
         raise ValueError(f"r must be in (0,1], got {r}")
-    cand, gaps = _lattice_gaps(model)
-    return cand[(gaps >= r) & (gaps < 2 * r)]
+    axis, gaps = _lattice_gaps(model)
+    band = np.flatnonzero((gaps >= r) & (gaps < 2 * r))
+    return axis[np.stack(np.unravel_index(band, gaps.shape), axis=-1)]
+
+
+def _distinct_cells(cells: np.ndarray) -> int:
+    """Number of distinct rows of an (n, d) array of non-negative integral floats.
+
+    Each row is coded as one float, the mixed-radix number of its entries
+    with radix one more than the largest entry in that column.  Codes below
+    2^53 are exact, so equal codes are equal rows.
+    """
+    codes = np.zeros(len(cells))
+    for column, top in zip(cells.T, cells.max(axis=0, initial=0.0)):
+        codes *= top + 1.0
+        codes += column
+    return len(set(codes.tolist()))
 
 
 def zooming_number(model: RewardModel, r: float, divisor: int = 3) -> int:
@@ -74,13 +98,22 @@ def zooming_number(model: RewardModel, r: float, divisor: int = 3) -> int:
     The balls are the cells of side 2*r/divisor, floor(x / side) per axis,
     that hold a point of the set: each cell is the closed L-infinity ball of
     radius r/divisor about its centre.  So the count is a valid cover, at
-    most 2^d times the smallest one with free centres.
+    most 2^d times the smallest one with free centres.  A cell index is at
+    most divisor/(2r) <= 1024 per axis, so the cell codes are exact up to
+    d = 5, past any `dim` lattice that fits in memory.
     """
     if divisor not in DIVISORS:
         raise ValueError(f"divisor must be one of {', '.join(map(str, DIVISORS))}, "
                          f"got {divisor}")
-    cells = np.floor(near_optimal_set(model, r) / (2 * r / divisor))
-    return len(set(map(tuple, cells.tolist())))
+    return _distinct_cells(np.floor(near_optimal_set(model, r) / (2 * r / divisor)))
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope and intercept of y against x, in closed form."""
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    slope = float(np.sum(dx * (y - y_mean)) / np.sum(dx * dx))
+    return slope, float(y_mean - slope * x_mean)
 
 
 def fit_zooming_dimension(model: RewardModel, divisor: int = 3) -> ZoomingProfile:
@@ -98,9 +131,9 @@ def fit_zooming_dimension(model: RewardModel, divisor: int = 3) -> ZoomingProfil
         return ZoomingProfile(radii, counts, 0.0, 0.0)
     x = np.log(1.0 / np.asarray(rs))
     y = np.log(np.asarray(cs, dtype=float))
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = _line_fit(x, y)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return ZoomingProfile(radii, counts, max(0.0, float(slope)), resid)
+    return ZoomingProfile(radii, counts, max(0.0, slope), resid)
 
 
 def audit_clean_event(records: list[EstimateRecord]) -> CleanEventReport:

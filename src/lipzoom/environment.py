@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -44,18 +44,21 @@ class RewardModel:
     def mu(self, x: Point) -> float:
         return min(1.0, max(0.0, float(self.raw(x))))
 
-    def mu_many(self, points: np.ndarray) -> np.ndarray:
-        """`mu` of each row of an (n, d) array.
+    def mu_many(self, points: Iterable[Point], count: int) -> np.ndarray:
+        """`mu` of each of `count` points, as a float array in their order.
 
         It calls the same scalar `raw` on the same floats and clips as `mu`
-        does, so every entry equals `mu` of its row bit for bit, whatever
-        the reward; only the per-point Python overhead of `mu` is gone.
+        does, so every entry equals `mu` of its point bit for bit, whatever
+        the reward; only the per-point Python overhead of `mu` is gone.  The
+        points are read one at a time and the clip is done in place, so the
+        result is the only array of `count` floats it allocates.
         """
-        raws = np.fromiter(map(self.raw, zip(*points.T.tolist())), float, len(points))
+        mus = np.fromiter(map(self.raw, points), float, count)
         # max(0.0, v) keeps v only when v > 0.0, and min(1.0, v) only when
         # v < 1.0; the same tests map NaN and -0.0 to 0.0 as `mu` does
-        raws = np.where(raws > 0.0, raws, 0.0)
-        return np.where(raws < 1.0, raws, 1.0)
+        np.copyto(mus, 0.0, where=~(mus > 0.0))
+        np.copyto(mus, 1.0, where=~(mus < 1.0))
+        return mus
 
     def gap(self, x: Point) -> float:
         return self.mu_star - self.mu(x)

@@ -18,6 +18,7 @@ from lipzoom.algorithms import (
     run_qzooming_bv,
     select_arm,
 )
+from lipzoom.cli import cli_main
 from lipzoom.environment import (
     Estimator,
     NoiseKind,
@@ -535,7 +536,7 @@ def _reference_classical_zooming(model, noise, T, rng, checkpoint_every=None):
     # the per-round loop: rescan every arm, activate and set the radius each round
     ledger = RoundLedger(T, checkpoint_every)
     cover = _Cover(model.metric.dimension)
-    log_t = 2.0 * math.log(T) * max(1.0, 4.0 * noise.sigma**2)
+    log_t = 2.0 * math.log(T) * max(1.0, 4.0 * noise.sigma * noise.sigma)
     means, gaps, counts, sums, index = [], [], [], [], []
     for v in variates(noise, rng, T):
         y = cover.activate()
@@ -572,6 +573,26 @@ def test_classical_radius_widens_with_sigma_above_one_half(sigma, widen, monkeyp
     assert sqrt(args[0]) == pytest.approx(widen * sqrt(2.0 * math.log(T)), rel=1e-15)
     counts = np.array([log_t / a for a in args])
     np.testing.assert_allclose(counts, np.round(counts), rtol=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [1e200, 1e300])
+def test_classical_zooming_runs_where_sigma_squared_overflows(sigma, tmp_path):
+    # 4 sigma^2 is past the largest float: the radius is infinite, not an
+    # OverflowError, and the run still plays and charges all T rounds
+    noise = NoiseModel(NoiseKind.GAUSSIAN, sigma)
+    for factory in (triangle_model, twodim_model):
+        T = 300
+        g, twin = np.random.default_rng(5), np.random.default_rng(5)
+        got = run_classical_zooming(factory(), noise, T, g)
+        want = _reference_classical_zooming(factory(), noise, T, twin)
+        assert got.total_rounds == T and got.checkpoints == want.checkpoints
+        regrets = [r for _, r in got.checkpoints]
+        assert [n for n, _ in got.checkpoints][-1] == T
+        assert all(math.isfinite(r) for r in regrets)
+        assert regrets == sorted(regrets)
+    argv = ["run", "--algorithm", "classical_zooming", "--noise", "gaussian",
+            "--sigma", str(sigma), "--T", "100", "--trials", "1", "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
 
 
 def _flat_model():

@@ -1,6 +1,7 @@
 """Near-optimal sets, zooming numbers, dimension fits and audit hooks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from lipzoom.algorithms import EstimateRecord, StageAudit
 from lipzoom.diagnostics import (
     DIVISORS,
+    _distinct_cells,
+    _lattice_gaps,
+    _line_fit,
     audit_clean_event,
     audit_qlae_lemmas,
     audit_qzooming_lemma,
@@ -23,7 +27,7 @@ from lipzoom.environment import (
     triangle_model,
     twodim_model,
 )
-from lipzoom.geometry import Metric
+from lipzoom.geometry import Metric, lattice
 from lipzoom.harness import ExperimentConfig, run_single
 
 
@@ -36,6 +40,19 @@ def test_near_optimal_set_triangle():
         assert lo - 1e-9 <= abs(x - 1 / 3) < hi + 1e-9
     # both sides of the peak are populated
     assert any(x < 1 / 3 for (x,) in pts) and any(x > 1 / 3 for (x,) in pts)
+
+
+@pytest.mark.parametrize("factory,spacing", [(triangle_model, 1 / 8192),
+                                             (twodim_model, 1 / 256)])
+def test_near_optimal_set_matches_lattice_rows(factory, spacing):
+    # the gap grid's band is the lattice rows whose scalar gap is in [r, 2r),
+    # the same floats in the same row-major order
+    model = factory()
+    pts = lattice(model.metric.dimension, spacing)
+    gaps = np.array([model.gap(tuple(p)) for p in pts.tolist()])
+    for r in RADII:
+        got, want = near_optimal_set(model, r), pts[(gaps >= r) & (gaps < 2 * r)]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_near_optimal_set_validation():
@@ -165,6 +182,50 @@ def test_fit_dimension_profiles_pinned(reward, divisor):
     # N_z(r) asked for at one radius reads the fit's lattice: one rule
     assert tuple(zooming_number(model, r, divisor) for r in prof.radii) == counts
     assert (f"{prof.fitted_dimension:.4f}", f"{prof.fit_residual:.4f}") == (dim, resid)
+
+
+def test_line_fit_matches_polyfit_on_pinned_profiles():
+    # the closed-form fit against numpy's least squares, on the fit's own inputs
+    for reward, divisor in DIM_PROFILES:
+        counts = DIM_PROFILES[reward, divisor][0]
+        x = np.log(1.0 / np.asarray(RADII))
+        y = np.log(np.asarray(counts, dtype=float))
+        np.testing.assert_allclose(_line_fit(x, y), np.polyfit(x, y, 1), rtol=0, atol=1e-12)
+
+
+def test_line_fit_matches_polyfit_on_random_inputs():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(4, 7))
+        x = np.log(1.0 / rng.choice(RADII, n, replace=False))
+        y = np.log(rng.integers(1, 2000, n).astype(float))
+        np.testing.assert_allclose(_line_fit(x, y), np.polyfit(x, y, 1), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_distinct_cells_matches_row_tuples(dimension):
+    # one float code per row counts what a set of row tuples counts
+    rng = np.random.default_rng(dimension)
+    assert _distinct_cells(np.zeros((0, dimension))) == 0
+    for _ in range(200):
+        n = int(rng.integers(0, 400))
+        side = 2 * rng.choice(RADII) / rng.choice(DIVISORS)
+        cells = np.floor(rng.random((n, dimension)) / side)
+        assert _distinct_cells(cells) == len(set(map(tuple, cells.tolist())))
+
+
+def test_lattice_gaps_peak_memory_per_point():
+    # the 2-D dim lattice holds one gap per point and no point array: a float
+    # per point, plus transient masks, at the traced peak
+    model = twodim_model()
+    tracemalloc.start()
+    try:
+        axis, gaps = _lattice_gaps.__wrapped__(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gaps.shape == (len(axis),) * 2 == (257, 257)
+    assert peak <= 16 * gaps.size
 
 
 def test_zooming_number_2d_calls_no_pairwise(monkeypatch):

@@ -7,6 +7,9 @@ inputs, through no wrapper:
 
 * µs per contract-mode `qmc_estimate` call, qmc1 and qmc2 at eps 1/8 and
   1/64 (fault injection on, as in the default config);
+* µs per empirical-mode `qmc_estimate` call, under Bernoulli and gaussian
+  noise, at qmc1 budgets of about 10^2, 10^3, 10^4 and 10^5 queries, on
+  both sides of the 4096-float variate block;
 * µs per quantum zooming stage, `run_qzooming` (bernoulli) and
   `run_qzooming_bv` (gaussian) on triangle and twodim at T = 6e5: a whole
   `harness.run_single` trial over its completed stages, oracle calls
@@ -26,7 +29,10 @@ inputs, through no wrapper:
 * ms per `maximal_packing` call, by d and eps: each stage region of a
   seeded qlae run (triangle and twodim at T = 6e5, seed 23, audits on),
   re-packed as the run packed it: the whole space at eps 1/2, then each
-  stage's survivors, with that stage's eps as radius, at eps/2.
+  stage's survivors, with that stage's eps as radius, at eps/2;
+* ms per `fit_zooming_dimension(model, 3)` for each of the three rewards,
+  with the `_lattice_gaps` cache cleared before each call, so that every
+  call builds its gap lattice.
 
 Every number is the median and quartiles over REPS repetitions after one
 warm-up, raw and scaled to the reference host speed.  The scale is that of
@@ -34,15 +40,17 @@ warm-up, raw and scaled to the reference host speed.  The scale is that of
 loop of small numpy calls, like the loops timed here) runs once, and the
 repetition's time is multiplied by REF_S["loop"] over the kernel's time.
 The script measures and checks nothing else; it uses only `qmc_estimate`,
-`Estimator`, `RoundLedger`, `ExperimentConfig`, `run_single`'s results and
-stage audits, `sweep_cells`, `_Cover`'s `activate` and `set_radius`,
-`ActiveRegion` and `maximal_packing`, so the same file runs on older
-checkouts for before/after numbers.
+`Estimator`, `QuantumOracleSim`, `RoundLedger`, `ExperimentConfig`,
+`run_single`'s results and stage audits, `sweep_cells`, `_Cover`'s
+`activate` and `set_radius`, `ActiveRegion`, `maximal_packing`,
+`fit_zooming_dimension` and `_lattice_gaps.cache_clear`, so the same file
+runs on older checkouts for before/after numbers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import statistics
@@ -61,6 +69,7 @@ import numpy as np  # noqa: E402
 import worker  # noqa: E402
 from lipzoom import environment  # noqa: E402
 from lipzoom.algorithms import _Cover  # noqa: E402
+from lipzoom.diagnostics import _lattice_gaps, fit_zooming_dimension  # noqa: E402
 from lipzoom.environment import (  # noqa: E402
     REWARD_FACTORIES,
     Estimator,
@@ -77,6 +86,8 @@ from lipzoom.harness import ExperimentConfig, run_single, sweep_cells  # noqa: E
 REPS = 21
 KERNEL = "loop"
 ORACLE_CALLS = 2_000  # qmc_estimate calls per repetition
+EMPIRICAL_BUDGETS = (100, 1_000, 10_000, 100_000)  # queries per empirical call
+EMPIRICAL_QUERIES = 100_000  # empirical-mode queries per repetition
 QUANTUM_T = 600_000  # the benchmark's quantum horizon (worker.QUANTUM_T)
 CLASSICAL_T = 50_000  # the default sweep's horizon
 COVER_BALLS = 32  # balls opened before the timed moves
@@ -127,6 +138,28 @@ def oracle_calls(reps: int) -> dict:
                     environment.qmc_estimate(oracle, estimator, model, x, eps, ledger)
 
             out[f"{form} eps=1/{2 ** k}"] = _time(calls, ORACLE_CALLS, reps)
+    return out
+
+
+def empirical_calls(reps: int) -> dict:
+    config = ExperimentConfig()
+    model, x = triangle_model(), (0.5,)
+    delta = config.delta / QUANTUM_T
+    out = {}
+    for noise in (NoiseModel(NoiseKind.BERNOULLI), NoiseModel(NoiseKind.GAUSSIAN, config.sigma)):
+        estimator = Estimator(noise, delta, config.c1)
+        for target in EMPIRICAL_BUDGETS:
+            # the qmc1 budget ceil((c1/eps) ln(1/delta)) is about target at this eps
+            eps = config.c1 * math.log(1.0 / delta) / target
+            calls = EMPIRICAL_QUERIES // target
+            oracle = QuantumOracleSim(OracleMode.EMPIRICAL, False, np.random.default_rng(target))
+
+            def run():
+                ledger = RoundLedger(10**15, 10**15)
+                for _ in range(calls):
+                    environment.qmc_estimate(oracle, estimator, model, x, eps, ledger)
+
+            out[f"{noise.kind.value} queries={estimator.queries(eps)}"] = _time(run, calls, reps)
     return out
 
 
@@ -242,6 +275,19 @@ def packings(reps: int) -> dict:
     return out
 
 
+def dim_fits(reps: int) -> dict:
+    def cleared():
+        _lattice_gaps.cache_clear()
+        return ()
+
+    out = {}
+    for reward, factory in REWARD_FACTORIES.items():
+        model = factory()
+        # 1000 units per call: µs per unit is ms per call
+        out[reward] = _time(lambda: fit_zooming_dimension(model, 3), 1e3, reps, setup=cleared)
+    return out
+
+
 def provenance() -> dict:
     def git(*args):
         return subprocess.run(["git", "--no-optional-locks", "-C", str(ROOT), *args],
@@ -259,12 +305,14 @@ def collect(reps: int = REPS) -> dict:
         "repetitions": reps,
         "scale": f"benchmarks/worker.py reference({KERNEL!r}), REF_S = {worker.REF_S[KERNEL]}",
         "qmc_estimate_us_per_call": oracle_calls(reps),
+        "qmc_estimate_empirical_us_per_call": empirical_calls(reps),
         "zooming_us_per_stage": zooming_stages(reps),
         "classical_us_per_round": classical_rounds(reps),
         "cover_us_per_move": cover_moves(reps),
         "cover_us_per_activate": cover_activations(reps),
         "ledger_us_per_charge": ledger_charges(reps),
         "packing_ms_per_call": packings(reps),
+        "dim_ms_per_fit": dim_fits(reps),
     }
 
 
