@@ -193,15 +193,20 @@ def _run_zooming(
     index: list[float] = []
     records: list[EstimateRecord] = []
     stage_audits: list[StageAudit] = []
+    # under audits, each arm's (centre, radius), replaced only when the arm
+    # is opened or halved, so that the stage snapshots share the pairs
+    pairs: list[tuple[Point, float]] = []
 
     # every stage plays at least one round, so the horizon ends the loop
     for s in itertools.count(1):
-        if cover.activate() is not None:
+        if (y := cover.activate()) is not None:
             radii.append(1.0)
             index.append(2.0)
+            if audits:
+                pairs.append((y, 1.0))
 
         if audits:
-            stage_audits.append(StageAudit(s, tuple(zip(cover.centres, radii))))
+            stage_audits.append(StageAudit(s, tuple(pairs)))
 
         i = select_arm(index)
         radii[i] /= 2.0
@@ -213,6 +218,7 @@ def _run_zooming(
         est, _, _ = qmc_estimate(oracle, estimator, model, x, eps, ledger)
         index[i] = est + 2.0 * eps
         if audits:
+            pairs[i] = (x, eps)
             records.append(EstimateRecord(s, x, eps, est, model.mu(x)))
 
     # stage s did not fit in the horizon

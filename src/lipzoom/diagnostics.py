@@ -69,27 +69,21 @@ def _lattice_gaps(model: RewardModel) -> tuple[np.ndarray, np.ndarray]:
     return axis, gaps.reshape(shape)
 
 
-def near_optimal_set(model: RewardModel, r: float) -> np.ndarray:
-    """`dim` lattice points with optimality gap in [r, 2r), an (n, d) array in row-major order."""
+def _band(model: RewardModel, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The `dim` lattice's axis and a boolean grid of its points with gap in [r, 2r)."""
     if not (0 < r <= 1):
         raise ValueError(f"r must be in (0,1], got {r}")
     axis, gaps = _lattice_gaps(model)
-    band = np.flatnonzero((gaps >= r) & (gaps < 2 * r))
-    return axis[np.stack(np.unravel_index(band, gaps.shape), axis=-1)]
+    mask = np.greater_equal(gaps, r)
+    mask &= gaps < 2 * r
+    return axis, mask
 
 
-def _distinct_cells(cells: np.ndarray) -> int:
-    """Number of distinct rows of an (n, d) array of non-negative integral floats.
-
-    Each row is coded as one float, the mixed-radix number of its entries
-    with radix one more than the largest entry in that column.  Codes below
-    2^53 are exact, so equal codes are equal rows.
-    """
-    codes = np.zeros(len(cells))
-    for column, top in zip(cells.T, cells.max(axis=0, initial=0.0)):
-        codes *= top + 1.0
-        codes += column
-    return len(set(codes.tolist()))
+def near_optimal_set(model: RewardModel, r: float) -> np.ndarray:
+    """`dim` lattice points with optimality gap in [r, 2r), an (n, d) array in row-major order."""
+    axis, mask = _band(model, r)
+    band = np.flatnonzero(mask)
+    return axis[np.stack(np.unravel_index(band, mask.shape), axis=-1)]
 
 
 def zooming_number(model: RewardModel, r: float, divisor: int = 3) -> int:
@@ -98,14 +92,21 @@ def zooming_number(model: RewardModel, r: float, divisor: int = 3) -> int:
     The balls are the cells of side 2*r/divisor, floor(x / side) per axis,
     that hold a point of the set: each cell is the closed L-infinity ball of
     radius r/divisor about its centre.  So the count is a valid cover, at
-    most 2^d times the smallest one with free centres.  A cell index is at
-    most divisor/(2r) <= 1024 per axis, so the cell codes are exact up to
-    d = 5, past any `dim` lattice that fits in memory.
+    most 2^d times the smallest one with free centres.  The axis is sorted,
+    so each cell's points form one block per axis of the band's boolean
+    grid: a `reduceat` per axis ORs each block to one flag, and the count is
+    the flags that are set.  No point's coordinates are built.
     """
     if divisor not in DIVISORS:
         raise ValueError(f"divisor must be one of {', '.join(map(str, DIVISORS))}, "
                          f"got {divisor}")
-    return _distinct_cells(np.floor(near_optimal_set(model, r) / (2 * r / divisor)))
+    axis, occupied = _band(model, r)
+    cells = axis / (2 * r / divisor)
+    np.floor(cells, out=cells)
+    starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])  # each cell's first index
+    for k in range(occupied.ndim):
+        occupied = np.logical_or.reduceat(occupied, starts, axis=k)
+    return int(np.count_nonzero(occupied))
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

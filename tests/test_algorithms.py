@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from lipzoom.environment import (
     variates,
 )
 from lipzoom.geometry import GeometryError, Metric, lattice
+from lipzoom.harness import ExperimentConfig, run_single
 
 SIGMA = math.sqrt(0.1)
 
@@ -484,6 +486,24 @@ def test_zooming_matches_reference(factory, noise, c2, mode):
             assert got.estimate_records == want.estimate_records, setting
             assert got.stage_audits == want.stage_audits, setting
             assert g.bit_generator.state == twin.bit_generator.state, setting
+
+
+def test_zooming_audit_snapshots_share_arm_pairs():
+    # an arm's (centre, radius) pair is built when it is opened or halved and
+    # shared by every later snapshot: about a pointer per (stage, arm) entry,
+    # counting each distinct object the snapshots reach once
+    config = ExperimentConfig(algorithm="qzooming", reward="twodim", noise="bernoulli",
+                              T=600_000, trials=1, master_seed=23, audits=True)
+    sizes, entries = {}, 0
+    for audit in run_single(config, 0).stage_audits:
+        entries += len(audit.arms)
+        objects = [audit.arms]
+        for pair in audit.arms:
+            centre, radius = pair
+            objects += [pair, centre, radius, *centre]
+        sizes.update((id(o), sys.getsizeof(o)) for o in objects)
+    assert entries > 1000
+    assert sum(sizes.values()) <= 16 * entries
 
 
 @pytest.mark.parametrize("runner,noise,budget", [

@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lipzoom import diagnostics
 from lipzoom.algorithms import EstimateRecord, StageAudit
 from lipzoom.diagnostics import (
     DIVISORS,
-    _distinct_cells,
     _lattice_gaps,
     _line_fit,
     audit_clean_event,
@@ -58,6 +58,12 @@ def test_near_optimal_set_matches_lattice_rows(factory, spacing):
 def test_near_optimal_set_validation():
     with pytest.raises(ValueError):
         near_optimal_set(triangle_model(), 0.0)
+
+
+@pytest.mark.parametrize("r", [0.0, math.nan, 1.5])
+def test_zooming_number_radius_validation(r):
+    with pytest.raises(ValueError, match=r"^r must be in \(0,1\], got "):
+        zooming_number(triangle_model(), r)
 
 
 def test_zooming_number_triangle_matches_interval_oracle():
@@ -203,15 +209,38 @@ def test_line_fit_matches_polyfit_on_random_inputs():
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
-def test_distinct_cells_matches_row_tuples(dimension):
-    # one float code per row counts what a set of row tuples counts
+def test_distinct_cells_matches_row_tuples(dimension, monkeypatch):
+    # the per-axis block count counts what a set of floored row tuples
+    # counts, on seeded sorted axes and bands: the grid's gap is r on the
+    # band and 0 off it, so the band at radius r is the seeded mask
     rng = np.random.default_rng(dimension)
-    assert _distinct_cells(np.zeros((0, dimension))) == 0
+    model = triangle_model()  # its gaps are never read
+    axis, gaps = np.linspace(0, 1, 9), np.zeros((9,) * dimension)
+    monkeypatch.setattr(diagnostics, "_lattice_gaps", lambda model: (axis, gaps))
+    assert zooming_number(model, 0.25) == 0
     for _ in range(200):
-        n = int(rng.integers(0, 400))
-        side = 2 * rng.choice(RADII) / rng.choice(DIVISORS)
-        cells = np.floor(rng.random((n, dimension)) / side)
-        assert _distinct_cells(cells) == len(set(map(tuple, cells.tolist())))
+        axis = np.sort(rng.random(int(rng.integers(1, round(400 ** (1 / dimension)) + 1))))
+        mask = rng.random((len(axis),) * dimension) < rng.random()
+        r, divisor = float(rng.choice(RADII)), int(rng.choice(DIVISORS))
+        gaps = np.where(mask, r, 0.0)
+        cells = np.floor(axis[np.argwhere(mask)] / (2 * r / divisor))
+        assert zooming_number(model, r, divisor) == len(set(map(tuple, cells.tolist())))
+
+
+def test_zooming_number_peak_memory_per_point():
+    # with the grid cached, a count holds the band's boolean grid, a
+    # transient mask and the per-axis reductions: no point array, no codes
+    model = twodim_model()
+    gaps = _lattice_gaps(model)[1]
+    tracemalloc.start()
+    try:
+        for r in RADII:
+            for divisor in DIVISORS:
+                zooming_number(model, r, divisor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * gaps.size
 
 
 def test_lattice_gaps_peak_memory_per_point():

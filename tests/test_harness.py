@@ -655,6 +655,11 @@ def test_layers_tool_times_every_layer(monkeypatch):
             for kind in ("raw", "scaled"):
                 q = entry[kind]
                 assert 0 < q["p25"] <= q["p50"] <= q["p75"] < math.inf
+    # the memory section: one traced peak per reward, cold and cached
+    peaks = report["dim_fit_traced_peak_kb"]
+    assert set(peaks) == {"triangle", "sine", "twodim"}
+    for entry in peaks.values():
+        assert 0 < entry["cached"] < entry["cleared"] < math.inf
 
 
 def test_cli_accepts_benchmark_commands(monkeypatch):

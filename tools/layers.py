@@ -32,9 +32,13 @@ inputs, through no wrapper:
   stage's survivors, with that stage's eps as radius, at eps/2;
 * ms per `fit_zooming_dimension(model, 3)` for each of the three rewards,
   with the `_lattice_gaps` cache cleared before each call, so that every
-  call builds its gap lattice.
+  call builds its gap lattice;
+* KiB at the tracemalloc peak of one `fit_zooming_dimension(model, 3)`
+  for each of the three rewards, once with the `_lattice_gaps` cache
+  cleared and once with the reward's gap lattice cached.  This section is
+  a memory count, not a timing: one call each, no repetitions or scale.
 
-Every number is the median and quartiles over REPS repetitions after one
+Every timing is the median and quartiles over REPS repetitions after one
 warm-up, raw and scaled to the reference host speed.  The scale is that of
 `benchmarks/worker.py`: after each repetition its "loop" kernel (a Python
 loop of small numpy calls, like the loops timed here) runs once, and the
@@ -57,6 +61,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -288,6 +293,24 @@ def dim_fits(reps: int) -> dict:
     return out
 
 
+def dim_fit_peaks() -> dict:
+    def traced_peak_kb(model) -> float:
+        tracemalloc.start()
+        try:
+            fit_zooming_dimension(model, 3)
+            return tracemalloc.get_traced_memory()[1] / 1024
+        finally:
+            tracemalloc.stop()
+
+    out = {}
+    for reward, factory in REWARD_FACTORIES.items():
+        model = factory()
+        _lattice_gaps.cache_clear()
+        cleared = traced_peak_kb(model)  # it leaves this reward's lattice cached
+        out[reward] = {"cleared": cleared, "cached": traced_peak_kb(model)}
+    return out
+
+
 def provenance() -> dict:
     def git(*args):
         return subprocess.run(["git", "--no-optional-locks", "-C", str(ROOT), *args],
@@ -313,6 +336,7 @@ def collect(reps: int = REPS) -> dict:
         "ledger_us_per_charge": ledger_charges(reps),
         "packing_ms_per_call": packings(reps),
         "dim_ms_per_fit": dim_fits(reps),
+        "dim_fit_traced_peak_kb": dim_fit_peaks(),
     }
 
 
