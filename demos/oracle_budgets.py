@@ -12,9 +12,7 @@ import numpy as np
 
 from lipzoom.environment import (
     Estimator,
-    NoiseKind,
     NoiseModel,
-    OracleMode,
     QuantumOracleSim,
     RoundLedger,
     qmc1_budget,
@@ -35,10 +33,10 @@ def main():
         print(f"{eps:<10g} {b1:>12}   {b2:>12}")
 
     model = triangle_model()
-    oracle = QuantumOracleSim(OracleMode.CONTRACT, True, np.random.default_rng(0))
+    oracle = QuantumOracleSim("contract", True, np.random.default_rng(0))
     mu = model.mu((0.5,))
     delta, eps, n = 0.05, 0.1, 5_000
-    estimator = Estimator(NoiseModel(NoiseKind.BERNOULLI), delta)
+    estimator = Estimator(NoiseModel("bernoulli"), delta)
     hits = sum(
         abs(qmc_estimate(oracle, estimator, model, (0.5,), eps,
                          RoundLedger(10 ** 9, 10 ** 9))[0] - mu) <= eps

@@ -3,9 +3,7 @@
 from .geometry import ActiveRegion, Metric, Point, maximal_packing
 from .environment import (
     Estimator,
-    NoiseKind,
     NoiseModel,
-    OracleMode,
     QuantumOracleSim,
     RewardModel,
     RoundLedger,

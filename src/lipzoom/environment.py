@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
@@ -106,18 +105,18 @@ REWARD_FACTORIES = {
 }
 
 
-class NoiseKind(str, Enum):
-    BERNOULLI = "bernoulli"
-    GAUSSIAN = "gaussian"
+NOISE_KINDS = ("bernoulli", "gaussian")
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    kind: NoiseKind
+    kind: str  # one of NOISE_KINDS
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.kind == NoiseKind.GAUSSIAN and not 0 < self.sigma < math.inf:
+        if self.kind not in NOISE_KINDS:
+            raise EnvironmentConfigError(f"kind must be one of {NOISE_KINDS}, got {self.kind!r}")
+        if self.kind == "gaussian" and not 0 < self.sigma < math.inf:
             raise EnvironmentConfigError("gaussian noise requires a finite sigma > 0")
 
 
@@ -147,8 +146,6 @@ def classical_sample(m: float, noise: NoiseModel, v: float) -> float:
     `model.mu(x)` once per arm (or per oracle call) and pass it in, since x
     is fixed across the draws they take there.
     """
-    # kinds compare by value: on 3.11 each `NoiseKind.X` lookup goes through
-    # `EnumType.__getattr__`, which costs more than the rest of a draw
     if noise.kind == "bernoulli":
         return 1.0 if v < m else 0.0
     return m + noise.sigma * v
@@ -213,7 +210,7 @@ class Estimator:
     )
 
     def __post_init__(self):
-        if self.c2 is not None and self.noise.kind != NoiseKind.GAUSSIAN:
+        if self.c2 is not None and self.noise.kind != "gaussian":
             raise EnvironmentConfigError("qmc2 variant requires gaussian noise")
 
     def queries(self, eps: float) -> int:
@@ -234,9 +231,7 @@ class Estimator:
         return q
 
 
-class OracleMode(str, Enum):
-    CONTRACT = "contract"
-    EMPIRICAL = "empirical"
+ORACLE_MODES = ("contract", "empirical")
 
 
 @dataclass
@@ -250,9 +245,13 @@ class QuantumOracleSim:
     no accuracy guarantee at the quantum budget).
     """
 
-    mode: OracleMode
+    mode: str  # one of ORACLE_MODES
     fault_injection: bool
     rng: np.random.Generator
+
+    def __post_init__(self):
+        if self.mode not in ORACLE_MODES:
+            raise EnvironmentConfigError(f"mode must be one of {ORACLE_MODES}, got {self.mode!r}")
 
 
 @dataclass

@@ -13,9 +13,9 @@ import numpy as np
 
 from . import algorithms
 from .environment import (
-    NoiseKind,
+    NOISE_KINDS,
+    ORACLE_MODES,
     NoiseModel,
-    OracleMode,
     QuantumOracleSim,
     REWARD_FACTORIES,
 )
@@ -24,8 +24,8 @@ from .environment import (
 CHOICES = {
     "algorithm": ("qlae", "qlae_bv", "qzooming", "qzooming_bv", "classical_zooming"),
     "reward": tuple(REWARD_FACTORIES),
-    "noise": tuple(kind.value for kind in NoiseKind),
-    "qmc_mode": tuple(mode.value for mode in OracleMode),
+    "noise": NOISE_KINDS,
+    "qmc_mode": ORACLE_MODES,
 }
 
 
@@ -65,22 +65,24 @@ class ExperimentConfig:
             if value not in allowed:
                 problems.append(f"{name} must be one of {allowed}, got {value!r}")
         read = reads(self) if self.algorithm in CHOICES["algorithm"] else set()
-        # each numeric field's type first, so that no range check below
-        # compares a wrong type: a bool is an int to isinstance, a float
-        # count runs wrong or crashes, and numpy numbers are accepted
+        # each field's type first, so that no check below reads a wrong type:
+        # a bool is an int to isinstance, a float count runs wrong or crashes,
+        # a string flag is truthy, and numpy numbers and bools are accepted
         integer, real = (int, np.integer), (int, float, np.integer, np.floating)
+        boolean = (bool, np.bool_)
         kinds = {"T": integer, "trials": integer, "master_seed": integer,
-                 "delta": real, "c1": real, "c2": real}
+                 "delta": real, "c1": real, "c2": real,
+                 "fault_injection": boolean, "audits": boolean}
         if self.checkpoint_every is not None:
             kinds["checkpoint_every"] = integer
         if self.noise == "gaussian":
             kinds["sigma"] = real
+        what = {integer: "an integer", real: "a real number", boolean: "a bool"}
         typed = set()
         for name, kind in kinds.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if kind is integer else "a real number"
-                problems.append(f"{name} must be {what}, got {value!r}")
+            if (kind is not boolean and isinstance(value, bool)) or not isinstance(value, kind):
+                problems.append(f"{name} must be {what[kind]}, got {value!r}")
             else:
                 typed.add(name)
         if "T" in typed and self.T < 1:
@@ -100,7 +102,7 @@ class ExperimentConfig:
         if "c2" in read and self.noise != "gaussian":
             problems.append(
                 f"algorithm {self.algorithm!r} requires gaussian noise, got {self.noise!r}")
-        if self.audits and "audits" not in read:
+        if "audits" in typed and self.audits and "audits" not in read:
             problems.append("audit requires a quantum algorithm")
         for name in ("c1", "c2"):
             value = getattr(self, name)
@@ -142,7 +144,7 @@ def reads(config: ExperimentConfig) -> set[str]:
     out = {"algorithm", "reward", "noise", "trials", "master_seed", *params} & vars(config).keys()
     if "oracle" in params:
         out.add("qmc_mode")
-        if config.qmc_mode == OracleMode.CONTRACT:  # an empirical estimate is a sample mean
+        if config.qmc_mode == "contract":  # an empirical estimate is a sample mean
             out.add("fault_injection")
     if config.noise == "gaussian":
         out.add("sigma")
@@ -152,10 +154,9 @@ def reads(config: ExperimentConfig) -> set[str]:
 def run_single(config: ExperimentConfig, trial: int) -> algorithms.PolicyResult:
     """One trial of `config`, which construction has already validated."""
     model = REWARD_FACTORIES[config.reward]()
-    noise = NoiseModel(NoiseKind(config.noise),
-                       config.sigma if config.noise == "gaussian" else 0.0)
+    noise = NoiseModel(config.noise, config.sigma if config.noise == "gaussian" else 0.0)
     rng = trial_rng(config.master_seed, trial)
-    oracle = QuantumOracleSim(OracleMode(config.qmc_mode), config.fault_injection, rng)
+    oracle = QuantumOracleSim(config.qmc_mode, config.fault_injection, rng)
     values = {**vars(config), "model": model, "noise": noise, "oracle": oracle, "rng": rng}
     # looked up per call, so a wrapper in its place runs; signature follows __wrapped__
     runner = getattr(algorithms, f"run_{config.algorithm}")

@@ -15,9 +15,7 @@ from lipzoom import diagnostics
 from lipzoom.cli import cli_main
 from lipzoom.environment import (
     Estimator,
-    NoiseKind,
     NoiseModel,
-    OracleMode,
     QuantumOracleSim,
     REWARD_FACTORIES,
     RoundLedger,
@@ -84,13 +82,13 @@ def test_criterion_1_quantum_beats_classical(sweep_dirs):
 
 def test_criterion_2_clean_event_frequency():
     model = triangle_model()
-    estimator = Estimator(NoiseModel(NoiseKind.BERNOULLI), 0.05)
+    estimator = Estimator(NoiseModel("bernoulli"), 0.05)
     mu = model.mu((0.5,))
 
     def fresh():
         return RoundLedger(10 ** 9, 10 ** 9)
 
-    on = QuantumOracleSim(OracleMode.CONTRACT, True, np.random.default_rng(2024))
+    on = QuantumOracleSim("contract", True, np.random.default_rng(2024))
     viol = 0
     n_on = 10_000
     for _ in range(n_on):
@@ -98,7 +96,7 @@ def test_criterion_2_clean_event_frequency():
         viol += abs(est - mu) > 0.1
     frac = viol / n_on
 
-    off = QuantumOracleSim(OracleMode.CONTRACT, False, np.random.default_rng(2025))
+    off = QuantumOracleSim("contract", False, np.random.default_rng(2025))
     off_viol = 0
     for _ in range(2_000):
         est, _, _ = qmc_estimate(off, estimator, model, (0.5,), 0.1, fresh())

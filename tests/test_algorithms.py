@@ -21,10 +21,9 @@ from lipzoom.algorithms import (
 )
 from lipzoom.cli import cli_main
 from lipzoom.environment import (
+    ORACLE_MODES,
     Estimator,
-    NoiseKind,
     NoiseModel,
-    OracleMode,
     QuantumOracleSim,
     RewardModel,
     RoundLedger,
@@ -43,15 +42,15 @@ SIGMA = math.sqrt(0.1)
 
 
 def _oracle(seed, fault=False):
-    return QuantumOracleSim(OracleMode.CONTRACT, fault, np.random.default_rng(seed))
+    return QuantumOracleSim("contract", fault, np.random.default_rng(seed))
 
 
 def _bern():
-    return NoiseModel(NoiseKind.BERNOULLI)
+    return NoiseModel("bernoulli")
 
 
 def _gauss():
-    return NoiseModel(NoiseKind.GAUSSIAN, SIGMA)
+    return NoiseModel("gaussian", SIGMA)
 
 
 def test_select_arm_example():
@@ -464,7 +463,7 @@ def _reference_zooming(model, oracle, estimator, T, checkpoint_every, audits):
     return algorithms._finish(ledger, s - 1, records, stage_audits)
 
 
-@pytest.mark.parametrize("mode", list(OracleMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("mode", ORACLE_MODES)
 @pytest.mark.parametrize("noise,c2", [(_bern, None), (_gauss, None), (_gauss, 2.0)],
                          ids=["qmc1-bernoulli", "qmc1-gaussian", "qmc2-gaussian"])
 @pytest.mark.parametrize("factory", [triangle_model, twodim_model], ids=["triangle", "twodim"])
@@ -582,7 +581,7 @@ def test_classical_radius_widens_with_sigma_above_one_half(sigma, widen, monkeyp
     # the radius is sqrt(2 ln T * max(1, 4 sigma^2) / count): Hoeffding's for
     # rewards in [0,1] up to sigma = 1/2, so sigma = 1 doubles it; a radius
     # per round, each at the played arm's whole count
-    noise = _bern() if sigma is None else NoiseModel(NoiseKind.GAUSSIAN, sigma)
+    noise = _bern() if sigma is None else NoiseModel("gaussian", sigma)
     args, sqrt = [], math.sqrt
     monkeypatch.setattr(math, "sqrt", lambda a: args.append(a) or sqrt(a))
     T = 2_000
@@ -599,7 +598,7 @@ def test_classical_radius_widens_with_sigma_above_one_half(sigma, widen, monkeyp
 def test_classical_zooming_runs_where_sigma_squared_overflows(sigma, tmp_path):
     # 4 sigma^2 is past the largest float: the radius is infinite, not an
     # OverflowError, and the run still plays and charges all T rounds
-    noise = NoiseModel(NoiseKind.GAUSSIAN, sigma)
+    noise = NoiseModel("gaussian", sigma)
     for factory in (triangle_model, twodim_model):
         T = 300
         g, twin = np.random.default_rng(5), np.random.default_rng(5)
@@ -704,7 +703,7 @@ def test_empirical_oracle_draws_once_per_query_and_evaluates_mu_once_per_call(
     monkeypatch.setattr(environment, "classical_sample", counted_sample)
     monkeypatch.setattr(RewardModel, "mu", counted_mu)
     monkeypatch.setattr(algorithms, "qmc_estimate", counted_estimate)
-    oracle = QuantumOracleSim(OracleMode.EMPIRICAL, False, np.random.default_rng(19))
+    oracle = QuantumOracleSim("empirical", False, np.random.default_rng(19))
     res = runner(triangle_model(), noise(), oracle, T=5_000, delta=0.1, audits=False)
     assert 0 < calls["sample"] == res.total_rounds == sum(used for used, _ in mu_per_call)
     assert mu_per_call and all(n_mu == (1 if used else 0) for used, n_mu in mu_per_call)
@@ -723,7 +722,7 @@ def test_classical_zooming_leaves_rng_after_T_scalar_draws(noise, draw):
 
 
 def test_empirical_oracle_leaves_rng_after_one_normal_per_query():
-    oracle = QuantumOracleSim(OracleMode.EMPIRICAL, False, np.random.default_rng(21))
+    oracle = QuantumOracleSim("empirical", False, np.random.default_rng(21))
     twin = np.random.default_rng(21)
     res = run_qzooming_bv(triangle_model(), _gauss(), oracle, T=5_000, delta=0.1)
     assert res.total_rounds > 0

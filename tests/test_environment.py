@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from lipzoom.environment import (
+    NOISE_KINDS,
+    ORACLE_MODES,
     EnvironmentConfigError,
     Estimator,
-    NoiseKind,
     NoiseModel,
-    OracleMode,
     QuantumOracleSim,
     RewardModel,
     RoundLedger,
@@ -186,7 +186,7 @@ def test_budgets_decrease_with_eps():
 
 def test_bernoulli_sample_mean():
     model = triangle_model()
-    noise = NoiseModel(NoiseKind.BERNOULLI)
+    noise = NoiseModel("bernoulli")
     rng = np.random.default_rng(5)
     m = model.mu((1 / 3,))
     draws = [classical_sample(m, noise, v) for v in variates(noise, rng, 10_000)]
@@ -196,7 +196,7 @@ def test_bernoulli_sample_mean():
 
 def test_gaussian_sample_variance():
     model = triangle_model()
-    noise = NoiseModel(NoiseKind.GAUSSIAN, SIGMA)
+    noise = NoiseModel("gaussian", SIGMA)
     rng = np.random.default_rng(6)
     x = (0.0,)
     m = model.mu(x)
@@ -208,12 +208,12 @@ def test_gaussian_sample_variance():
 def _reference_classical_sample(model, noise, x, rng):
     # reference: the reward evaluated inside every draw
     m = model.mu(x)
-    if noise.kind == NoiseKind.BERNOULLI:
+    if noise.kind == "bernoulli":
         return float(rng.random() < m)
     return m + noise.sigma * float(rng.standard_normal())
 
 
-@pytest.mark.parametrize("kind", list(NoiseKind))
+@pytest.mark.parametrize("kind", NOISE_KINDS)
 @pytest.mark.parametrize("factory,x", [
     (triangle_model, (1 / 3,)),
     (triangle_model, (0.9,)),
@@ -222,7 +222,7 @@ def _reference_classical_sample(model, noise, x, rng):
 ])
 def test_classical_sample_matches_reference(kind, factory, x):
     model = factory()
-    noise = NoiseModel(kind, SIGMA if kind == NoiseKind.GAUSSIAN else 0.0)
+    noise = NoiseModel(kind, SIGMA if kind == "gaussian" else 0.0)
     if x == (0.0, 0.0):
         assert model.raw(x) < 0.0 and model.mu(x) == 0.0
     rng_ref, rng_new = np.random.default_rng(31), np.random.default_rng(31)
@@ -235,16 +235,16 @@ def test_classical_sample_matches_reference(kind, factory, x):
 
 def _scalar_variate(noise, rng):
     # reference: one scalar generator call per draw
-    if noise.kind == NoiseKind.BERNOULLI:
+    if noise.kind == "bernoulli":
         return rng.random()
     return float(rng.standard_normal())
 
 
-@pytest.mark.parametrize("kind", list(NoiseKind))
+@pytest.mark.parametrize("kind", NOISE_KINDS)
 @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 10_000])
 def test_variates_match_scalar_draws(kind, n):
     # blocks must neither change a float nor over-draw across a block boundary
-    noise = NoiseModel(kind, SIGMA if kind == NoiseKind.GAUSSIAN else 0.0)
+    noise = NoiseModel(kind, SIGMA if kind == "gaussian" else 0.0)
     rng_ref, rng_new = np.random.default_rng(41), np.random.default_rng(41)
     ref = [_scalar_variate(noise, rng_ref) for _ in range(n)]
     new = list(variates(noise, rng_new, n))
@@ -253,14 +253,14 @@ def test_variates_match_scalar_draws(kind, n):
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
-@pytest.mark.parametrize("kind", list(NoiseKind))
+@pytest.mark.parametrize("kind", NOISE_KINDS)
 @pytest.mark.parametrize("n", [1, 4096, 10_000])
 def test_variates_draw_lazily_block_by_block(kind, n):
     # the classical loop consumes the iterator round by round, so a block
     # must be drawn only when its first float is asked for
-    noise = NoiseModel(kind, SIGMA if kind == NoiseKind.GAUSSIAN else 0.0)
+    noise = NoiseModel(kind, SIGMA if kind == "gaussian" else 0.0)
     rng, twin = np.random.default_rng(43), np.random.default_rng(43)
-    draw = twin.random if kind == NoiseKind.BERNOULLI else twin.standard_normal
+    draw = twin.random if kind == "bernoulli" else twin.standard_normal
     it = variates(noise, rng, n)
     assert rng.bit_generator.state == twin.bit_generator.state
     taken = blocks = 0
@@ -274,23 +274,29 @@ def test_variates_draw_lazily_block_by_block(kind, n):
     assert next(it, None) is None
 
 
-def test_per_draw_path_names_no_enum_class():
-    # on 3.11 each NoiseKind.X / OracleMode.X lookup goes through
-    # EnumType.__getattr__ (~170 ns), more than the rest of a draw
-    assert "NoiseKind" not in classical_sample.__code__.co_names
-    assert "OracleMode" not in qmc_estimate.__code__.co_names
-
-
 def test_gaussian_noise_needs_sigma():
     with pytest.raises(EnvironmentConfigError):
-        NoiseModel(NoiseKind.GAUSSIAN, 0.0)
+        NoiseModel("gaussian", 0.0)
+
+
+@pytest.mark.parametrize("value", ["bogus", "Bernoulli", "", None])
+def test_noise_kind_and_oracle_mode_are_checked(value):
+    # unchecked, an unknown kind would draw no noise and an unknown mode run in contract mode
+    with pytest.raises(EnvironmentConfigError, match="^kind must be one of"):
+        NoiseModel(value, SIGMA)
+    with pytest.raises(EnvironmentConfigError, match="^mode must be one of"):
+        QuantumOracleSim(value, False, np.random.default_rng(0))
+    for kind in NOISE_KINDS:
+        assert NoiseModel(kind, SIGMA).kind == kind
+    for mode in ORACLE_MODES:
+        assert QuantumOracleSim(mode, False, np.random.default_rng(0)).mode == mode
 
 
 def _fresh(T=10**9, ck=10**9):
     return RoundLedger(T, ck)
 
 
-BERN = Estimator(NoiseModel(NoiseKind.BERNOULLI), 0.05)
+BERN = Estimator(NoiseModel("bernoulli"), 0.05)
 
 
 def test_qmc_estimate_takes_the_estimator_alone():
@@ -301,7 +307,7 @@ def test_qmc_estimate_takes_the_estimator_alone():
 
 def test_oracle_contract_no_fault_always_within_eps():
     model = triangle_model()
-    oracle = QuantumOracleSim(OracleMode.CONTRACT, False, np.random.default_rng(7))
+    oracle = QuantumOracleSim("contract", False, np.random.default_rng(7))
     mu = model.mu((0.5,))
     for _ in range(2_000):
         est, used, exhausted = qmc_estimate(oracle, BERN, model, (0.5,), 0.1, _fresh())
@@ -312,7 +318,7 @@ def test_oracle_contract_no_fault_always_within_eps():
 
 def test_oracle_contract_fault_rate():
     model = triangle_model()
-    oracle = QuantumOracleSim(OracleMode.CONTRACT, True, np.random.default_rng(8))
+    oracle = QuantumOracleSim("contract", True, np.random.default_rng(8))
     mu = model.mu((0.5,))
     within = 0
     for _ in range(10_000):
@@ -324,8 +330,8 @@ def test_oracle_contract_fault_rate():
 
 def test_oracle_empirical_mode():
     model = triangle_model()
-    gauss = Estimator(NoiseModel(NoiseKind.GAUSSIAN, SIGMA), 0.05)
-    oracle = QuantumOracleSim(OracleMode.EMPIRICAL, False, np.random.default_rng(9))
+    gauss = Estimator(NoiseModel("gaussian", SIGMA), 0.05)
+    oracle = QuantumOracleSim("empirical", False, np.random.default_rng(9))
     est, used, _ = qmc_estimate(oracle, gauss, model, (0.2,), 0.05, _fresh())
     assert used == qmc1_budget(0.05, 0.05)
     # empirical mean of `used` draws carries no eps contract, only consistency
@@ -339,17 +345,17 @@ def _budget_eps(estimator, budget):
     return eps
 
 
-@pytest.mark.parametrize("kind", list(NoiseKind))
+@pytest.mark.parametrize("kind", NOISE_KINDS)
 @pytest.mark.parametrize("budget,horizon", [
     (1, 10**9), (4095, 10**9), (4096, 10**9), (4097, 10**9), (4097, 3000),
 ], ids=["1", "4095", "4096", "4097", "4097-truncated"])
 def test_empirical_estimate_equals_mean_of_listed_draws(kind, budget, horizon):
     # exact: the estimate is numpy's mean of the same floats, drawn from
     # the same stream, whatever the pipeline that feeds it
-    noise = NoiseModel(kind, SIGMA if kind == NoiseKind.GAUSSIAN else 0.0)
+    noise = NoiseModel(kind, SIGMA if kind == "gaussian" else 0.0)
     estimator = Estimator(noise, 0.05)
     model, x = triangle_model(), (0.5,)
-    oracle = QuantumOracleSim(OracleMode.EMPIRICAL, False, np.random.default_rng(47))
+    oracle = QuantumOracleSim("empirical", False, np.random.default_rng(47))
     twin = np.random.default_rng(47)
     eps = _budget_eps(estimator, budget)
     est, used, exhausted = qmc_estimate(oracle, estimator, model, x, eps, RoundLedger(horizon))
@@ -361,7 +367,7 @@ def test_empirical_estimate_equals_mean_of_listed_draws(kind, budget, horizon):
 
 
 def test_qmc2_variant_fallback():
-    estimator = Estimator(NoiseModel(NoiseKind.GAUSSIAN, 0.05), 0.05, c2=2.0)
+    estimator = Estimator(NoiseModel("gaussian", 0.05), 0.05, c2=2.0)
     # eps = 0.5 >= 4*sigma = 0.2: the bounded-variance guarantee is vacuous,
     # so the call charges the qmc1 budget instead
     assert estimator.queries(0.5) == qmc1_budget(0.5, 0.05)
@@ -370,14 +376,14 @@ def test_qmc2_variant_fallback():
 
 def test_nonfinite_budget_raises_on_every_call():
     # a budget that raises is not remembered
-    estimator = Estimator(NoiseModel(NoiseKind.BERNOULLI), 0.05, c1=1e308)
+    estimator = Estimator(NoiseModel("bernoulli"), 0.05, c1=1e308)
     for _ in range(3):
         with pytest.raises(EnvironmentConfigError, match="not finite"):
             estimator.queries(0.5)
 
 
 def test_budget_memo_leaves_equality_hash_and_repr():
-    noise = NoiseModel(NoiseKind.BERNOULLI)
+    noise = NoiseModel("bernoulli")
     used, fresh = Estimator(noise, 0.05), Estimator(noise, 0.05)
     assert used.queries(0.25) == used.queries(0.25) == qmc1_budget(0.25, 0.05)
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
@@ -395,7 +401,7 @@ def test_contract_draw_equals_numpy_uniform(seed):
 
 def test_qmc2_variant_requires_gaussian():
     with pytest.raises(EnvironmentConfigError):
-        Estimator(NoiseModel(NoiseKind.BERNOULLI), 0.05, c2=2.0)
+        Estimator(NoiseModel("bernoulli"), 0.05, c2=2.0)
 
 
 def test_ledger_checkpoints_and_interpolation():
@@ -484,7 +490,7 @@ def test_ledger_finalize_pads_flat():
 
 def test_estimate_truncated_by_horizon_is_flagged():
     model = triangle_model()
-    oracle = QuantumOracleSim(OracleMode.CONTRACT, False, np.random.default_rng(12))
+    oracle = QuantumOracleSim("contract", False, np.random.default_rng(12))
     led = RoundLedger(10, 5)
     _, used, exhausted = qmc_estimate(oracle, BERN, model, (0.5,), 0.01, led)
     assert exhausted and used == 10

@@ -1,5 +1,6 @@
 """Config validation, trial seeding, CSV/SVG emission and the CLI surface."""
 
+import argparse
 import functools
 import hashlib
 import importlib
@@ -36,7 +37,9 @@ from lipzoom.harness import (
     sweep_cells,
     trial_rng,
 )
-from lipzoom.environment import REWARD_FACTORIES, qmc1_budget, qmc2_budget
+from lipzoom.environment import (
+    NOISE_KINDS, ORACLE_MODES, REWARD_FACTORIES, qmc1_budget, qmc2_budget,
+)
 from lipzoom.geometry import Metric
 from regret_traces import read_traces_csv
 
@@ -109,6 +112,28 @@ def test_config_numbers_are_type_checked_first(changes, name):
     ok = {"T": np.int64(50), "master_seed": np.int64(3), "delta": np.float32(0.25),
           "sigma": np.float32(0.5), "c1": np.float32(2.5)}[name]
     assert getattr(replace(FAST, **{**changes, name: ok}), name) == ok
+
+
+@pytest.mark.parametrize("value", ["no", None, 1], ids=["str", "None", "int"])
+@pytest.mark.parametrize("name", ["fault_injection", "audits"])
+def test_config_flags_must_be_bools(name, value):
+    # "no" is truthy and would turn the flag on; numpy bools stay accepted
+    with pytest.raises(ConfigError) as exc:
+        replace(FAST, **{name: value})
+    assert exc.value.problems == [f"{name} must be a bool, got {value!r}"]
+    assert not getattr(replace(FAST, **{name: np.bool_(False)}), name)
+
+
+def test_choices_are_the_environment_tuples():
+    # one spelling: the config, the CLI and the constructors read the same tuples
+    assert CHOICES["noise"] is NOISE_KINDS
+    assert CHOICES["qmc_mode"] is ORACLE_MODES
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("run", "sweep", "audit"):
+        flags = {a.dest: a.choices for a in sub.choices[command]._actions}
+        assert flags["qmc_mode"] == ORACLE_MODES, command
+        assert flags.get("noise", NOISE_KINDS) == NOISE_KINDS, command
+    assert "noise" not in {a.dest for a in sub.choices["sweep"]._actions}
 
 
 def test_config_audits_need_a_quantum_algorithm():

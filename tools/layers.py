@@ -78,9 +78,7 @@ from lipzoom.diagnostics import _lattice_gaps, fit_zooming_dimension  # noqa: E4
 from lipzoom.environment import (  # noqa: E402
     REWARD_FACTORIES,
     Estimator,
-    NoiseKind,
     NoiseModel,
-    OracleMode,
     QuantumOracleSim,
     RoundLedger,
     triangle_model,
@@ -124,16 +122,16 @@ def oracle_calls(reps: int) -> dict:
     config = ExperimentConfig()
     model, x = triangle_model(), (0.5,)
     forms = {
-        "qmc1": Estimator(NoiseModel(NoiseKind.BERNOULLI), config.delta / QUANTUM_T,
+        "qmc1": Estimator(NoiseModel("bernoulli"), config.delta / QUANTUM_T,
                           config.c1),
-        "qmc2": Estimator(NoiseModel(NoiseKind.GAUSSIAN, config.sigma),
+        "qmc2": Estimator(NoiseModel("gaussian", config.sigma),
                           config.delta / QUANTUM_T, config.c1, config.c2),
     }
     out = {}
     for form, estimator in forms.items():
         for k in (3, 6):
             eps = 2.0 ** -k
-            oracle = QuantumOracleSim(OracleMode.CONTRACT, config.fault_injection,
+            oracle = QuantumOracleSim("contract", config.fault_injection,
                                       np.random.default_rng(k))
 
             def calls():
@@ -151,20 +149,20 @@ def empirical_calls(reps: int) -> dict:
     model, x = triangle_model(), (0.5,)
     delta = config.delta / QUANTUM_T
     out = {}
-    for noise in (NoiseModel(NoiseKind.BERNOULLI), NoiseModel(NoiseKind.GAUSSIAN, config.sigma)):
+    for noise in (NoiseModel("bernoulli"), NoiseModel("gaussian", config.sigma)):
         estimator = Estimator(noise, delta, config.c1)
         for target in EMPIRICAL_BUDGETS:
             # the qmc1 budget ceil((c1/eps) ln(1/delta)) is about target at this eps
             eps = config.c1 * math.log(1.0 / delta) / target
             calls = EMPIRICAL_QUERIES // target
-            oracle = QuantumOracleSim(OracleMode.EMPIRICAL, False, np.random.default_rng(target))
+            oracle = QuantumOracleSim("empirical", False, np.random.default_rng(target))
 
             def run():
                 ledger = RoundLedger(10**15, 10**15)
                 for _ in range(calls):
                     environment.qmc_estimate(oracle, estimator, model, x, eps, ledger)
 
-            out[f"{noise.kind.value} queries={estimator.queries(eps)}"] = _time(run, calls, reps)
+            out[f"{noise.kind} queries={estimator.queries(eps)}"] = _time(run, calls, reps)
     return out
 
 
