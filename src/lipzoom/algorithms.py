@@ -63,7 +63,6 @@ class StageAudit:
 class PolicyResult:
     checkpoints: list[tuple[int, float]]
     total_rounds: int
-    final_regret: float
     stages_completed: int
     estimate_records: list[EstimateRecord] = field(default_factory=list)
     stage_audits: list[StageAudit] = field(default_factory=list)
@@ -80,7 +79,6 @@ def _finish(
     return PolicyResult(
         checkpoints=ledger.checkpoints,
         total_rounds=ledger.consumed,
-        final_regret=ledger.cumulative_regret,
         stages_completed=stages_completed,
         estimate_records=records,
         stage_audits=stage_audits,

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import diagnostics
 from .environment import REWARD_FACTORIES
 from .harness import (
     CHOICES,
+    FIELD_TYPES,
     ConfigError,
     ExperimentConfig,
     SWEEP_DEFAULTS,
@@ -28,7 +29,7 @@ _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no":
 _PARSE = {"int": int, "float": float, "str": str, "bool": lambda v: _BOOL[v.lower()]}
 # the values a flag or config-file key sets: every field but `audits`, which only
 # audit turns on, and for sweep not algorithm, reward or noise, which its cells set
-_SETTABLE = {f.name: f.type for f in fields(ExperimentConfig) if f.name != "audits"}
+_SETTABLE = {name: kind for name, kind in FIELD_TYPES.items() if name != "audits"}
 _SWEEP_SETTABLE = [name for name in _SETTABLE if name not in ("algorithm", "reward", "noise")]
 
 
@@ -47,7 +48,7 @@ def _parse_config_file(path: str) -> dict:
             key, value = key.strip(), value.strip()
             if key not in _SETTABLE:
                 raise ConfigError([f"{path}:{lineno}: unknown config key {key!r}"])
-            base, _, optional = _SETTABLE[key].partition(" | ")
+            base, optional = _SETTABLE[key]
             try:
                 out[key] = (None if optional and value.lower() == "none"
                             else _PARSE[base](value))
@@ -64,7 +65,7 @@ def _parse_config_file(path: str) -> dict:
 def _add_config_flags(p: argparse.ArgumentParser, names=tuple(_SETTABLE)) -> None:
     for name in names:
         flag = "--" + name.replace("_", "-")
-        base = _SETTABLE[name].partition(" | ")[0]
+        base = _SETTABLE[name][0]
         if base == "bool":
             p.add_argument(flag, action=argparse.BooleanOptionalAction)
         else:

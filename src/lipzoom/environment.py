@@ -307,12 +307,13 @@ class RoundLedger:
         return n
 
     def finalize(self) -> None:
-        """Pad checkpoints flat out to the horizon (unplayed rounds add no regret)."""
+        """Pad checkpoints flat out to the horizon (unplayed rounds add no regret);
+        the horizon is the last one even where the interval does not divide it."""
         ck = self.checkpoint_every
-        b = (len(self.checkpoints) + 1) * ck
-        while b <= self.horizon:
-            self.checkpoints.append((b, self.cumulative_regret))
-            b += ck
+        rounds = range((len(self.checkpoints) + 1) * ck, self.horizon + 1, ck)
+        self.checkpoints += [(b, self.cumulative_regret) for b in rounds]
+        if not self.checkpoints or self.checkpoints[-1][0] < self.horizon:
+            self.checkpoints.append((self.horizon, self.cumulative_regret))
 
 
 def qmc_estimate(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from html import escape
 from pathlib import Path
 from typing import Sequence
@@ -55,36 +55,28 @@ class ExperimentConfig:
     audits: bool = False
 
     def __post_init__(self) -> None:
-        """`validate` runs on construction and on `replace`, so every instance is valid."""
+        """Numpy numbers become Python values; `validate` runs on construction and `replace`."""
+        for name, value in vars(self).items():
+            if isinstance(value, np.generic):
+                object.__setattr__(self, name, value.item())
         self.validate()  # through self, so a wrapper set on the class runs
 
     def validate(self) -> None:
-        problems = []
-        for name, allowed in CHOICES.items():
-            value = getattr(self, name)
-            if value not in allowed:
-                problems.append(f"{name} must be one of {allowed}, got {value!r}")
-        read = reads(self) if self.algorithm in CHOICES["algorithm"] else set()
+        problems, typed = [], set()
         # each field's type first, so that no check below reads a wrong type:
-        # a bool is an int to isinstance, a float count runs wrong or crashes,
-        # a string flag is truthy, and numpy numbers and bools are accepted
-        integer, real = (int, np.integer), (int, float, np.integer, np.floating)
-        boolean = (bool, np.bool_)
-        kinds = {"T": integer, "trials": integer, "master_seed": integer,
-                 "delta": real, "c1": real, "c2": real,
-                 "fault_injection": boolean, "audits": boolean}
-        if self.checkpoint_every is not None:
-            kinds["checkpoint_every"] = integer
-        if self.noise == "gaussian":
-            kinds["sigma"] = real
-        what = {integer: "an integer", real: "a real number", boolean: "a bool"}
-        typed = set()
-        for name, kind in kinds.items():
+        # a float count runs wrong or crashes, and a string flag is truthy
+        for name, (base, optional) in FIELD_TYPES.items():
             value = getattr(self, name)
-            if (kind is not boolean and isinstance(value, bool)) or not isinstance(value, kind):
-                problems.append(f"{name} must be {what[kind]}, got {value!r}")
-            else:
-                typed.add(name)
+            if name in CHOICES and value not in CHOICES[name]:
+                problems.append(f"{name} must be one of {CHOICES[name]}, got {value!r}")
+            elif name not in CHOICES and not (optional and value is None):
+                kind, noun = _KINDS[base]
+                # a bool is an int to isinstance; only a bool field takes one
+                if isinstance(value, kind) and isinstance(value, bool) == (kind is bool):
+                    typed.add(name)
+                else:
+                    problems.append(f"{name} must be {noun}, got {value!r}")
+        read = reads(self) if self.algorithm in CHOICES["algorithm"] else set()
         if "T" in typed and self.T < 1:
             problems.append(f"T must be >= 1, got {self.T}")
         if "delta" in typed and not (0 < self.delta < 1):
@@ -113,6 +105,14 @@ class ExperimentConfig:
                 f"checkpoint_every must be in [1, T={self.T}], got {self.checkpoint_every}")
         if problems:
             raise ConfigError(problems)
+
+
+# (type name, whether None is allowed) per field, from its annotation: the one type rule
+FIELD_TYPES = {f.name: (base, bool(none)) for f in fields(ExperimentConfig)
+               for base, _, none in [f.type.partition(" | ")]}
+# what a field of each non-choice type accepts, and the noun its message uses
+_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a real number"),
+          "bool": (bool, "a bool")}
 
 
 @dataclass(frozen=True)
@@ -169,10 +169,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RegretTrace], Summary
     for trial in range(config.trials):
         result = run_single(config, trial)
         run_id = f"{config.algorithm}-{config.reward}-{config.noise}-trial{trial}"
-        traces.append(RegretTrace(
-            run_id, config.algorithm, config.reward, config.noise,
-            tuple(result.checkpoints),
-        ))
+        traces.append(RegretTrace(run_id, config.algorithm, config.reward, config.noise,
+                                  tuple(result.checkpoints)))
     return traces, summarize(traces)
 
 

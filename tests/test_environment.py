@@ -488,6 +488,19 @@ def test_ledger_finalize_pads_flat():
     ]
 
 
+def test_ledger_last_checkpoint_is_the_horizon():
+    # an interval that does not divide T still ends the trace at round T with
+    # the final regret; one that divides it adds no row
+    for T, every in [(12_345, None), (10, 50), (12_300, None), (50, 10)]:
+        led = RoundLedger(T, every)
+        led.consume(T - 3, 0.5)
+        led.finalize()
+        ck = led.checkpoint_every
+        rounds = list(range(ck, T + 1, ck)) + ([T] if T % ck else [])
+        assert [t for t, _ in led.checkpoints] == rounds, (T, every)
+        assert led.checkpoints[-1] == (T, led.cumulative_regret), (T, every)
+
+
 def test_estimate_truncated_by_horizon_is_flagged():
     model = triangle_model()
     oracle = QuantumOracleSim("contract", False, np.random.default_rng(12))

@@ -90,11 +90,12 @@ def test_config_is_checked_on_construction():
 ], ids=["T-float", "T-bool", "trials", "master_seed", "checkpoint_every"])
 def test_config_counts_must_be_integers(name, value):
     # a float T writes float checkpoint rounds or crashes a run, and True
-    # runs one round; numpy integers stay accepted
+    # runs one round; numpy integers are accepted and stored as Python ints
     with pytest.raises(ConfigError) as exc:
         replace(FAST, **{name: value})
     assert exc.value.problems == [f"{name} must be an integer, got {value!r}"]
-    assert getattr(replace(FAST, **{name: np.int64(50)}), name) == 50
+    stored = getattr(replace(FAST, **{name: np.int64(50)}), name)
+    assert stored == 50 and type(stored) is int
 
 
 @pytest.mark.parametrize("changes, name", [
@@ -104,24 +105,39 @@ def test_config_counts_must_be_integers(name, value):
 ], ids=["T-str", "T-None", "master_seed-None", "delta-str", "sigma-None", "c1-str"])
 def test_config_numbers_are_type_checked_first(changes, name):
     # a wrong type is a ConfigError naming its field, not a TypeError from a
-    # range check; numpy numbers stay accepted
+    # range check; numpy numbers are accepted and stored as Python numbers
     with pytest.raises(ConfigError) as exc:
         replace(FAST, **changes)
     what = "a real number" if name in ("delta", "sigma", "c1") else "an integer"
     assert exc.value.problems == [f"{name} must be {what}, got {changes[name]!r}"]
     ok = {"T": np.int64(50), "master_seed": np.int64(3), "delta": np.float32(0.25),
           "sigma": np.float32(0.5), "c1": np.float32(2.5)}[name]
-    assert getattr(replace(FAST, **{**changes, name: ok}), name) == ok
+    stored = getattr(replace(FAST, **{**changes, name: ok}), name)
+    assert stored == ok and type(stored) is type(ok.item())
 
 
 @pytest.mark.parametrize("value", ["no", None, 1], ids=["str", "None", "int"])
 @pytest.mark.parametrize("name", ["fault_injection", "audits"])
 def test_config_flags_must_be_bools(name, value):
-    # "no" is truthy and would turn the flag on; numpy bools stay accepted
+    # "no" is truthy and would turn the flag on; numpy bools are stored as bools
     with pytest.raises(ConfigError) as exc:
         replace(FAST, **{name: value})
     assert exc.value.problems == [f"{name} must be a bool, got {value!r}"]
-    assert not getattr(replace(FAST, **{name: np.bool_(False)}), name)
+    assert getattr(replace(FAST, **{name: np.bool_(False)}), name) is False
+
+
+def test_numpy_numbers_write_the_python_valued_bytes(tmp_path):
+    # a numpy T or interval wrote `np.float64(...)` regret cells, and a
+    # float32 sigma drew every variate in float32
+    gaussian = replace(FAST, algorithm="classical_zooming", noise="gaussian", sigma=0.5)
+    for base, changes in [
+        (replace(FAST, T=2_000), {"T": np.int64(2_000)}),
+        (replace(FAST, T=2_000, checkpoint_every=500), {"checkpoint_every": np.int64(500)}),
+        (replace(gaussian, T=2_000), {"sigma": np.float32(0.5)}),
+    ]:
+        want, got = (emit_csv(*run_experiment(config), tmp_path / kind)
+                     for kind, config in (("py", base), ("np", replace(base, **changes))))
+        assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want], changes
 
 
 def test_choices_are_the_environment_tuples():

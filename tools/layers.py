@@ -62,7 +62,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,15 +83,13 @@ from lipzoom.environment import (  # noqa: E402
     triangle_model,
 )
 from lipzoom.geometry import ActiveRegion, maximal_packing  # noqa: E402
-from lipzoom.harness import ExperimentConfig, run_single, sweep_cells  # noqa: E402
+from lipzoom.harness import SWEEP_DEFAULTS, ExperimentConfig, run_single, sweep_cells  # noqa: E402
 
 REPS = 21
 KERNEL = "loop"
 ORACLE_CALLS = 2_000  # qmc_estimate calls per repetition
 EMPIRICAL_BUDGETS = (100, 1_000, 10_000, 100_000)  # queries per empirical call
 EMPIRICAL_QUERIES = 100_000  # empirical-mode queries per repetition
-QUANTUM_T = 600_000  # the benchmark's quantum horizon (worker.QUANTUM_T)
-CLASSICAL_T = 50_000  # the default sweep's horizon
 COVER_BALLS = 32  # balls opened before the timed moves
 COVER_MOVES = 2_000  # set_radius moves per repetition
 ACTIVATIONS = 100  # activate calls per repetition
@@ -122,10 +119,10 @@ def oracle_calls(reps: int) -> dict:
     config = ExperimentConfig()
     model, x = triangle_model(), (0.5,)
     forms = {
-        "qmc1": Estimator(NoiseModel("bernoulli"), config.delta / QUANTUM_T,
+        "qmc1": Estimator(NoiseModel("bernoulli"), config.delta / worker.QUANTUM_T,
                           config.c1),
         "qmc2": Estimator(NoiseModel("gaussian", config.sigma),
-                          config.delta / QUANTUM_T, config.c1, config.c2),
+                          config.delta / worker.QUANTUM_T, config.c1, config.c2),
     }
     out = {}
     for form, estimator in forms.items():
@@ -147,7 +144,7 @@ def oracle_calls(reps: int) -> dict:
 def empirical_calls(reps: int) -> dict:
     config = ExperimentConfig()
     model, x = triangle_model(), (0.5,)
-    delta = config.delta / QUANTUM_T
+    delta = config.delta / worker.QUANTUM_T
     out = {}
     for noise in (NoiseModel("bernoulli"), NoiseModel("gaussian", config.sigma)):
         estimator = Estimator(noise, delta, config.c1)
@@ -171,7 +168,7 @@ def zooming_stages(reps: int) -> dict:
     for algorithm, noise in (("qzooming", "bernoulli"), ("qzooming_bv", "gaussian")):
         for reward in ("triangle", "twodim"):
             config = ExperimentConfig(algorithm=algorithm, reward=reward, noise=noise,
-                                      T=QUANTUM_T, master_seed=23)
+                                      T=worker.QUANTUM_T, master_seed=23)
             stages = run_single(config, 0).stages_completed
             entry = _time(lambda: run_single(config, 0), stages, reps)
             out[f"{algorithm} {reward} {noise}"] = {**entry, "stages": stages}
@@ -182,9 +179,8 @@ def classical_rounds(reps: int) -> dict:
     out = {}
     for cell in sweep_cells():
         if cell.algorithm == "classical_zooming":
-            config = replace(cell, T=CLASSICAL_T)
             out[f"{cell.reward} {cell.noise}"] = _time(
-                lambda: run_single(config, 0), CLASSICAL_T, reps)
+                lambda: run_single(cell, 0), cell.T, reps)
     return out
 
 
@@ -247,21 +243,21 @@ def cover_activations(reps: int) -> dict:
 
 
 def ledger_charges(reps: int) -> dict:
-    gaps = np.random.default_rng(5).random(CLASSICAL_T).tolist()
+    gaps = np.random.default_rng(5).random(SWEEP_DEFAULTS.T).tolist()
 
     def charges(ledger):
         consume = ledger.consume
         for g in gaps:
             consume(1, g)
 
-    entry = _time(charges, CLASSICAL_T, reps, setup=lambda: (RoundLedger(CLASSICAL_T),))
+    entry = _time(charges, SWEEP_DEFAULTS.T, reps, setup=lambda: (RoundLedger(SWEEP_DEFAULTS.T),))
     return {"consume(1, g)": entry}
 
 
 def packings(reps: int) -> dict:
     out = {}
     for reward in ("triangle", "twodim"):
-        config = ExperimentConfig(algorithm="qlae", reward=reward, T=QUANTUM_T,
+        config = ExperimentConfig(algorithm="qlae", reward=reward, T=worker.QUANTUM_T,
                                   master_seed=23, audits=True)
         metric = REWARD_FACTORIES[reward]().metric
         stages = [(ActiveRegion.whole_space(metric.dimension), 0.5)]
