@@ -347,10 +347,13 @@ def qmc_estimate(
                     variates(noise, oracle.rng, used))
         return float(np.fromiter(draws, float, used).mean()), used, exhausted
 
-    if oracle.fault_injection and oracle.rng.random() < estimator.delta:
-        sign = 1.0 if oracle.rng.random() < 0.5 else -1.0
-        return m + sign * 2.0 * eps, used, exhausted
     # numpy's uniform(-1.0, 1.0) is -1.0 + 2.0 * random(): the same float
     # and the same generator state, without uniform's argument handling
-    u = 2.0 * oracle.rng.random() - 1.0
-    return m + u * eps, used, exhausted
+    if not oracle.fault_injection:
+        return m + (2.0 * oracle.rng.random() - 1.0) * eps, used, exhausted
+    # a fault draws its sign, a clean call its offset: two floats either
+    # way, taken in one call, the same stream as two random() calls
+    fault, v = oracle.rng.random(2).tolist()
+    if fault < estimator.delta:
+        return m + (1.0 if v < 0.5 else -1.0) * 2.0 * eps, used, exhausted
+    return m + (2.0 * v - 1.0) * eps, used, exhausted

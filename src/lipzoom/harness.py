@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass, fields, replace
@@ -138,9 +139,16 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, trial]))
 
 
+@functools.cache
+def _parameters(runner) -> tuple[str, ...]:
+    """A runner's parameter names, once per runner object: a wrapper set in
+    its place is another object, so it gets its own entry."""
+    return tuple(inspect.signature(runner).parameters)
+
+
 def reads(config: ExperimentConfig) -> set[str]:
     """The config fields a run of `config` reads; outside `validate` its algorithm is valid."""
-    params = inspect.signature(getattr(algorithms, f"run_{config.algorithm}")).parameters
+    params = _parameters(getattr(algorithms, f"run_{config.algorithm}"))
     out = {"algorithm", "reward", "noise", "trials", "master_seed", *params} & vars(config).keys()
     if "oracle" in params:
         out.add("qmc_mode")
@@ -160,7 +168,7 @@ def run_single(config: ExperimentConfig, trial: int) -> algorithms.PolicyResult:
     values = {**vars(config), "model": model, "noise": noise, "oracle": oracle, "rng": rng}
     # looked up per call, so a wrapper in its place runs; signature follows __wrapped__
     runner = getattr(algorithms, f"run_{config.algorithm}")
-    return runner(**{name: values[name] for name in inspect.signature(runner).parameters})
+    return runner(**{name: values[name] for name in _parameters(runner)})
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[RegretTrace], Summary]:
@@ -193,16 +201,16 @@ def emit_csv(
     prefix.parent.mkdir(parents=True, exist_ok=True)
     traces_path = prefix.with_name(prefix.name + "_traces.csv")
     summary_path = prefix.with_name(prefix.name + "_summary.csv")
+    texts = {
+        traces_path: "run_id,algorithm,reward,noise,t,cumulative_regret\n" + "".join(
+            f"{tr.run_id},{tr.algorithm},{tr.reward},{tr.noise},{t},{v!r}\n"
+            for tr in sorted(traces, key=lambda tr: tr.run_id) for t, v in tr.checkpoints),
+        summary_path: "t,mean,std\n" + "".join(
+            f"{t},{m!r},{s!r}\n" for t, m, s in zip(summary.rounds, summary.mean, summary.std)),
+    }
     try:
-        with open(traces_path, "w") as f:
-            f.write("run_id,algorithm,reward,noise,t,cumulative_regret\n")
-            for tr in sorted(traces, key=lambda tr: tr.run_id):
-                for t, v in tr.checkpoints:
-                    f.write(f"{tr.run_id},{tr.algorithm},{tr.reward},{tr.noise},{t},{v!r}\n")
-        with open(summary_path, "w") as f:
-            f.write("t,mean,std\n")
-            for t, m, s in zip(summary.rounds, summary.mean, summary.std):
-                f.write(f"{t},{m!r},{s!r}\n")
+        for path, text in texts.items():
+            path.write_text(text)
     except OSError as exc:
         raise OSError(f"failed writing CSV near {prefix}: {exc}") from exc
     return traces_path, summary_path

@@ -24,7 +24,7 @@ from lipzoom.environment import (
     qmc_estimate,
     triangle_model,
 )
-from lipzoom.geometry import ActiveRegion, Metric, lattice, maximal_packing
+from lipzoom.geometry import ActiveRegion, Metric, maximal_packing
 from lipzoom.harness import ExperimentConfig, run_experiment, run_single
 from regret_traces import read_traces_csv
 
@@ -187,6 +187,50 @@ def test_criterion_3b_zooming_audits():
 
 # ----------------------------------------------------- packing properties
 
+def _linf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L-infinity distances between the rows of `a` and of `b`, from the same
+    float differences `Metric.pairwise` takes."""
+    dist = np.abs(a[:, None, 0] - b[None, :, 0])
+    for k in range(1, a.shape[1]):
+        np.maximum(dist, np.abs(a[:, None, k] - b[None, :, k]), out=dist)
+    return dist
+
+
+def _first_axis_windows(rows: np.ndarray, packing: np.ndarray, eps: float):
+    """Per run of `rows` with one first coordinate x: the run, and the span
+    [lo, hi) of `packing` (sorted by first coordinate) within eps of x on
+    that axis, with slack.  A packing point outside the span is more than
+    eps from every point of the run on the first axis alone."""
+    starts = np.flatnonzero(np.diff(rows[:, 0], prepend=-np.inf))
+    xs = rows[starts, 0]
+    los = np.searchsorted(packing[:, 0], xs - eps - 1e-9, "left")
+    his = np.searchsorted(packing[:, 0], xs + eps + 1e-9, "right")
+    ends = np.append(starts[1:], len(rows))
+    return zip(starts.tolist(), ends.tolist(), los.tolist(), his.tolist())
+
+
+def _packing_case_fails(region, d: int, eps: float, spacing: float, pts) -> bool:
+    """Criterion 4's predicate: two packing points closer than eps, or a
+    lattice point of the region farther than eps from every packing point.
+    Each point is compared only with the packing points within eps of it on
+    the first axis, which decides both tests exactly."""
+    arr = np.asarray(pts, dtype=float).reshape(-1, d)
+    arr = arr[np.argsort(arr[:, 0], kind="stable")]
+    for start, end, lo, hi in _first_axis_windows(arr, arr, eps):
+        dmat = _linf(arr[start:end], arr[lo:hi])
+        dmat[np.arange(end - start), np.arange(start, end) - lo] = np.inf  # self
+        if dmat.size and dmat.min() < eps:
+            return True
+    n = round(1 / spacing)
+    axis = np.arange(n + 1) / n  # the packing's lattice: k/n on each axis
+    cand = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    inside = cand[(_linf(cand, np.asarray(region.centers)) <= region.radius).any(axis=1)]
+    for start, end, lo, hi in _first_axis_windows(inside, arr, eps):
+        if hi == lo or _linf(inside[start:end], arr[lo:hi]).min(axis=1).max() > eps:
+            return True
+    return False
+
+
 def test_criterion_4_packing_covering_cases():
     rng = np.random.default_rng(41)
     metrics = [Metric(1), Metric(2)]
@@ -201,26 +245,7 @@ def test_criterion_4_packing_covering_cases():
         region = ActiveRegion(centers, radius)
         spacing = eps / 4
         pts = maximal_packing(region, metric, eps, spacing)
-        arr = np.asarray(pts, dtype=float)
-        if len(pts) > 1:
-            dmat = metric.pairwise(arr, arr)
-            np.fill_diagonal(dmat, np.inf)
-            if dmat.min() < eps:
-                bad += 1
-                continue
-        cand = lattice(d, spacing)
-        inside = cand[region.contains_many(cand, metric)]
-        if len(inside):
-            if len(pts) == 0:
-                bad += 1
-                continue
-            # chunked to keep the candidate-to-packing distance matrix small
-            worst = 0.0
-            for lo in range(0, len(inside), 2048):
-                block = inside[lo:lo + 2048]
-                worst = max(worst, metric.pairwise(block, arr).min(axis=1).max())
-            if worst > eps:
-                bad += 1
+        bad += _packing_case_fails(region, d, eps, spacing, pts)
     assert _report("4", bad == 0, f"{bad} of 200 cases violated packing/covering")
 
 

@@ -509,3 +509,31 @@ def test_estimate_truncated_by_horizon_is_flagged():
     assert exhausted and used == 10
     est, used, exhausted = qmc_estimate(oracle, BERN, model, (0.5,), 0.01, led)
     assert exhausted and used == 0 and math.isnan(est)
+
+
+def _two_scalar_contract(rng, fault_injection, delta, m, eps):
+    # the contract draw as one random() call per float
+    if fault_injection and rng.random() < delta:
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        return m + sign * 2.0 * eps
+    return m + (2.0 * rng.random() - 1.0) * eps
+
+
+@pytest.mark.parametrize("fault_injection, delta, faults", [
+    (True, 1 - 1e-9, (2_000, 2_000)), (True, 1e-9, (0, 0)), (True, 0.5, (900, 1_100)),
+    (False, 0.5, (0, 0)),
+], ids=["fault-always", "fault-never", "fault-half", "fault-off"])
+def test_contract_draw_equals_two_scalar_draws(fault_injection, delta, faults):
+    # under fault injection both branches take two floats in one call: the
+    # same estimates and generator state as drawing them one at a time
+    model, x, eps = triangle_model(), (0.5,), 0.1
+    estimator = Estimator(NoiseModel("bernoulli"), delta)
+    oracle = QuantumOracleSim("contract", fault_injection, np.random.default_rng(61))
+    twin = np.random.default_rng(61)
+    m = model.mu(x)
+    got = [qmc_estimate(oracle, estimator, model, x, eps, _fresh())[0] for _ in range(2_000)]
+    want = [_two_scalar_contract(twin, fault_injection, delta, m, eps) for _ in range(2_000)]
+    assert got == want
+    assert oracle.rng.bit_generator.state == twin.bit_generator.state
+    lo, hi = faults
+    assert lo <= sum(abs(est - m) > eps for est in got) <= hi

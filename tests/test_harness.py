@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import lipzoom
-from lipzoom import algorithms
+from lipzoom import algorithms, cli
 from lipzoom.cli import _SETTABLE, _build_config, build_parser, cli_main
 from lipzoom.harness import (
     CHOICES,
@@ -393,6 +393,30 @@ def test_cli_run_happy_path(tmp_path, capsys):
     assert "qzooming_triangle_bernoulli.svg" in names
 
 
+def test_cli_commands_in_a_row_act_as_with_fresh_parsers(tmp_path, monkeypatch, capsys):
+    # cli_main builds its parser once per process; a run and then a dim
+    # through it print and write what each does through a parser of its own
+    commands = [["run", "--algorithm", "qlae", "--reward", "sine", "--T", "4000",
+                 "--trials", "2", "--master-seed", "3", "--out", "out"],
+                ["dim", "--reward", "sine", "--divisor", "14"]]
+    outputs = []
+    for fresh in (False, True):
+        if fresh:
+            monkeypatch.setattr(cli, "_parser", build_parser)
+        else:
+            assert cli._parser() is cli._parser()
+        (tmp_path / str(fresh)).mkdir()
+        monkeypatch.chdir(tmp_path / str(fresh))
+        printed = []
+        for argv in commands:
+            assert cli_main(argv) == 0
+            printed.append(capsys.readouterr())
+        written = {p.name: p.read_bytes() for p in Path("out").iterdir()}
+        outputs.append((printed, written))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1]) == 3 and "N_z" in outputs[0][0][1].out
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     rc = cli_main(["run", "--algorithm", "qlae_bv", "--noise", "bernoulli",
                    "--T", "1000", "--trials", "1", "--out", str(tmp_path)])
@@ -688,7 +712,7 @@ def test_layers_tool_times_every_layer(monkeypatch):
     sizes = {"qmc_estimate_us_per_call": 4, "zooming_us_per_stage": 4,
              "classical_us_per_round": 6, "cover_us_per_move": 2,
              "cover_us_per_activate": 4, "ledger_us_per_charge": 1,
-             "packing_ms_per_call": 16, "qmc_estimate_empirical_us_per_call": 8,
+             "packing_ms_per_call": 17, "qmc_estimate_empirical_us_per_call": 8,
              "dim_ms_per_fit": 3}
     for section, size in sizes.items():
         assert len(report[section]) == size

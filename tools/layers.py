@@ -29,7 +29,10 @@ inputs, through no wrapper:
 * ms per `maximal_packing` call, by d and eps: each stage region of a
   seeded qlae run (triangle and twodim at T = 6e5, seed 23, audits on),
   re-packed as the run packed it: the whole space at eps 1/2, then each
-  stage's survivors, with that stage's eps as radius, at eps/2;
+  stage's survivors, with that stage's eps as radius, at eps/2.  The
+  packing memo is cleared before each repetition, so that every call
+  runs the sweep; one more entry, "memo hit", times a call on the memo's
+  last entry, the twodim run's deepest stage, with the memo kept;
 * ms per `fit_zooming_dimension(model, 3)` for each of the three rewards,
   with the `_lattice_gaps` cache cleared before each call, so that every
   call builds its gap lattice;
@@ -47,8 +50,9 @@ The script measures and checks nothing else; it uses only `qmc_estimate`,
 `Estimator`, `QuantumOracleSim`, `RoundLedger`, `ExperimentConfig`,
 `run_single`'s results and stage audits, `sweep_cells`, `_Cover`'s
 `activate` and `set_radius`, `ActiveRegion`, `maximal_packing`,
-`fit_zooming_dimension` and `_lattice_gaps.cache_clear`, so the same file
-runs on older checkouts for before/after numbers.
+`fit_zooming_dimension`, `_lattice_gaps.cache_clear` and, where it exists,
+`geometry._packing.cache_clear`, so the same file runs on older checkouts
+for before/after numbers.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ sys.dont_write_bytecode = True  # leave no bytecode cache in benchmarks/
 import numpy as np  # noqa: E402
 
 import worker  # noqa: E402
-from lipzoom import environment  # noqa: E402
+from lipzoom import environment, geometry  # noqa: E402
 from lipzoom.algorithms import _Cover  # noqa: E402
 from lipzoom.diagnostics import _lattice_gaps, fit_zooming_dimension  # noqa: E402
 from lipzoom.environment import (  # noqa: E402
@@ -255,6 +259,13 @@ def ledger_charges(reps: int) -> dict:
 
 
 def packings(reps: int) -> dict:
+    # a checkout without the packing memo has nothing to clear
+    clear = getattr(getattr(geometry, "_packing", None), "cache_clear", lambda: None)
+
+    def cleared():
+        clear()
+        return ()
+
     out = {}
     for reward in ("triangle", "twodim"):
         config = ExperimentConfig(algorithm="qlae", reward=reward, T=worker.QUANTUM_T,
@@ -268,9 +279,12 @@ def packings(reps: int) -> dict:
         for region, eps in stages:
             args = (region, metric, eps, eps / 4)
             # 1000 units per call: µs per unit is ms per call
-            entry = _time(lambda: maximal_packing(*args), 1e3, reps)
+            entry = _time(lambda: maximal_packing(*args), 1e3, reps, setup=cleared)
             key = f"d={metric.dimension} eps=1/{round(1 / eps)}"
             out[key] = {**entry, "arms": len(maximal_packing(*args))}
+    # the last call above left its arguments in the memo: every call is a hit
+    out["memo hit"] = {**_time(lambda: maximal_packing(*args), 1e3, reps),
+                       "arms": len(maximal_packing(*args))}
     return out
 
 
