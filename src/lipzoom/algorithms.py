@@ -282,7 +282,9 @@ def run_classical_zooming(
     arm maximizing the running mean plus twice its confidence radius
     sqrt(2 ln T * max(1, 4 sigma^2) / count), and updates that arm's
     statistics.  The radius is Hoeffding's for rewards in [0,1], whose
-    variance proxy is 1/4, widened for sigma-sub-Gaussian noise above it.
+    variance proxy is 1/4, widened for sigma-sub-Gaussian noise above it,
+    so a running mean lies outside it with probability at most 2 T^-4 per
+    (arm, count) pair under either noise.
 
     Only the played arm's index moves (`log_t` is fixed), so arm i stays
     the first-wins argmax while its index x has x > max(index[:i]) and
@@ -294,6 +296,8 @@ def run_classical_zooming(
     """
     ledger = RoundLedger(T, checkpoint_every)
     cover = _Cover(model.metric.dimension)
+    # 4.0 * sigma * sigma is inf for sigma above about 6.7e153, and so is the
+    # radius, where sigma**2 would raise OverflowError
     log_t = 2.0 * math.log(T) * max(1.0, 4.0 * noise.sigma * noise.sigma)
     sqrt, inf = math.sqrt, math.inf
     means: list[float] = []

@@ -206,8 +206,8 @@ def _packing(region: ActiveRegion, metric: Metric, eps: float,
     written.  In 1-D that is none of it: the cursor jumps the w cells
     after the accepted one.  In 2-D the cursor jumps the accepted row's
     excluded cells, up to the row's end, and one slice write clears the
-    rows below.  The points and their order are exactly those of a
-    whole-lattice scan.
+    rows below.  In d >= 3 each acceptance clears its whole box.  The
+    points and their order are exactly those of a whole-lattice scan.
     """
     if not eps > 0:
         raise GeometryError(f"packing radius must be positive, got {eps}")

@@ -2,8 +2,8 @@
 
 Criteria 1 and 6 encode expectations that the pinned algorithm parameters
 do not meet at desk scale; those tests state the requirement faithfully and
-are expected to fail.  The README's Tests section gives their numbers and
-the reasons.
+are expected to fail.  Each prints its numbers on its `[criterion N]` line;
+ROADMAP.md's Standing section gives the reasons, as far as measured.
 """
 
 import math
@@ -232,6 +232,11 @@ def _packing_case_fails(region, d: int, eps: float, spacing: float, pts) -> bool
 
 
 def test_criterion_4_packing_covering_cases():
+    """200 seeded regions in 1-D and 2-D: no two packing points closer than
+    eps, and every lattice point of the region within eps of one.  The
+    lattice and the distances are built here, so the check reads nothing
+    from `lipzoom.geometry` but the packing under test and the
+    `ActiveRegion` and `Metric` it takes."""
     rng = np.random.default_rng(41)
     metrics = [Metric(1), Metric(2)]
     bad = 0

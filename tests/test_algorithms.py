@@ -614,6 +614,56 @@ def test_classical_zooming_runs_where_sigma_squared_overflows(sigma, tmp_path):
     assert cli_main(argv) == 0
 
 
+def _classical_coverage(model, noise, T, rng, factor):
+    # the per-round loop of `_reference_classical_zooming` with its radius
+    # widened by `factor`, which also counts the (arm, count) pairs, one per
+    # round, whose running mean lies farther than the radius from the arm's mean
+    ledger = RoundLedger(T)
+    cover = _Cover(model.metric.dimension)
+    log_t = 2.0 * math.log(T) * factor
+    means, gaps, counts, sums, index = [], [], [], [], []
+    misses = 0
+    for v in variates(noise, rng, T):
+        y = cover.activate()
+        if y is not None:
+            means.append(model.mu(y))
+            gaps.append(model.mu_star - means[-1])
+            counts.append(0)
+            sums.append(0.0)
+            index.append(2.0)
+        i = index.index(max(index))
+        counts[i] += 1
+        sums[i] += classical_sample(means[i], noise, v)
+        r = math.sqrt(log_t / counts[i])
+        misses += abs(sums[i] / counts[i] - means[i]) > r
+        index[i] = sums[i] / counts[i] + 2.0 * r
+        cover.set_radius(i, r)
+        ledger.consume(1, gaps[i])
+    return algorithms._finish(ledger, T, [], []), misses
+
+
+@pytest.mark.parametrize("factory", [triangle_model, twodim_model], ids=["abs1d", "linf2d"])
+def test_classical_radius_covers_the_mean_at_sigma_two(factory):
+    """At sigma = 2 the baseline's radius holds every running mean.
+
+    With the factor max(1, 4 sigma^2) = 16 a pair misses with probability
+    at most 2 T^-4, so none of the 10^4 pairs may miss; without it, the
+    Hoeffding radius for rewards in [0,1] misses a clear share of them.
+    """
+    noise, T = NoiseModel("gaussian", 2.0), 2_000
+    factor = max(1.0, 4.0 * noise.sigma * noise.sigma)
+    widened = plain = 0
+    for seed in range(5):
+        want = run_classical_zooming(factory(), noise, T, np.random.default_rng(seed))
+        got, misses = _classical_coverage(factory(), noise, T, np.random.default_rng(seed),
+                                          factor)
+        assert got.checkpoints == want.checkpoints  # the baseline's own radius
+        widened += misses
+        plain += _classical_coverage(factory(), noise, T, np.random.default_rng(seed), 1.0)[1]
+    assert widened == 0
+    assert plain > 0.01 * 5 * T
+
+
 def _flat_model():
     # Bernoulli draws as under a constant mean 0.4, so arms keep reaching
     # equal indices and rescans meet first-wins ties; each arm's gap still

@@ -9,6 +9,7 @@ import inspect
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -265,6 +266,40 @@ def test_readme_reads_table_matches_the_runners():
         if config.noise != "gaussian":  # "`sigma` under gaussian noise"
             documented.discard("sigma")
         assert reads(config) & _SETTABLE.keys() == documented, alg
+
+
+def _readme_commands():
+    """The commands README.md shows, split as a shell would: each line of its
+    `sh` blocks, with `\\` continuations joined and comments dropped, and
+    each inline code span outside those blocks that starts with `lipzoom`
+    or `python3`."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    prose = re.sub(r"^```.*?^```", "", readme, flags=re.M | re.S)
+    spans = [span for span in re.findall(r"`([^`]+)`", prose)
+             if span.split()[:1] in (["lipzoom"], ["python3"])]
+    return [argv for text in lines + spans if (argv := shlex.split(text, comments=True))]
+
+
+def test_readme_lipzoom_commands_parse():
+    # a misspelled flag in the README (`--master_seed`, say) fails here
+    commands = [argv[1:] for argv in _readme_commands() if argv[0] == "lipzoom"]
+    assert len(commands) >= 4
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:  # argparse's exit, which cli_main turns into its code
+            pytest.fail(f"README's `lipzoom {shlex.join(argv)}` exits {exc.code} on parsing")
+
+
+def test_readme_python3_scripts_exist():
+    root = Path(__file__).resolve().parent.parent
+    scripts = [argv[1] for argv in _readme_commands()
+               if argv[0] == "python3" and not argv[1].startswith("-")]
+    assert len(scripts) >= 4
+    assert [s for s in scripts if not (root / s).is_file()] == []
 
 
 def test_run_single_repeatable():

@@ -16,14 +16,15 @@ inputs, through no wrapper:
   included;
 * µs per classical round at T = 5e4 for the six classical cells of the
   default sweep: a whole trial over T;
-* µs per `_Cover.set_radius` move, 1-D and 2-D: a replay of a seeded
-  sequence of radii, each outside its ball's band so that every call moves
-  the ball's box, on a cover whose balls were opened beforehand;
+* µs per `_Cover.set_radius` move, 1-D and 2-D: a replay of COVER_MOVES
+  (2000) seeded radii, each outside its ball's band so that every call
+  moves the ball's box, on a cover whose COVER_BALLS (32) balls were
+  opened before the clock starts;
 * µs per `_Cover.activate` call, 1-D and 2-D, on covers opened as for
   the moves: "covered" calls on such a cover after one more activation,
   whose radius-1 ball covers every candidate, so each call returns None;
-  "opening" calls, one on each of ACTIVATIONS such covers, each of which
-  opens a ball;
+  "opening" calls, one on each of ACTIVATIONS (100) such covers, each of
+  which opens a ball;
 * µs per `RoundLedger.consume(1, g)` charge: T = 5e4 one-round charges at
   the default checkpoint interval;
 * ms per `maximal_packing` call, by d and eps: each stage region of a
@@ -41,12 +42,14 @@ inputs, through no wrapper:
   cleared and once with the reward's gap lattice cached.  This section is
   a memory count, not a timing: one call each, no repetitions or scale.
 
-Every timing is the median and quartiles over REPS repetitions after one
-warm-up, raw and scaled to the reference host speed.  The scale is that of
-`benchmarks/worker.py`: after each repetition its "loop" kernel (a Python
-loop of small numpy calls, like the loops timed here) runs once, and the
-repetition's time is multiplied by REF_S["loop"] over the kernel's time.
-The script measures and checks nothing else; it uses only `qmc_estimate`,
+Every timing is the median and quartiles over REPS (21) repetitions after
+one warm-up, raw and scaled to the reference host speed.  The scale is
+that of `benchmarks/worker.py`: after each repetition its "loop" kernel (a
+Python loop of small numpy calls, like the loops timed here) runs once,
+and the repetition's time is multiplied by REF_S["loop"] over the
+kernel's time.  The file also records the git revision, whether the tree
+was dirty, the CPU count, the machine and the Python and numpy versions.
+The script measures and gates nothing; it uses only `qmc_estimate`,
 `Estimator`, `QuantumOracleSim`, `RoundLedger`, `ExperimentConfig`,
 `run_single`'s results and stage audits, `sweep_cells`, `_Cover`'s
 `activate` and `set_radius`, `ActiveRegion`, `maximal_packing`,
