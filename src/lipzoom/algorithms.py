@@ -184,39 +184,34 @@ def _run_zooming(
     audits: bool,
 ) -> PolicyResult:
     ledger = RoundLedger(T, checkpoint_every)
-    cover = _Cover(model.metric.dimension)  # cover.centres are the active arms
-    radii: list[float] = []
+    cover = _Cover(model.metric.dimension)
+    # each active arm's (centre, radius), replaced only when the arm is
+    # halved, so that the stage snapshots share one pair per arm; arm 0's
+    # radius-1 ball covers every candidate, and only a halving uncovers one
+    arms: list[tuple[Point, float]] = [(cover.activate(), 1.0)]
     # estimate + 2*radius per arm, written after each estimate; an unplayed
     # arm sits at estimate 0 and radius 1
-    index: list[float] = []
+    index = [2.0]
     records: list[EstimateRecord] = []
     stage_audits: list[StageAudit] = []
-    # under audits, each arm's (centre, radius), replaced only when the arm
-    # is opened or halved, so that the stage snapshots share the pairs
-    pairs: list[tuple[Point, float]] = []
 
     # every stage plays at least one round, so the horizon ends the loop
     for s in itertools.count(1):
-        if (y := cover.activate()) is not None:
-            radii.append(1.0)
-            index.append(2.0)
-            if audits:
-                pairs.append((y, 1.0))
-
         if audits:
-            stage_audits.append(StageAudit(s, tuple(pairs)))
+            stage_audits.append(StageAudit(s, tuple(arms)))
 
         i = select_arm(index)
-        radii[i] /= 2.0
-        eps = radii[i]
+        x, eps = arms[i][0], arms[i][1] / 2.0
+        arms[i] = (x, eps)
         cover.set_radius(i, eps)
+        if (y := cover.activate()) is not None:
+            arms.append((y, 1.0))
+            index.append(2.0)
         if estimator.queries(eps) > ledger.remaining:
             break
-        x = cover.centres[i]
         est, _, _ = qmc_estimate(oracle, estimator, model, x, eps, ledger)
         index[i] = est + 2.0 * eps
         if audits:
-            pairs[i] = (x, eps)
             records.append(EstimateRecord(s, x, eps, est, model.mu(x)))
 
     # stage s did not fit in the horizon
@@ -292,7 +287,9 @@ def run_classical_zooming(
     can only raise the second threshold.  The loop rescans only when that
     test fails, keeps arm i's statistics and the cover's band for it in
     locals between rescans, and calls `set_radius` only when the radius
-    leaves that band, and `activate` only in round 1 and after such a call.
+    leaves that band, and `activate` before round 1 and right after such a
+    call: a new ball has radius 1 and covers every candidate, so only a
+    move uncovers one.
     """
     ledger = RoundLedger(T, checkpoint_every)
     cover = _Cover(model.metric.dimension)
@@ -300,23 +297,32 @@ def run_classical_zooming(
     # radius, where sigma**2 would raise OverflowError
     log_t = 2.0 * math.log(T) * max(1.0, 4.0 * noise.sigma * noise.sigma)
     sqrt, inf = math.sqrt, math.inf
-    means: list[float] = []
-    gaps: list[float] = []
-    counts: list[int] = []
-    sums: list[float] = []
-    index: list[float] = []
-    # the played arm i: its count, sum, mean, gap and index, and the max
-    # index before and after it.  They start as the first round's activated
-    # arm 0, and before = inf makes that round rescan, which reads i's band.
-    i, c, s, m, g, x = 0, 0, 0.0, 0.0, 0.0, 2.0
-    before, after = inf, -inf
-    moved = True  # only a move uncovers a candidate: a new ball has radius 1
+    # the played arm i: its count, sum, mean, gap, index and band, and the
+    # max index before and after it.  They start as arm 0, opened here.
+    m = model.mu(cover.activate())
+    g = model.mu_star - m
+    means, gaps, counts, sums, index = [m], [g], [0], [0.0], [2.0]
+    i, c, s, x = 0, 0, 0.0, 2.0
+    lo, hi = cover.bands[0]
+    before = after = -inf
 
     # the loop draws its variates lazily, block by block; that keeps the
     # stream of T scalar draws only while nothing else in it reads rng
     for v in variates(noise, rng, T):
-        if moved:
-            moved = False
+        if not (x > before and x >= after):
+            counts[i], sums[i], index[i] = c, s, x
+            i = select_arm(index)
+            before = max(index[:i]) if i else -inf
+            after = max(index[i + 1:]) if i + 1 < len(index) else -inf
+            c, s, m, g = counts[i], sums[i], means[i], gaps[i]
+            lo, hi = cover.bands[i]  # it holds i's current radius
+
+        s += classical_sample(m, noise, v)
+        c += 1
+        r = sqrt(log_t / c)
+        x = s / c + 2.0 * r
+        if not lo <= r < hi:
+            lo, hi = cover.set_radius(i, r)
             if (y := cover.activate()) is not None:
                 means.append(model.mu(y))
                 gaps.append(model.mu_star - means[-1])  # gap(y), without a second mu
@@ -325,22 +331,6 @@ def run_classical_zooming(
                 index.append(2.0)  # mean 0, radius 1
                 if after < 2.0:
                     after = 2.0
-
-        if not (x > before and x >= after):
-            counts[i], sums[i], index[i] = c, s, x
-            i = select_arm(index)
-            before = max(index[:i]) if i else -inf
-            after = max(index[i + 1:]) if i + 1 < len(index) else -inf
-            c, s, m, g = counts[i], sums[i], means[i], gaps[i]
-            lo, hi = cover._bands[i]  # it holds i's current radius
-
-        s += classical_sample(m, noise, v)
-        c += 1
-        r = sqrt(log_t / c)
-        x = s / c + 2.0 * r
-        if not lo <= r < hi:
-            lo, hi = cover.set_radius(i, r)
-            moved = True
         ledger.consume(1, g)
 
     counts[i], sums[i], index[i] = c, s, x

@@ -261,12 +261,12 @@ class _Cover:
     cells `_cells[i]`.  Its candidates within r are the box
     `_cells_within(_cells[i], w, n)`, w = int(min(r, 1) * n).  `count` has
     the lattice's shape, one entry per candidate, and a zero is an
-    uncovered candidate.  A ball keeps a numpy view of `count` on its box
-    and its band `(lo, hi)`: the largest axis distance inside the box and the
-    smallest outside it (inf when the box spans the whole lattice on every
-    axis).  A new radius in [lo, hi) keeps the box, so `set_radius` returns
-    at once; it returns the band, which lets the classical baseline skip
-    the call while its played arm's radius stays inside.
+    uncovered candidate.  Ball i keeps a numpy view of `count` on its box and
+    its band `bands[i] = (lo, hi)`: the largest axis distance inside the box
+    and the smallest outside it (inf when the box spans the whole lattice on
+    every axis).  A new radius in [lo, hi) keeps the box, so `set_radius`
+    returns at once; it returns the band, which lets the classical baseline
+    skip the call while its played arm's radius stays inside.
     """
 
     def __init__(self, dimension: int):
@@ -277,7 +277,7 @@ class _Cover:
         self._cells: list[tuple[int, ...]] = []
         self._reach: list[int] = []  # cells from the centre to the farthest face
         self._views: list[np.ndarray] = []
-        self._bands: list[tuple[float, float]] = []
+        self.bands: list[tuple[float, float]] = []
 
     def activate(self) -> Point | None:
         """Open a radius-1 ball on the first uncovered candidate and return it, or None."""
@@ -290,7 +290,7 @@ class _Cover:
         self._cells.append(cells)
         self._reach.append(max(max(j, self.n - j) for j in cells))
         self._views.append(self.count[:0])  # empty until the move below
-        self._bands.append((math.inf, -math.inf))
+        self.bands.append((math.inf, -math.inf))
         self.set_radius(len(self.centres) - 1, 1.0)
         return centre
 
@@ -298,7 +298,7 @@ class _Cover:
         """Move ball i to radius r and return its band `(lo, hi)`, which holds
         any finite r.  A NaN or negative r raises GeometryError.
         """
-        band = self._bands[i]
+        band = self.bands[i]
         if band[0] <= r < band[1]:
             return band
         if not r >= 0:
@@ -310,7 +310,7 @@ class _Cover:
         else:
             hi = (w + 1) / n
         lo = w / n
-        self._bands[i] = (lo, hi)
+        self.bands[i] = (lo, hi)
         if lo != band[0]:  # lo is the box's half-width in cells over n
             self._views[i] -= 1
             self._views[i] = view = self.count[_cells_within(self._cells[i], w, n)]

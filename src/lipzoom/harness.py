@@ -183,6 +183,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RegretTrace], Summary
 
 
 def summarize(traces: Sequence[RegretTrace]) -> Summary:
+    if not traces:
+        raise ValueError("summarize needs at least one trace")
     rounds = tuple(t for t, _ in traces[0].checkpoints)
     for tr in traces:
         if tuple(t for t, _ in tr.checkpoints) != rounds:

@@ -131,7 +131,7 @@ def test_cover_matches_brute_force(metric):
                 r = float(rng.choice(dist[1:][dist[1:] <= max(radii[i], dist[1])]))
             before = cover.count.copy()
             band = cover.set_radius(i, r)
-            assert band == cover._bands[i] and band[0] <= r < band[1]
+            assert band == cover.bands[i] and band[0] <= r < band[1]
             radii[i] = r
             outcomes["moved" if (cover.count != before).any() else "unmoved"] += 1
             check_counts(i)
@@ -141,7 +141,7 @@ def test_cover_matches_brute_force(metric):
 def _band_box(cover, i):
     # the box ball i's band implies: its lower end is the box's half-width
     # in cells over n
-    return geometry._cells_within(cover._cells[i], round(cover._bands[i][0] * cover.n), cover.n)
+    return geometry._cells_within(cover._cells[i], round(cover.bands[i][0] * cover.n), cover.n)
 
 
 def _reference_band(coords, ball, centre):
@@ -192,7 +192,7 @@ def test_cover_boxes_and_bands_match_geometry_box(dimension, sample):
             band = cover.set_radius(i, r)
             ball = geometry.box(coords, centre, r)
             assert _band_box(cover, i) == ball, (centre, r)
-            assert band == cover._bands[i] == _reference_band(coords, ball, centre), (centre, r)
+            assert band == cover.bands[i] == _reference_band(coords, ball, centre), (centre, r)
             assert band[0] <= r < band[1]
     want = np.zeros_like(cover.count)
     for i in range(len(cover.centres)):
@@ -206,12 +206,12 @@ def test_cover_rejects_nan_and_negative_radius(r):
     cover = _Cover(2)
     cover.activate()
     cover.set_radius(0, 0.25)
-    count, band, ball = cover.count.copy(), cover._bands[0], _band_box(cover, 0)
+    count, band, ball = cover.count.copy(), cover.bands[0], _band_box(cover, 0)
     assert count[ball].min() == count.max() == 1 and count.sum() == count[ball].size
     with pytest.raises(GeometryError, match="non-negative"):
         cover.set_radius(0, r)
     np.testing.assert_array_equal(cover.count, count)
-    assert (cover._bands[0], _band_box(cover, 0)) == (band, ball)
+    assert (cover.bands[0], _band_box(cover, 0)) == (band, ball)
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])

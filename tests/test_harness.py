@@ -334,6 +334,8 @@ def test_summarize_rejects_mismatched_rounds():
     ]
     with pytest.raises(ValueError):
         summarize(traces)
+    with pytest.raises(ValueError, match="at least one trace"):
+        summarize([])
 
 
 def test_emit_csv_roundtrip(tmp_path):

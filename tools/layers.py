@@ -27,13 +27,12 @@ inputs, through no wrapper:
   which opens a ball;
 * µs per `RoundLedger.consume(1, g)` charge: T = 5e4 one-round charges at
   the default checkpoint interval;
-* ms per `maximal_packing` call, by d and eps: each stage region of a
-  seeded qlae run (triangle and twodim at T = 6e5, seed 23, audits on),
-  re-packed as the run packed it: the whole space at eps 1/2, then each
-  stage's survivors, with that stage's eps as radius, at eps/2.  The
-  packing memo is cleared before each repetition, so that every call
-  runs the sweep; one more entry, "memo hit", times a call on the memo's
-  last entry, the twodim run's deepest stage, with the memo kept;
+* ms per `maximal_packing` call, by d and eps: each call a seeded qlae
+  run makes (triangle and twodim at T = 6e5, seed 23), recorded through
+  `algorithms.maximal_packing` during that run and replayed with the same
+  arguments.  The packing memo is cleared before each repetition, so that
+  every call runs the sweep; one more entry, "memo hit", times a call on
+  the memo's last entry, the twodim run's deepest stage, with the memo kept;
 * ms per `fit_zooming_dimension(model, 3)` for each of the three rewards,
   with the `_lattice_gaps` cache cleared before each call, so that every
   call builds its gap lattice;
@@ -51,8 +50,8 @@ kernel's time.  The file also records the git revision, whether the tree
 was dirty, the CPU count, the machine and the Python and numpy versions.
 The script measures and gates nothing; it uses only `qmc_estimate`,
 `Estimator`, `QuantumOracleSim`, `RoundLedger`, `ExperimentConfig`,
-`run_single`'s results and stage audits, `sweep_cells`, `_Cover`'s
-`activate` and `set_radius`, `ActiveRegion`, `maximal_packing`,
+`run_single` and its results, `sweep_cells`, `_Cover`'s `activate` and
+`set_radius`, `maximal_packing` and its `algorithms` binding,
 `fit_zooming_dimension`, `_lattice_gaps.cache_clear` and, where it exists,
 `geometry._packing.cache_clear`, so the same file runs on older checkouts
 for before/after numbers.
@@ -78,7 +77,7 @@ sys.dont_write_bytecode = True  # leave no bytecode cache in benchmarks/
 import numpy as np  # noqa: E402
 
 import worker  # noqa: E402
-from lipzoom import environment, geometry  # noqa: E402
+from lipzoom import algorithms, environment, geometry  # noqa: E402
 from lipzoom.algorithms import _Cover  # noqa: E402
 from lipzoom.diagnostics import _lattice_gaps, fit_zooming_dimension  # noqa: E402
 from lipzoom.environment import (  # noqa: E402
@@ -89,7 +88,7 @@ from lipzoom.environment import (  # noqa: E402
     RoundLedger,
     triangle_model,
 )
-from lipzoom.geometry import ActiveRegion, maximal_packing  # noqa: E402
+from lipzoom.geometry import maximal_packing  # noqa: E402
 from lipzoom.harness import SWEEP_DEFAULTS, ExperimentConfig, run_single, sweep_cells  # noqa: E402
 
 REPS = 21
@@ -269,22 +268,25 @@ def packings(reps: int) -> dict:
         clear()
         return ()
 
+    calls = []
+
+    def recorded(region, metric, eps, spacing):
+        calls.append((region, metric, eps, spacing))
+        return maximal_packing(region, metric, eps, spacing)
+
+    algorithms.maximal_packing = recorded
+    try:
+        for reward in ("triangle", "twodim"):
+            run_single(ExperimentConfig(algorithm="qlae", reward=reward,
+                                        T=worker.QUANTUM_T, master_seed=23), 0)
+    finally:
+        algorithms.maximal_packing = maximal_packing
     out = {}
-    for reward in ("triangle", "twodim"):
-        config = ExperimentConfig(algorithm="qlae", reward=reward, T=worker.QUANTUM_T,
-                                  master_seed=23, audits=True)
-        metric = REWARD_FACTORIES[reward]().metric
-        stages = [(ActiveRegion.whole_space(metric.dimension), 0.5)]
-        for audit in run_single(config, 0).stage_audits:
-            if audit.survivors:
-                eps = audit.survivors[0][1]
-                stages.append((ActiveRegion(tuple(x for x, _ in audit.survivors), eps), eps / 2))
-        for region, eps in stages:
-            args = (region, metric, eps, eps / 4)
-            # 1000 units per call: µs per unit is ms per call
-            entry = _time(lambda: maximal_packing(*args), 1e3, reps, setup=cleared)
-            key = f"d={metric.dimension} eps=1/{round(1 / eps)}"
-            out[key] = {**entry, "arms": len(maximal_packing(*args))}
+    for args in calls:
+        # 1000 units per call: µs per unit is ms per call
+        entry = _time(lambda: maximal_packing(*args), 1e3, reps, setup=cleared)
+        key = f"d={args[1].dimension} eps=1/{round(1 / args[2])}"
+        out[key] = {**entry, "arms": len(maximal_packing(*args))}
     # the last call above left its arguments in the memo: every call is a hit
     out["memo hit"] = {**_time(lambda: maximal_packing(*args), 1e3, reps),
                        "arms": len(maximal_packing(*args))}
