@@ -301,7 +301,7 @@ def run_classical_zooming(
     # max index before and after it.  They start as arm 0, opened here.
     m = model.mu(cover.activate())
     g = model.mu_star - m
-    means, gaps, counts, sums, index = [m], [g], [0], [0.0], [2.0]
+    means, counts, sums, index = [m], [0], [0.0], [2.0]
     i, c, s, x = 0, 0, 0.0, 2.0
     lo, hi = cover.bands[0]
     before = after = -inf
@@ -314,7 +314,8 @@ def run_classical_zooming(
             i = select_arm(index)
             before = max(index[:i]) if i else -inf
             after = max(index[i + 1:]) if i + 1 < len(index) else -inf
-            c, s, m, g = counts[i], sums[i], means[i], gaps[i]
+            c, s, m = counts[i], sums[i], means[i]
+            g = model.mu_star - m
             lo, hi = cover.bands[i]  # it holds i's current radius
 
         s += classical_sample(m, noise, v)
@@ -325,7 +326,6 @@ def run_classical_zooming(
             lo, hi = cover.set_radius(i, r)
             if (y := cover.activate()) is not None:
                 means.append(model.mu(y))
-                gaps.append(model.mu_star - means[-1])  # gap(y), without a second mu
                 counts.append(0)
                 sums.append(0.0)
                 index.append(2.0)  # mean 0, radius 1

@@ -12,18 +12,16 @@ exactly k/n and two coordinates differ by exactly |k - j|/n.  Under
 L-infinity a distance is at most r, or below eps, exactly when every axis
 difference is, so the lattice cells of a ball form a box: one contiguous
 range of per-axis indices per axis.  About a lattice cell j the box is
-`_cells_within`, the cells with |k - j| <= w, found by no search; the
-packing's exclusion and the cover's balls are such boxes.  `box` is the
-rule for centres off the lattice, as the packing's region centres: it
-compares the differences `Metric.pairwise` computes, so a box holds
-exactly the cells a distance scan accepts.  No lattice array is built: a
-cell is an index tuple into the per-axis coordinates.  Sizes are checked
-as `not x > 0`, which rejects NaN too.
+`_cells_within`, the cells with |k - j| <= w, found by no search.  A
+ball of radius r <= 1 about a cell is the box w = floor(r n), and the
+packing's region balls, its exclusion and the cover's balls are such
+boxes; the packing's region centres must therefore be lattice cells.  No
+lattice array is built: a cell is an index tuple into the per-axis
+coordinates.  Sizes are checked as `not x > 0`, which rejects NaN too.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -88,8 +86,9 @@ class ActiveRegion:
 
     @classmethod
     def whole_space(cls, dimension: int) -> "ActiveRegion":
-        # one ball of radius >= diameter centered anywhere covers [0,1]^d
-        return cls((tuple([0.5] * dimension),), 1.0)
+        # one ball of radius >= diameter centered anywhere covers [0,1]^d; the
+        # origin is a cell of every lattice, n = 1 included
+        return cls((tuple([0.0] * dimension),), 1.0)
 
     def contains_many(self, pts: np.ndarray, metric: Metric) -> np.ndarray:
         if not self.centers:
@@ -115,28 +114,6 @@ def lattice(dimension: int, spacing: float) -> np.ndarray:
     axis = _axis(spacing)
     grids = np.meshgrid(*([axis] * dimension), indexing="ij")
     return np.stack(grids, axis=-1).reshape(-1, dimension)
-
-
-def _box_range(coords: list[float], x: float, r: float) -> tuple[int, int]:
-    """Index range [lo, hi) of the k with abs(coords[k] - x) <= r.
-
-    `coords` is sorted, and the range is contiguous because float
-    subtraction is monotone: bisect the window within r of x, with slack
-    for rounding, then step each end inward to the exact test.
-    """
-    reach = r + 1e-9
-    lo = bisect.bisect_left(coords, x - reach)
-    hi = bisect.bisect_right(coords, x + reach)
-    while lo < hi and not abs(coords[lo] - x) <= r:
-        lo += 1
-    while hi > lo and not abs(coords[hi - 1] - x) <= r:
-        hi -= 1
-    return lo, hi
-
-
-def box(coords: list[float], centre: Point, r: float) -> tuple[slice, ...]:
-    """The lattice cells within r of `centre`: one slice of indices into `coords` per axis."""
-    return tuple(slice(*_box_range(coords, x, r)) for x in centre)
 
 
 def _cells_within(cells: list[int] | tuple[int, ...], w: int, n: int) -> tuple[slice, ...]:
@@ -183,7 +160,8 @@ def maximal_packing(
     a candidate is accepted iff it lies in the region and is at distance
     >= eps from every previously accepted point.  The result is therefore
     a packing, and by maximality an eps-covering of every lattice candidate
-    inside the region.
+    inside the region.  Every region centre must be a lattice cell, with
+    the metric's dimension; any other centre raises GeometryError.
 
     The sweep is `_packing`, memoised over its last PACKING_MEMO distinct
     arguments.  It is a pure function of frozen, hashable inputs, so a memo
@@ -199,8 +177,9 @@ def _packing(region: ActiveRegion, metric: Metric, eps: float,
 
     No lattice array is built (see the module docstring): a cell is an
     index tuple into `_axis(spacing)`, and the sweep keeps one boolean per
-    cell.  Membership sets each centre's `box` and each acceptance clears
-    its exclusion, `_cells_within` w = `_exclusion_width(eps, spacing)`.
+    cell.  Membership sets each centre's box, `_cells_within` w =
+    int(min(radius, 1) * n), and each acceptance clears its exclusion,
+    `_cells_within` w = `_exclusion_width(eps, spacing)`.
     A forward cursor finds the next eligible cell, since the sweep never
     returns to an earlier one, so only the exclusion past the cursor is
     written.  In 1-D that is none of it: the cursor jumps the w cells
@@ -219,15 +198,18 @@ def _packing(region: ActiveRegion, metric: Metric, eps: float,
     if not region.centers:
         return ()
     d = metric.dimension
-    centres = np.asarray(region.centers, dtype=float)
-    if centres.shape[1:] != (d,):
-        raise GeometryError(
-            f"centre dimension mismatch: expected {d}, got shape {centres.shape}"
-        )
+    if any(len(c) != d for c in region.centers):
+        raise GeometryError(f"centre dimension mismatch: expected {d}, "
+                            f"got {sorted({len(c) for c in region.centers})}")
     n = len(coords) - 1
+    cells = np.asarray(region.centers, dtype=float) * n  # exact: n = 2^p
+    # NaN fails every comparison, and an infinity the range test
+    if not ((cells >= 0) & (cells <= n) & (cells == np.floor(cells))).all():
+        raise GeometryError(f"region centres must be cells of the 1/{n} lattice")
     eligible = np.zeros((n + 1,) * d, dtype=bool)
-    for c in centres.tolist():
-        eligible[box(coords, c, region.radius)] = True
+    ball = int(min(region.radius, 1.0) * n)  # |k - j| / n <= radius, exactly
+    for j in cells.astype(int).tolist():
+        eligible[_cells_within(j, ball, n)] = True
     w = _exclusion_width(eps, spacing)
 
     flat = eligible.reshape(-1)

@@ -232,11 +232,11 @@ def _packing_case_fails(region, d: int, eps: float, spacing: float, pts) -> bool
 
 
 def test_criterion_4_packing_covering_cases():
-    """200 seeded regions in 1-D and 2-D: no two packing points closer than
-    eps, and every lattice point of the region within eps of one.  The
-    lattice and the distances are built here, so the check reads nothing
-    from `lipzoom.geometry` but the packing under test and the
-    `ActiveRegion` and `Metric` it takes."""
+    """200 seeded lattice-centred regions in 1-D and 2-D: no two packing
+    points closer than eps, and every lattice point of the region within
+    eps of one.  The lattice and the distances are built here, so the
+    check reads nothing from `lipzoom.geometry` but the packing under test
+    and the `ActiveRegion` and `Metric` it takes."""
     rng = np.random.default_rng(41)
     metrics = [Metric(1), Metric(2)]
     bad = 0
@@ -244,11 +244,12 @@ def test_criterion_4_packing_covering_cases():
         metric = metrics[case % len(metrics)]
         d = metric.dimension
         k = int(rng.integers(1, 9))
-        centers = tuple(tuple(rng.random(d)) for _ in range(k))
+        centers = [rng.random(d) for _ in range(k)]
         radius = float(rng.uniform(0.05, 0.5))
         eps = 2.0 ** -int(rng.integers(1, 7))
-        region = ActiveRegion(centers, radius)
         spacing = eps / 4
+        centers = tuple(tuple(np.round(c / spacing) * spacing) for c in centers)
+        region = ActiveRegion(centers, radius)
         pts = maximal_packing(region, metric, eps, spacing)
         bad += _packing_case_fails(region, d, eps, spacing, pts)
     assert _report("4", bad == 0, f"{bad} of 200 cases violated packing/covering")

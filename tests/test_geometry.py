@@ -15,10 +15,8 @@ from lipzoom.geometry import (
     Metric,
     Point,
     _axis,
-    _box_range,
     _cells_within,
     _exclusion_width,
-    box,
     lattice,
     maximal_packing,
     _packing,
@@ -220,6 +218,8 @@ def test_packing_whole_interval_one():
     # beyond the diameter every cell is within eps of the first
     for eps in (1.5, 1e300, math.inf):
         assert maximal_packing(ActiveRegion.whole_space(1), m, eps, spacing=1 / 4) == [(0.0,)]
+    # spacing 1, the coarsest lattice: its only cells are the two faces
+    assert maximal_packing(ActiveRegion.whole_space(1), m, 4.0, spacing=1.0) == [(0.0,)]
 
 
 def test_packing_single_ball():
@@ -254,14 +254,16 @@ _metrics = st.sampled_from(_PACKING_METRICS)
 
 @st.composite
 def _region_case(draw):
+    """Centres on the lattice of spacing eps/4, the one the test packs on."""
     metric = draw(_metrics)
     d = metric.dimension
     k = draw(st.integers(1, 4))
+    eps = 2.0 ** -draw(st.integers(1, 4))
+    n = round(4 / eps)
     centers = tuple(
-        tuple(draw(st.floats(0.0, 1.0)) for _ in range(d)) for _ in range(k)
+        tuple(draw(st.integers(0, n)) / n for _ in range(d)) for _ in range(k)
     )
     radius = draw(st.floats(0.05, 0.5))
-    eps = 2.0 ** -draw(st.integers(1, 4))
     return metric, ActiveRegion(centers, radius), eps
 
 
@@ -328,7 +330,7 @@ def _reference_packing(
 
 
 def _random_packing_case(rng, metric):
-    """Off-lattice centres, some near a face, at spacing eps/4 or eps/8."""
+    """Centres on the lattice of spacing eps/4 or eps/8, some on or near a face."""
     d = metric.dimension
     eps = 2.0 ** -int(rng.integers(1, 7))
     # the reference costs (accepted points) x (region candidates), so in
@@ -339,6 +341,7 @@ def _random_packing_case(rng, metric):
     k = int(near_face.sum())
     centres[near_face] = rng.choice([0.0, 0.97], k) + 0.03 * rng.random(k)
     spacing = eps / 4 if rng.random() < 0.5 else eps / 8
+    centres = np.round(centres / spacing) * spacing
     region = ActiveRegion(tuple(tuple(c) for c in centres.tolist()), radius)
     return region, eps, spacing
 
@@ -377,9 +380,17 @@ def test_contains_many_matches_reference(metric):
 
 @pytest.mark.parametrize("metric", _PACKING_METRICS, ids=_METRIC_IDS)
 def test_packing_matches_reference_on_empty_regions(metric):
-    outside = ActiveRegion((tuple([2.0] * metric.dimension),), 0.1)
+    # a region the reference reads as empty, or with a ball it drops, has a
+    # centre that is not a lattice cell, and the packing rejects it: NaN,
+    # past the cube, off the lattice, or of another dimension
+    d = metric.dimension
+    cell, nan = (0.5,) * d, (math.nan,) * d
+    outside = ActiveRegion(((2.0,) * d,), 0.1)
     assert _reference_packing(outside, metric, 0.25, 1 / 16) == []
-    assert maximal_packing(outside, metric, 0.25, 1 / 16) == []
+    bad = [(nan,), (nan, cell), ((2.0,) * d,), ((0.3,) * d,), (cell, (0.5,) * (d + 1))]
+    for centres in bad:
+        with pytest.raises(GeometryError):
+            maximal_packing(ActiveRegion(centres, 0.25), metric, 0.5, 1 / 8)
 
 
 def test_packing_matches_reference_on_qlae_survivor_regions():
@@ -417,51 +428,27 @@ def test_exclusion_ranges_match_brute_force(eps, divisor):
         assert near == list(range(n + 1))[cells], j
 
 
-# --- lattice-free boxes ---
+# --- the region's radius boundary ---
 
-def _sorted_coords(spacing: float) -> list[float]:
-    """k * spacing up to 1, then 1.0 if short of it: a sorted axis at any spacing."""
-    n = int(1 / spacing)
-    return [k * spacing for k in range(n + 1)] + ([1.0] if n * spacing < 1.0 else [])
-
-
-@pytest.mark.parametrize("spacing", [1 / 8, 1 / 64, 1 / 5.5, 0.3 / 5.5])
-@pytest.mark.parametrize("strict", [False, True])
-def test_box_range_matches_brute_force(spacing, strict):
-    # `_box_range` takes any sorted coordinates, not only a dyadic lattice.
-    # strict asks for the k with abs(c - x) < r, which for floats is the
-    # <= rule at the float just below r: exactness one ulp inside each radius
-    coords = _sorted_coords(spacing)
-    assert coords[-1] == 1.0
-    rng = np.random.default_rng(len(coords) + strict)
-    # on the lattice: both faces and random cells; off it: near and past
-    # both faces, and random points
-    on = coords[:2] + coords[-2:] + rng.choice(coords, 6).tolist()
-    off = [1e-12, 0.01, 0.99, 1 - 1e-12, -0.02, 1.02] + rng.random(6).tolist()
-    for x in on + off:
-        # radii exactly at a cell's distance, where < and <= differ, and between
-        at_cell = [abs(coords[k] - x) for k in rng.integers(len(coords), size=4)]
-        for r in at_cell + [spacing / 3, spacing, 2.5 * spacing, 0.1, 0.5, 1.0, 3.0]:
-            near = [k for k, c in enumerate(coords)
-                    if (abs(c - x) < r if strict else abs(c - x) <= r)]
-            lo, hi = _box_range(coords, x, math.nextafter(r, -math.inf) if strict else r)
-            assert near == list(range(lo, hi)), (x, r)
-
-
-@pytest.mark.parametrize("d, spacing", [(1, 1 / 64), (2, 1 / 16), (2, 1 / 32), (3, 1 / 8)])
-def test_box_matches_whole_lattice_scan(d, spacing):
-    coords = _axis(spacing).tolist()
-    cells = lattice(d, spacing)
-    rng = np.random.default_rng(d)
-    centres = [tuple(rng.choice(coords, d)) for _ in range(6)] + [
-        tuple(rng.random(d)), tuple([0.0] * d), tuple([1.0] * d), tuple([0.99] * d)]
-    for centre in centres:
-        dist = _reference_pairwise(Metric(d), cells, np.asarray([centre]))
-        for r in [spacing, 0.2, 1.0, float(rng.choice(dist[:, 0]))]:
-            want = (dist[:, 0] <= r).reshape((len(coords),) * d)
-            got = np.zeros_like(want)
-            got[box(coords, centre, r)] = True
-            assert np.array_equal(got, want), (centre, r)
+@pytest.mark.parametrize("d, spacing", [(1, 1 / 64), (2, 1 / 32), (3, 1 / 8)],
+                         ids=["1d", "2d", "3d"])
+def test_packing_matches_reference_at_the_region_radius(d, spacing):
+    # one ball on a face, a corner or an interior cell, at radii of exactly
+    # k cells and one ulp below, where the ball's box is k and k - 1 cells
+    # wide.  At eps = 4 * spacing the first accepted point is the ball's
+    # lower face, so a box one cell too wide or too narrow shows
+    n = round(1 / spacing)
+    metric, eps = Metric(d), 4 * spacing
+    cells = [(0,) * d, (n,) * d, (0,) + (n // 2,) * (d - 1), (n - 1,) * d,
+             tuple(n // 2 - 1 + k for k in range(d)), (n // 2 + 1,) * d]
+    radii = [1.0, math.nextafter(1.0, 2.0), 3.0, math.inf]
+    for k in (1, 2, 3, 5, n // 2 - 1, n // 2, n - 1, n):
+        radii += [k * spacing, math.nextafter(k * spacing, 0.0)]
+    for centre in cells:
+        for r in radii:
+            region = ActiveRegion((tuple(k * spacing for k in centre),), r)
+            want = _reference_packing(region, metric, eps, spacing)
+            assert maximal_packing(region, metric, eps, spacing) == want, (centre, r)
 
 
 _LINF_3D = Metric(3)
@@ -520,16 +507,16 @@ def test_packing_builds_no_lattice_and_calls_no_pairwise(monkeypatch):
 
 def _memo_cases():
     """Calls that differ in one argument each, with different packings."""
-    off = ((0.3,), (0.71,))
+    cells_1d, cells_2d = ((0.3125,), (0.71875,)), ((0.3125, 0.59375), (0.8125, 0.09375))
     return [
         (ActiveRegion.whole_space(1), Metric(1), 0.3, 1 / 16),
         (ActiveRegion.whole_space(1), Metric(1), 0.3, 1 / 128),
         (ActiveRegion.whole_space(1), Metric(1), 0.25, 1 / 16),
-        (ActiveRegion(off, 0.1), Metric(1), 0.125, 1 / 32),
-        (ActiveRegion(off, 0.1), Metric(1), 0.125, 1 / 64),
-        (ActiveRegion(off, 0.15), Metric(1), 0.125, 1 / 64),
-        (ActiveRegion(((0.3, 0.6), (0.8, 0.1)), 0.2), Metric(2), 0.0625, 1 / 64),
-        (ActiveRegion(((0.3, 0.6), (0.8, 0.1)), 0.2), Metric(2), 0.0625, 1 / 128),
+        (ActiveRegion(cells_1d, 0.11), Metric(1), 0.125, 1 / 32),
+        (ActiveRegion(cells_1d, 0.11), Metric(1), 0.125, 1 / 64),
+        (ActiveRegion(cells_1d, 0.15), Metric(1), 0.125, 1 / 64),
+        (ActiveRegion(cells_2d, 0.2), Metric(2), 0.0625, 1 / 64),
+        (ActiveRegion(cells_2d, 0.2), Metric(2), 0.0625, 1 / 128),
         (ActiveRegion.whole_space(2), Metric(2), 0.25, 1 / 16),
     ]
 
