@@ -1,19 +1,20 @@
 """Bandit policies: quantum adaptive elimination, quantum zooming and a classical baseline.
 
-There is no stage cap: the horizon T ends every loop, and
-`PolicyResult.stages_completed` counts the stages that completed.  Elimination
-plays the stage that T cuts short and drops no arm in it, so it plays all T
-rounds.  Zooming stops before a stage whose budget would overflow T, and
-`RoundLedger.finalize` pads the unplayed rest at zero regret.  The classical
-baseline plays T one-round stages.  All five share the round ledger for regret
-accounting, and the quantum policies can emit audit records (per-estimate
-accuracy and per-stage gap-bound data) consumed by the diagnostics module.
+Q-LAE and Q-Zooming are loops that yield oracle requests (stage, arms, eps)
+and are sent one estimate per arm.  `_run_quantum` serves both; it owns the
+round ledger, every oracle call, the audit records, the result and the one
+horizon rule: with no stage cap, the first arm whose budget exceeds the rounds
+left ends the run, and its stage is not completed.  Elimination's call on it
+still plays the leftover rounds, so it plays all T and drops no arm in that
+stage; zooming's call is not made, and `RoundLedger.finalize` pads the unplayed
+rest at zero regret.  The classical baseline plays T one-round stages.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Generator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,10 @@ class StageAudit:
     survivors: tuple[tuple[Point, float], ...] = ()
 
 
+# a quantum loop yields (stage, arms, eps) and is sent one estimate per arm
+Requests = Generator[tuple[int, Sequence[Point], float], list[float], None]
+
+
 @dataclass
 class PolicyResult:
     checkpoints: list[tuple[int, float]]
@@ -85,7 +90,8 @@ def _finish(
     )
 
 
-def _run_elimination(
+def _run_quantum(
+    loop: Callable[[RewardModel, list[StageAudit] | None], Requests],
     model: RewardModel,
     oracle: QuantumOracleSim,
     estimator: Estimator,
@@ -93,38 +99,45 @@ def _run_elimination(
     checkpoint_every: int | None,
     audits: bool,
 ) -> PolicyResult:
+    """Serve a quantum loop's requests with one oracle call per arm, in order."""
     ledger = RoundLedger(T, checkpoint_every)
-    region = ActiveRegion.whole_space(model.metric.dimension)
     records: list[EstimateRecord] = []
     stage_audits: list[StageAudit] = []
+    policy = loop(model, stage_audits if audits else None)
+    estimates = None
+    # every estimate plays at least one round, so the horizon ends the run
+    while True:
+        stage, arms, eps = policy.send(estimates)
+        budget, estimates = estimator.queries(eps), []
+        for x in arms:
+            if budget > ledger.remaining:
+                if loop is _elimination:
+                    qmc_estimate(oracle, estimator, model, x, eps, ledger)
+                return _finish(ledger, stage - 1, records, stage_audits)
+            est = qmc_estimate(oracle, estimator, model, x, eps, ledger)[0]
+            estimates.append(est)
+            if audits:
+                records.append(EstimateRecord(stage, x, eps, est, model.mu(x)))
 
-    # every estimate plays at least one round, so the horizon ends the loop
+
+def _elimination(model: RewardModel, stage_audits: list[StageAudit] | None) -> Requests:
+    """Q-LAE's stages: pack the active region at eps_m, estimate every packed
+    arm to within eps_m and keep those within 3*eps_m of the best estimate."""
+    region = ActiveRegion.whole_space(model.metric.dimension)
     for m in itertools.count(1):
         eps = 2.0 ** -m
         arms = maximal_packing(region, model.metric, eps, spacing=eps / 4)
-        estimates: list[float] = []
-        for x in arms:
-            est, _, exhausted = qmc_estimate(oracle, estimator, model, x, eps, ledger)
-            if exhausted:
-                break
-            estimates.append(est)
-            if audits:
-                records.append(EstimateRecord(m, x, eps, est, model.mu(x)))
-        # a stage the horizon cuts short eliminates nothing: its
-        # partial-budget estimates carry no contract, so it has no survivors
-        survivors = []
-        if not exhausted:
-            floor = max(estimates) - 3.0 * eps
-            survivors = [x for x, est in zip(arms, estimates) if est >= floor]
-        if audits:
-            stage_audits.append(StageAudit(m, tuple((x, region.radius) for x in arms),
-                                           tuple((x, eps) for x in survivors)))
-        if exhausted:
-            break
+        # the stage the horizon cuts short keeps this snapshot, with no
+        # survivors: its partial-budget estimates carry no contract
+        if stage_audits is not None:
+            active = tuple((x, region.radius) for x in arms)
+            stage_audits.append(StageAudit(m, active))
+        estimates = yield m, arms, eps
+        floor = max(estimates) - 3.0 * eps
+        survivors = [x for x, est in zip(arms, estimates) if est >= floor]
+        if stage_audits is not None:
+            stage_audits[-1] = StageAudit(m, active, tuple((x, eps) for x in survivors))
         region = ActiveRegion(tuple(survivors), eps)
-
-    # stage m did not fit in the horizon
-    return _finish(ledger, m - 1, records, stage_audits)
 
 
 def run_qlae(
@@ -143,8 +156,9 @@ def run_qlae(
     within eps_m, drops points more than 3*eps_m below the best estimate
     and re-packs the surviving ball union at half the radius.
     """
-    return _run_elimination(
-        model, oracle, Estimator(noise, delta / T, c1), T, checkpoint_every, audits
+    return _run_quantum(
+        _elimination, model, oracle, Estimator(noise, delta / T, c1), T,
+        checkpoint_every, audits,
     )
 
 
@@ -165,8 +179,9 @@ def run_qlae_bv(
     with c1 at stages with eps >= 4*sigma (`Estimator.queries`).  Building
     the estimator raises ValueError on any other noise.
     """
-    return _run_elimination(
-        model, oracle, Estimator(noise, delta / T, c1, c2), T, checkpoint_every, audits
+    return _run_quantum(
+        _elimination, model, oracle, Estimator(noise, delta / T, c1, c2), T,
+        checkpoint_every, audits,
     )
 
 
@@ -175,15 +190,9 @@ def select_arm(index: list[float]) -> int:
     return index.index(max(index))
 
 
-def _run_zooming(
-    model: RewardModel,
-    oracle: QuantumOracleSim,
-    estimator: Estimator,
-    T: int,
-    checkpoint_every: int | None,
-    audits: bool,
-) -> PolicyResult:
-    ledger = RoundLedger(T, checkpoint_every)
+def _zooming(model: RewardModel, stage_audits: list[StageAudit] | None) -> Requests:
+    """Q-Zooming's stages: select the arm with the largest index, halve its
+    radius, open the first uncovered candidate and re-estimate the arm."""
     cover = _Cover(model.metric.dimension)
     # each active arm's (centre, radius), replaced only when the arm is
     # halved, so that the stage snapshots share one pair per arm; arm 0's
@@ -192,14 +201,9 @@ def _run_zooming(
     # estimate + 2*radius per arm, written after each estimate; an unplayed
     # arm sits at estimate 0 and radius 1
     index = [2.0]
-    records: list[EstimateRecord] = []
-    stage_audits: list[StageAudit] = []
-
-    # every stage plays at least one round, so the horizon ends the loop
     for s in itertools.count(1):
-        if audits:
+        if stage_audits is not None:
             stage_audits.append(StageAudit(s, tuple(arms)))
-
         i = select_arm(index)
         x, eps = arms[i][0], arms[i][1] / 2.0
         arms[i] = (x, eps)
@@ -207,15 +211,8 @@ def _run_zooming(
         if (y := cover.activate()) is not None:
             arms.append((y, 1.0))
             index.append(2.0)
-        if estimator.queries(eps) > ledger.remaining:
-            break
-        est, _, _ = qmc_estimate(oracle, estimator, model, x, eps, ledger)
+        (est,) = yield s, (x,), eps
         index[i] = est + 2.0 * eps
-        if audits:
-            records.append(EstimateRecord(s, x, eps, est, model.mu(x)))
-
-    # stage s did not fit in the horizon
-    return _finish(ledger, s - 1, records, stage_audits)
 
 
 def run_qzooming(
@@ -232,11 +229,11 @@ def run_qzooming(
 
     Per stage: activate the first lattice candidate not covered by the
     confidence balls, select the active arm maximizing estimate + 2*radius,
-    halve its radius and re-estimate it at the new accuracy.  Terminates
-    before any stage whose budget would exceed the horizon.
+    halve its radius and re-estimate it at the new accuracy.  The run ends
+    at the first stage whose budget exceeds the rounds left, unplayed.
     """
-    return _run_zooming(
-        model, oracle, Estimator(noise, delta / T, c1), T,
+    return _run_quantum(
+        _zooming, model, oracle, Estimator(noise, delta / T, c1), T,
         checkpoint_every, audits,
     )
 
@@ -258,8 +255,8 @@ def run_qzooming_bv(
     with c1 at stages with eps >= 4*sigma (`Estimator.queries`).  Building
     the estimator raises ValueError on any other noise.
     """
-    return _run_zooming(
-        model, oracle, Estimator(noise, delta / T, c1, c2), T,
+    return _run_quantum(
+        _zooming, model, oracle, Estimator(noise, delta / T, c1, c2), T,
         checkpoint_every, audits,
     )
 

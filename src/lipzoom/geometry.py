@@ -73,7 +73,7 @@ class Metric:
 
 @dataclass(frozen=True)
 class ActiveRegion:
-    """Union of closed balls with a shared radius."""
+    """Union of closed balls with a shared radius about finite centres of one length."""
 
     centers: tuple[Point, ...]
     radius: float
@@ -82,7 +82,10 @@ class ActiveRegion:
         if not self.radius > 0:
             raise GeometryError(f"radius must be positive, got {self.radius}")
         # tuples all the way down: the packing memo hashes the region
-        object.__setattr__(self, "centers", tuple(map(tuple, self.centers)))
+        centers = tuple(map(tuple, self.centers))
+        if any(len(c) != len(centers[0]) or not all(map(math.isfinite, c)) for c in centers):
+            raise GeometryError("region centres must be finite and of one dimension")
+        object.__setattr__(self, "centers", centers)
 
     @classmethod
     def whole_space(cls, dimension: int) -> "ActiveRegion":
@@ -198,12 +201,11 @@ def _packing(region: ActiveRegion, metric: Metric, eps: float,
     if not region.centers:
         return ()
     d = metric.dimension
-    if any(len(c) != d for c in region.centers):
+    if len(region.centers[0]) != d:  # the region's centres share one length
         raise GeometryError(f"centre dimension mismatch: expected {d}, "
-                            f"got {sorted({len(c) for c in region.centers})}")
+                            f"got {len(region.centers[0])}")
     n = len(coords) - 1
     cells = np.asarray(region.centers, dtype=float) * n  # exact: n = 2^p
-    # NaN fails every comparison, and an infinity the range test
     if not ((cells >= 0) & (cells <= n) & (cells == np.floor(cells))).all():
         raise GeometryError(f"region centres must be cells of the 1/{n} lattice")
     eligible = np.zeros((n + 1,) * d, dtype=bool)

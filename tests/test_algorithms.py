@@ -1,5 +1,6 @@
 """Algorithm-level behavior: elimination, zooming, budgets and the baseline."""
 
+import functools
 import itertools
 import math
 import sys
@@ -35,7 +36,7 @@ from lipzoom.environment import (
     twodim_model,
     variates,
 )
-from lipzoom.geometry import GeometryError, Metric, lattice
+from lipzoom.geometry import ActiveRegion, GeometryError, Metric, lattice, maximal_packing
 from lipzoom.harness import ExperimentConfig, run_single
 
 SIGMA = math.sqrt(0.1)
@@ -447,6 +448,42 @@ def test_qzooming_bv_first_selection_budget():
     assert res.total_rounds >= want
 
 
+def _reference_elimination(model, oracle, estimator, T, checkpoint_every, audits):
+    # the per-stage loop that owns its ledger, horizon check and records
+    ledger = RoundLedger(T, checkpoint_every)
+    region = ActiveRegion.whole_space(model.metric.dimension)
+    records: list[EstimateRecord] = []
+    stage_audits: list[StageAudit] = []
+
+    # every estimate plays at least one round, so the horizon ends the loop
+    for m in itertools.count(1):
+        eps = 2.0 ** -m
+        arms = maximal_packing(region, model.metric, eps, spacing=eps / 4)
+        estimates: list[float] = []
+        for x in arms:
+            est, _, exhausted = environment.qmc_estimate(oracle, estimator, model, x, eps, ledger)
+            if exhausted:
+                break
+            estimates.append(est)
+            if audits:
+                records.append(EstimateRecord(m, x, eps, est, model.mu(x)))
+        # a stage the horizon cuts short eliminates nothing: its
+        # partial-budget estimates carry no contract, so it has no survivors
+        survivors = []
+        if not exhausted:
+            floor = max(estimates) - 3.0 * eps
+            survivors = [x for x, est in zip(arms, estimates) if est >= floor]
+        if audits:
+            stage_audits.append(StageAudit(m, tuple((x, region.radius) for x in arms),
+                                           tuple((x, eps) for x in survivors)))
+        if exhausted:
+            break
+        region = ActiveRegion(tuple(survivors), eps)
+
+    # stage m did not fit in the horizon
+    return algorithms._finish(ledger, m - 1, records, stage_audits)
+
+
 def _reference_zooming(model, oracle, estimator, T, checkpoint_every, audits):
     # the per-stage loop that rebuilds every arm's index from its estimate
     # and radius at each stage
@@ -475,19 +512,15 @@ def _reference_zooming(model, oracle, estimator, T, checkpoint_every, audits):
     return algorithms._finish(ledger, s - 1, records, stage_audits)
 
 
-@pytest.mark.parametrize("mode", ORACLE_MODES)
-@pytest.mark.parametrize("noise,c2", [(_bern, None), (_gauss, None), (_gauss, 2.0)],
-                         ids=["qmc1-bernoulli", "qmc1-gaussian", "qmc2-gaussian"])
-@pytest.mark.parametrize("factory", [triangle_model, twodim_model], ids=["triangle", "twodim"])
-def test_zooming_matches_reference(factory, noise, c2, mode):
-    # the kept index must reproduce the rebuilt one exactly, generator included
+def _assert_matches_reference(loop, reference, factory, noise, c2, mode):
+    # the driver must reproduce the reference loop exactly, generator included
     for T in (1, 2, 300, 4097, 50_000, 200_000):
         for audits in (False, True):
             runs = []
-            for loop in (algorithms._run_zooming, _reference_zooming):
+            for run in (functools.partial(algorithms._run_quantum, loop), reference):
                 oracle = QuantumOracleSim(mode, True, np.random.default_rng(T + 5))
                 estimator = Estimator(noise(), 0.05 / T, 2.0, c2)
-                runs.append((loop(factory(), oracle, estimator, T, None, audits), oracle.rng))
+                runs.append((run(factory(), oracle, estimator, T, None, audits), oracle.rng))
             (got, g), (want, twin) = runs
             setting = (T, audits)
             assert got.checkpoints == want.checkpoints, setting
@@ -497,6 +530,28 @@ def test_zooming_matches_reference(factory, noise, c2, mode):
             assert got.estimate_records == want.estimate_records, setting
             assert got.stage_audits == want.stage_audits, setting
             assert g.bit_generator.state == twin.bit_generator.state, setting
+
+
+def _quantum_cases(test):
+    test = pytest.mark.parametrize("factory", [triangle_model, twodim_model],
+                                   ids=["triangle", "twodim"])(test)
+    test = pytest.mark.parametrize(
+        "noise,c2", [(_bern, None), (_gauss, None), (_gauss, 2.0)],
+        ids=["qmc1-bernoulli", "qmc1-gaussian", "qmc2-gaussian"])(test)
+    return pytest.mark.parametrize("mode", ORACLE_MODES)(test)
+
+
+@_quantum_cases
+def test_zooming_matches_reference(factory, noise, c2, mode):
+    # the kept index must reproduce the rebuilt one exactly
+    _assert_matches_reference(algorithms._zooming, _reference_zooming,
+                              factory, noise, c2, mode)
+
+
+@_quantum_cases
+def test_elimination_matches_reference(factory, noise, c2, mode):
+    _assert_matches_reference(algorithms._elimination, _reference_elimination,
+                              factory, noise, c2, mode)
 
 
 def test_zooming_audit_snapshots_share_arm_pairs():

@@ -178,6 +178,15 @@ def test_geometry_rejects_nan_and_non_positive_sizes(build):
         build()
 
 
+@pytest.mark.parametrize("centres", [
+    ((0.5,), (0.5, 0.5)), ((_NAN,),), ((0.5, math.inf),), ((0.25,), (-math.inf,)),
+], ids=["ragged", "nan", "inf", "minus-inf"])
+def test_region_rejects_ragged_and_non_finite_centres(centres):
+    # a ragged region would fail inside numpy, and a NaN centre matches nothing
+    with pytest.raises(GeometryError, match="centres"):
+        ActiveRegion(centres, 0.1)
+
+
 def _contains(region: ActiveRegion, p: Point, metric: Metric) -> bool:
     """Closed-ball membership of one point, a reference for ActiveRegion.contains_many.
 
@@ -319,13 +328,16 @@ def _reference_packing(
     cand = cand[mask]
     if len(cand) == 0:
         return []
+    first = cand[:, 0]
     eligible = np.ones(len(cand), dtype=bool)
     accepted: list[Point] = []
     while eligible.any():
         i = int(np.argmax(eligible))
         accepted.append(tuple(float(v) for v in cand[i]))
-        d = metric.pairwise(cand, cand[i : i + 1])[:, 0]
-        eligible &= d >= eps
+        # every candidate before i is excluded already; the rows are sorted on
+        # the first coordinate, and from hi on it alone is at least eps away
+        hi = i + int(np.searchsorted(first[i:] - first[i], eps))
+        eligible[i:hi] &= metric.pairwise(cand[i:hi], cand[i : i + 1])[:, 0] >= eps
     return accepted
 
 

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import importlib.util
 import inspect
+import json
 import math
 import os
 import re
@@ -797,6 +798,46 @@ def test_tracer_bindings_resolve(monkeypatch):
     geometry = importlib.import_module("lipzoom.geometry")
     params = inspect.signature(geometry.maximal_packing).parameters
     assert {"metric", "spacing"} <= set(params)
+
+
+_TRACED_TRIALS = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+from lipzoom import harness
+tracer = tracing.Tracer()
+tracer.install()
+tracer.start()
+trials = []
+for alg in harness.CHOICES["algorithm"]:
+    noise = "gaussian" if alg.endswith("_bv") else "bernoulli"
+    modes = ("contract",) if alg == "classical_zooming" else harness.ORACLE_MODES
+    for mode in modes:
+        config = harness.ExperimentConfig(algorithm=alg, noise=noise, qmc_mode=mode,
+                                          T=3_000, trials=1, master_seed=5)
+        trials.append((config, 0, harness.run_single(config, 0)))
+tracer.stop()
+print(json.dumps(tracing.identities(tracing.aggregate(tracer.spans), trials)))
+"""
+
+
+def test_tracer_identities_hold():
+    # the benchmark tracer's completeness checks on one traced trial per
+    # algorithm and oracle mode: one draw per classical round and empirical
+    # query, one ledger charge per oracle call that played a query.  A
+    # subprocess keeps its wrappers out of this one
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                               if p]))
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", _TRACED_TRIALS, str(root / "benchmarks" / "tracer.py")],
+        env=env, capture_output=True, text=True, check=True, timeout=120).stdout
+    checks = json.loads(out)
+    assert len(checks) == 5
+    assert all(check["ok"] for check in checks.values()), checks
+    assert checks["qmc_estimate.queries"]["traced"] > 0
 
 
 def test_cli_dim_subcommand(capsys):
