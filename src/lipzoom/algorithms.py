@@ -280,37 +280,43 @@ def run_classical_zooming(
 
     Only the played arm's index moves (`log_t` is fixed), so arm i stays
     the first-wins argmax while its index x has x > max(index[:i]) and
-    x >= max(index[i+1:]); an activation appends index 2.0 after i and
-    can only raise the second threshold.  The loop rescans only when that
-    test fails, keeps arm i's statistics and the cover's band for it in
-    locals between rescans, and calls `set_radius` only when the radius
-    leaves that band, and `activate` before round 1 and right after such a
-    call: a new ball has radius 1 and covers every candidate, so only a
-    move uncovers one.
+    x >= max(index[i+1:]).  Each rescan folds the two into one threshold,
+    t = max(max(index[:i]), nextafter(max(index[i+1:]), -inf)), since
+    x >= m exactly when x > nextafter(m, -inf); each round tests x > t.
+    An activation appends index 2.0 after i, which lifts t to at least
+    nextafter(2.0, -inf).  The loop rescans only when x > t fails, keeps
+    arm i's statistics and the cover's band for it in locals between
+    rescans, and calls `set_radius` only when the radius leaves that band,
+    and `activate` before round 1 and right after such a call: a new ball
+    has radius 1 and covers every candidate, so only a move uncovers one.
     """
     ledger = RoundLedger(T, checkpoint_every)
     cover = _Cover(model.metric.dimension)
     # 4.0 * sigma * sigma is inf for sigma above about 6.7e153, and so is the
     # radius, where sigma**2 would raise OverflowError
     log_t = 2.0 * math.log(T) * max(1.0, 4.0 * noise.sigma * noise.sigma)
-    sqrt, inf = math.sqrt, math.inf
-    # the played arm i: its count, sum, mean, gap, index and band, and the
-    # max index before and after it.  They start as arm 0, opened here.
+    sqrt, inf, below = math.sqrt, math.inf, math.nextafter
+    opened = below(2.0, -inf)  # t once an arm of index 2.0 opens after i
+    # the played arm i: its count, sum, mean, gap, index and band, and its
+    # rescan threshold.  They start as arm 0, opened here.
     m = model.mu(cover.activate())
     g = model.mu_star - m
     means, counts, sums, index = [m], [0], [0.0], [2.0]
     i, c, s, x = 0, 0, 0.0, 2.0
     lo, hi = cover.bands[0]
-    before = after = -inf
+    t = -inf
 
     # the loop draws its variates lazily, block by block; that keeps the
     # stream of T scalar draws only while nothing else in it reads rng
     for v in variates(noise, rng, T):
-        if not (x > before and x >= after):
+        if not x > t:
             counts[i], sums[i], index[i] = c, s, x
             i = select_arm(index)
-            before = max(index[:i]) if i else -inf
-            after = max(index[i + 1:]) if i + 1 < len(index) else -inf
+            # a NaN max after i stays in t and fails every test, as x >= NaN
+            # does; the max before i is never NaN, as a NaN index[0] is the argmax
+            t = below(max(index[i + 1:]), -inf) if i + 1 < len(index) else -inf
+            if i and (before := max(index[:i])) > t:
+                t = before
             c, s, m = counts[i], sums[i], means[i]
             g = model.mu_star - m
             lo, hi = cover.bands[i]  # it holds i's current radius
@@ -326,8 +332,8 @@ def run_classical_zooming(
                 counts.append(0)
                 sums.append(0.0)
                 index.append(2.0)  # mean 0, radius 1
-                if after < 2.0:
-                    after = 2.0
+                if t < opened:
+                    t = opened
         ledger.consume(1, g)
 
     counts[i], sums[i], index[i] = c, s, x

@@ -290,13 +290,14 @@ class RoundLedger:
         then does it look for checkpoints.
         """
         start = self.consumed
-        left = self.horizon - start
-        if n > left:
-            n = left
+        end = start + n
+        if end > self.horizon:
+            end = self.horizon
+            n = end - start
         if n <= 0:
             return 0
         start_regret = self.cumulative_regret
-        self.consumed = end = start + n
+        self.consumed = end
         self.cumulative_regret = start_regret + n * gap
         ck = self.checkpoint_every
         if end % ck < n:

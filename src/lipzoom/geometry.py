@@ -17,13 +17,15 @@ ball of radius r <= 1 about a cell is the box w = floor(r n), and the
 packing's region balls, its exclusion and the cover's balls are such
 boxes; the packing's region centres must therefore be lattice cells.  No
 lattice array is built: a cell is an index tuple into the per-axis
-coordinates.  Sizes are checked as `not x > 0`, which rejects NaN too.
+coordinates, and the cover holds each of its boxes as one Python int, a bit
+per row-major cell.  Sizes are checked as `not x > 0`, which rejects NaN too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,45 +239,79 @@ def _packing(region: ActiveRegion, metric: Metric, eps: float,
     return tuple(accepted)
 
 
+@functools.cache  # one entry per (n, d) a process uses
+def _row_repeats(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Per axis of the (n + 1)^d row-major cells, the prefix sums P[j] of
+    2^(k s) over k < j, j = 0..n + 1, where s = (n + 1)^(d - 1 - axis) is
+    the axis's stride in bits.  P[b + 1] - P[a] holds one bit per cell a..b
+    of the axis, at stride s; on the last axis, s = 1, it is the bit range
+    a..b, and on any other it repeats a mask narrower than s on those cells.
+    """
+    repeats = []
+    for axis in range(d):
+        stride, prefix = (n + 1) ** (d - 1 - axis), [0]
+        for k in range(n + 1):
+            prefix.append(prefix[-1] | 1 << k * stride)
+        repeats.append(tuple(prefix))
+    return tuple(repeats)
+
+
 class _Cover:
-    """Zooming activation lattice with a count, per candidate, of the balls covering it.
+    """Zooming activation lattice, each ball one bit mask of the candidates it covers.
 
     The lattice is `_axis(1/n)` with n = 512 in 1-D and 64 otherwise, and
-    ball i is centred on `centres[i]`, the i-th activated candidate, at
-    cells `_cells[i]`.  Its candidates within r are the box
-    `_cells_within(_cells[i], w, n)`, w = int(min(r, 1) * n).  `count` has
-    the lattice's shape, one entry per candidate, and a zero is an
-    uncovered candidate.  Ball i keeps a numpy view of `count` on its box and
-    its band `bands[i] = (lo, hi)`: the largest axis distance inside the box
-    and the smallest outside it (inf when the box spans the whole lattice on
-    every axis).  A new radius in [lo, hi) keeps the box, so `set_radius`
-    returns at once; it returns the band, which lets the classical baseline
-    skip the call while its played arm's radius stays inside.
+    bit k of a mask is candidate k in row-major order.  Ball i is centred on
+    `centres[i]`, the i-th activated candidate, at cells `_cells[i]`.  Its
+    candidates within r are the box `_cells_within(_cells[i], w, n)`, w =
+    int(min(r, 1) * n), and `masks[i]` is that box: the bit range of its
+    cells on the last axis, multiplied by each other axis's row repeat
+    (`_row_repeats`).  The product has no carries, since each partial mask
+    is narrower than the next axis's stride.  Ball i also keeps its band
+    `bands[i] = (lo, hi)`: the largest axis distance inside the box and the
+    smallest outside it (inf when the box spans the whole lattice on every
+    axis).  A new radius in [lo, hi) keeps the box, so `set_radius` returns
+    at once; it returns the band, which lets the classical baseline skip the
+    call while its played arm's radius stays inside.
+
+    Only a shrinking move uncovers a candidate.  `pending` collects the
+    candidates each such move drops, so every uncovered candidate is in it.
+    `activate` returns None at once when nothing is pending; otherwise it
+    opens the lowest pending bit that no mask holds, the first uncovered
+    candidate in row-major order, and clears `pending`, since the new
+    radius-1 ball covers every candidate.
     """
 
     def __init__(self, dimension: int):
         self.n = 512 if dimension == 1 else 64
         self.coords = _axis(1.0 / self.n).tolist()
-        self.count = np.zeros((self.n + 1,) * dimension, dtype=np.int32)
+        self._repeats = _row_repeats(self.n, dimension)
+        self._all = (1 << (self.n + 1) ** dimension) - 1  # every candidate
+        self.masks: list[int] = []
+        self.pending = self._all  # with no ball, every candidate is uncovered
         self.centres: list[Point] = []
         self._cells: list[tuple[int, ...]] = []
         self._reach: list[int] = []  # cells from the centre to the farthest face
-        self._views: list[np.ndarray] = []
         self.bands: list[tuple[float, float]] = []
 
     def activate(self) -> Point | None:
         """Open a radius-1 ball on the first uncovered candidate and return it, or None."""
-        k = int(self.count.argmin())  # the first minimum in row-major order
-        if self.count.flat[k]:
+        free = self.pending
+        if not free:
             return None
-        cells = _flat_cells(k, self.n, self.count.ndim)
+        self.pending = 0  # every candidate is covered after this call
+        free &= ~functools.reduce(operator.or_, self.masks, 0)
+        if not free:
+            return None
+        k = (free & -free).bit_length() - 1  # the lowest set bit
+        cells = _flat_cells(k, self.n, len(self._repeats))
         centre = tuple([self.coords[j] for j in cells])
+        reach = max(max(j, self.n - j) for j in cells)
         self.centres.append(centre)
         self._cells.append(cells)
-        self._reach.append(max(max(j, self.n - j) for j in cells))
-        self._views.append(self.count[:0])  # empty until the move below
-        self.bands.append((math.inf, -math.inf))
-        self.set_radius(len(self.centres) - 1, 1.0)
+        self._reach.append(reach)
+        # radius 1 spans the lattice, so the box is every candidate
+        self.masks.append(self._all)
+        self.bands.append((reach / self.n, math.inf))
         return centre
 
     def set_radius(self, i: int, r: float) -> tuple[float, float]:
@@ -296,7 +332,11 @@ class _Cover:
         lo = w / n
         self.bands[i] = (lo, hi)
         if lo != band[0]:  # lo is the box's half-width in cells over n
-            self._views[i] -= 1
-            self._views[i] = view = self.count[_cells_within(self._cells[i], w, n)]
-            view += 1
+            # per axis, the cells of `_cells_within`, with its clamps inlined
+            mask = 1
+            for j, repeat in zip(self._cells[i], self._repeats):
+                mask *= repeat[j + w + 1 if j + w < n else n + 1] - repeat[j - w if j > w else 0]
+            if lo < band[0]:  # the new box lies inside the old: ^ is what it drops
+                self.pending |= self.masks[i] ^ mask
+            self.masks[i] = mask
         return lo, hi

@@ -36,7 +36,17 @@ from lipzoom.environment import (
     twodim_model,
     variates,
 )
-from lipzoom.geometry import ActiveRegion, GeometryError, Metric, lattice, maximal_packing
+from lipzoom.geometry import (
+    ActiveRegion,
+    GeometryError,
+    Metric,
+    Point,
+    _axis,
+    _cells_within,
+    _flat_cells,
+    lattice,
+    maximal_packing,
+)
 from lipzoom.harness import ExperimentConfig, run_single
 
 SIGMA = math.sqrt(0.1)
@@ -71,6 +81,95 @@ def test_select_arm_shift_invariance():
         assert select_arm(index) == select_arm([v + 0.37 for v in index])
 
 
+# The count-grid cover: an int32 count per candidate and a numpy view of it
+# per ball.  Any cover must match it call for call
+# (`test_cover_matches_reference_cover`).
+class _ReferenceCover:
+    """Zooming activation lattice with a count, per candidate, of the balls covering it.
+
+    The lattice is `_axis(1/n)` with n = 512 in 1-D and 64 otherwise, and
+    ball i is centred on `centres[i]`, the i-th activated candidate, at
+    cells `_cells[i]`.  Its candidates within r are the box
+    `_cells_within(_cells[i], w, n)`, w = int(min(r, 1) * n).  `count` has
+    the lattice's shape, one entry per candidate, and a zero is an
+    uncovered candidate.  Ball i keeps a numpy view of `count` on its box and
+    its band `bands[i] = (lo, hi)`: the largest axis distance inside the box
+    and the smallest outside it (inf when the box spans the whole lattice on
+    every axis).  A new radius in [lo, hi) keeps the box, so `set_radius`
+    returns at once; it returns the band, which lets the classical baseline
+    skip the call while its played arm's radius stays inside.
+    """
+
+    def __init__(self, dimension: int):
+        self.n = 512 if dimension == 1 else 64
+        self.coords = _axis(1.0 / self.n).tolist()
+        self.count = np.zeros((self.n + 1,) * dimension, dtype=np.int32)
+        self.centres: list[Point] = []
+        self._cells: list[tuple[int, ...]] = []
+        self._reach: list[int] = []  # cells from the centre to the farthest face
+        self._views: list[np.ndarray] = []
+        self.bands: list[tuple[float, float]] = []
+
+    def activate(self) -> Point | None:
+        """Open a radius-1 ball on the first uncovered candidate and return it, or None."""
+        k = int(self.count.argmin())  # the first minimum in row-major order
+        if self.count.flat[k]:
+            return None
+        cells = _flat_cells(k, self.n, self.count.ndim)
+        centre = tuple([self.coords[j] for j in cells])
+        self.centres.append(centre)
+        self._cells.append(cells)
+        self._reach.append(max(max(j, self.n - j) for j in cells))
+        self._views.append(self.count[:0])  # empty until the move below
+        self.bands.append((math.inf, -math.inf))
+        self.set_radius(len(self.centres) - 1, 1.0)
+        return centre
+
+    def set_radius(self, i: int, r: float) -> tuple[float, float]:
+        """Move ball i to radius r and return its band `(lo, hi)`, which holds
+        any finite r.  A NaN or negative r raises GeometryError.
+        """
+        band = self.bands[i]
+        if band[0] <= r < band[1]:
+            return band
+        if not r >= 0:
+            raise GeometryError(f"radius must be non-negative, got {r}")
+        n, reach = self.n, self._reach[i]
+        w = int(min(r, 1.0) * n)
+        if w >= reach:
+            w, hi = reach, math.inf
+        else:
+            hi = (w + 1) / n
+        lo = w / n
+        self.bands[i] = (lo, hi)
+        if lo != band[0]:  # lo is the box's half-width in cells over n
+            self._views[i] -= 1
+            self._views[i] = view = self.count[_cells_within(self._cells[i], w, n)]
+            view += 1
+        return lo, hi
+
+
+def _counts(cover):
+    # per candidate, the number of `cover.masks` holding its bit, shaped as
+    # the lattice; a bit-sliced adder sums the masks as Python ints, so only
+    # the count's few bit planes are unpacked
+    planes = []
+    for carry in cover.masks:
+        for j, plane in enumerate(planes):
+            planes[j], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+    shape = (cover.n + 1,) * len(cover._repeats)
+    size = math.prod(shape)
+    count = np.zeros(size, dtype=np.int32)
+    for j, plane in enumerate(planes):
+        bits = np.frombuffer(plane.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+        count += np.unpackbits(bits, count=size, bitorder="little").astype(np.int32) << j
+    return count.reshape(shape)
+
+
 @pytest.mark.parametrize("metric", [Metric(1), Metric(2)])
 def test_cover_matches_brute_force(metric):
     # reference: the first lattice candidate with no centre within its radius
@@ -84,8 +183,9 @@ def test_cover_matches_brute_force(metric):
         # the count, and ball i's box as its band implies it
         d = metric.pairwise(cand, np.asarray(centres))
         within = d <= np.asarray(radii)
-        np.testing.assert_array_equal(cover.count.reshape(-1), within.sum(axis=1))
-        ball = np.zeros(cover.count.shape, dtype=bool)
+        count = _counts(cover)
+        np.testing.assert_array_equal(count.reshape(-1), within.sum(axis=1))
+        ball = np.zeros(count.shape, dtype=bool)
         ball[_band_box(cover, i)] = True
         np.testing.assert_array_equal(ball.reshape(-1), within[:, i])
 
@@ -130,11 +230,11 @@ def test_cover_matches_brute_force(metric):
                 # exactly on a candidate at or below r (or the nearest one),
                 # which stays inside by <=
                 r = float(rng.choice(dist[1:][dist[1:] <= max(radii[i], dist[1])]))
-            before = cover.count.copy()
+            before = _counts(cover)
             band = cover.set_radius(i, r)
             assert band == cover.bands[i] and band[0] <= r < band[1]
             radii[i] = r
-            outcomes["moved" if (cover.count != before).any() else "unmoved"] += 1
+            outcomes["moved" if (_counts(cover) != before).any() else "unmoved"] += 1
             check_counts(i)
     assert min(outcomes.values()) >= 10
 
@@ -179,7 +279,7 @@ def test_cover_boxes_and_bands_match_geometry_box(dimension, sample):
     coords = cover.coords
     axis = np.asarray(coords)
     n = len(coords) - 1
-    for i in range(cover.count.size):
+    for i in range(_counts(cover).size):
         assert cover.activate() is not None
         cover.set_radius(i, 0.0)
     assert cover.activate() is None
@@ -207,10 +307,10 @@ def test_cover_boxes_and_bands_match_geometry_box(dimension, sample):
             assert _band_box(cover, i) == ball, (centre, r)
             assert band == cover.bands[i] == _reference_band(coords, ball, centre), (centre, r)
             assert band[0] <= r < band[1]
-    want = np.zeros_like(cover.count)
+    want = np.zeros_like(_counts(cover))
     for i in range(len(cover.centres)):
         want[_band_box(cover, i)] += 1
-    np.testing.assert_array_equal(cover.count, want)
+    np.testing.assert_array_equal(_counts(cover), want)
     assert cover.activate() is None  # every cell is a centre, so covered
 
 
@@ -219,11 +319,11 @@ def test_cover_rejects_nan_and_negative_radius(r):
     cover = _Cover(2)
     cover.activate()
     cover.set_radius(0, 0.25)
-    count, band, ball = cover.count.copy(), cover.bands[0], _band_box(cover, 0)
+    count, band, ball = _counts(cover), cover.bands[0], _band_box(cover, 0)
     assert count[ball].min() == count.max() == 1 and count.sum() == count[ball].size
     with pytest.raises(GeometryError, match="non-negative"):
         cover.set_radius(0, r)
-    np.testing.assert_array_equal(cover.count, count)
+    np.testing.assert_array_equal(_counts(cover), count)
     assert (cover.bands[0], _band_box(cover, 0)) == (band, ball)
 
 
@@ -236,11 +336,11 @@ def test_cover_activates_the_first_zero_in_row_major_order(dimension):
     cover, radii = _Cover(dimension), []
     outcomes = {"opened": 0, "none": 0}
     for _ in range(150):
-        count = cover.count.copy()
+        count = _counts(cover)
         got = cover.activate()
         if count.min() > 0:
             assert got is None
-            np.testing.assert_array_equal(cover.count, count)
+            np.testing.assert_array_equal(_counts(cover), count)
             outcomes["none"] += 1
         else:
             first = np.unravel_index(np.flatnonzero(count == 0)[0], count.shape)
@@ -252,6 +352,71 @@ def test_cover_activates_the_first_zero_in_row_major_order(dimension):
             radii[i] *= rng.uniform(0.2, 0.8)
             cover.set_radius(i, radii[i])
     assert min(outcomes.values()) >= 25
+
+
+@pytest.mark.parametrize("dimension,steps", [(1, 300), (2, 300), (3, 40)])
+def test_cover_matches_reference_cover(dimension, steps):
+    # the mask cover and the count-grid cover, driven through the same calls,
+    # must agree after each one: the activated candidate, every band, every
+    # centre and every candidate's count
+    rng = np.random.default_rng(70 + dimension)
+    cover, ref = _Cover(dimension), _ReferenceCover(dimension)
+    n, radii = cover.n, []
+    kinds = ["halving", "one cell", "shrink", "growth", "zero", "on a distance"]
+    seen = dict.fromkeys(["opened", "none", *kinds], 0)
+
+    def check():
+        assert cover.bands == ref.bands and cover.centres == ref.centres
+        np.testing.assert_array_equal(_counts(cover), ref.count)
+
+    for _ in range(steps):
+        got = cover.activate()
+        assert got == ref.activate()
+        check()
+        if got is not None:
+            radii.append(1.0)
+        seen["opened" if got is not None else "none"] += 1
+        for _ in range(int(rng.integers(1, 4))):
+            i = int(rng.integers(len(radii)))
+            kind = kinds[int(rng.integers(len(kinds)))]
+            if kind == "halving":  # the zooming move
+                r = radii[i] / 2.0
+            elif kind == "one cell":  # the classical move: just below the band
+                r = max(0.0, math.nextafter(cover.bands[i][0], -math.inf))
+            elif kind == "shrink":
+                r = radii[i] * rng.uniform(0.2, 1.0)
+            elif kind == "growth":  # past the diameter, as sqrt(2 ln T) can be
+                r = rng.uniform(1.0, 5.0)
+            elif kind == "zero":
+                r = 0.0
+            else:  # exactly on a candidate distance k/n
+                r = int(rng.integers(0, n + 1)) / n
+            assert cover.set_radius(i, r) == ref.set_radius(i, r)
+            radii[i] = r
+            seen[kind] += 1
+            check()
+    assert min(seen.values()) >= 3, seen
+
+
+class _UnreadMasks(list):
+    # a mask list whose iteration fails: `activate` reads no mask
+    def __iter__(self):
+        raise AssertionError("activate read the masks with no candidate pending")
+
+
+def test_cover_activate_reads_no_mask_until_a_ball_shrinks():
+    cover = _Cover(2)
+    cover.activate()
+    cover.set_radius(0, 0.25)
+    assert cover.activate() == (0.0, 17 / 64)  # the first candidate the shrink uncovered
+    cover.masks = _UnreadMasks(cover.masks)
+    cover.set_radius(1, 1.5)  # no move: the radius stays in the band
+    cover.set_radius(0, 0.5)  # growth
+    for _ in range(3):
+        assert cover.activate() is None
+    cover.set_radius(1, 0.125)  # a shrink
+    with pytest.raises(AssertionError, match="no candidate pending"):
+        cover.activate()
 
 
 def test_zooming_builds_no_lattice_and_calls_no_pairwise(monkeypatch):

@@ -449,8 +449,10 @@ def test_ledger_consume_matches_reference(checkpoint_every):
         assert (led.consumed, led.cumulative_regret) == (ref.consumed, ref.cumulative_regret)
     assert led.checkpoints == ref.checkpoints
     assert led.consumed == 5_000
-    # every burst of -2..2ck+1 rounds from every start in three checkpoint periods
-    for start in range(3 * ck):
+    # every burst of -2..2ck+1 rounds from every start in three checkpoint
+    # periods, and from every start within 2ck+2 rounds of the horizon: n = 0,
+    # negative n, bursts past the rounds left and bursts ending exactly at T
+    for start in [*range(3 * ck), *range(5_000 - 2 * ck - 2, 5_001)]:
         for n in range(-2, 2 * ck + 2):
             led, ref = RoundLedger(5_000, ck), RoundLedger(5_000, ck)
             led.consumed = ref.consumed = start

@@ -19,10 +19,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import lipzoom
 from lipzoom import algorithms, cli
 from lipzoom.cli import _SETTABLE, _build_config, build_parser, cli_main
+from lipzoom.diagnostics import audit_clean_event
 from lipzoom.harness import (
     CHOICES,
     SWEEP_DEFAULTS,
@@ -307,6 +309,59 @@ def test_run_single_repeatable():
     r1 = run_single(FAST, 0)
     r2 = run_single(FAST, 0)
     assert r1.checkpoints == r2.checkpoints
+
+
+@st.composite
+def _any_config(draw):
+    # every choice and flag; sigma, delta, c1 and c2 at their edges; T small
+    # often; any checkpoint interval and master seed
+    algorithm = draw(st.sampled_from(CHOICES["algorithm"]))
+    T = draw(st.one_of(st.integers(1, 64), st.integers(1, 30_000)))
+    return dict(
+        algorithm=algorithm,
+        reward=draw(st.sampled_from(CHOICES["reward"])),
+        noise="gaussian" if algorithm.endswith("_bv") else draw(st.sampled_from(NOISE_KINDS)),
+        sigma=draw(st.sampled_from([0.05, math.sqrt(0.1), 0.5, 1.0, 3.0])),
+        T=T,
+        delta=draw(st.sampled_from([1e-6, 0.05, 0.5, 0.99])),
+        c1=draw(st.sampled_from([1.01, 2.0, 8.0])),
+        c2=draw(st.sampled_from([1.01, 2.0, 8.0])),
+        qmc_mode=draw(st.sampled_from(ORACLE_MODES)),
+        fault_injection=draw(st.booleans()),
+        checkpoint_every=draw(st.one_of(st.none(), st.integers(1, T))),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(_any_config())
+def test_run_invariants_hold_over_the_config_space(values):
+    try:
+        config = ExperimentConfig(**values)
+    except ConfigError:
+        assume(False)
+    T, result = config.T, run_single(config, 0)
+    ck = config.checkpoint_every or max(1, T // 100)
+    rounds = [t for t, _ in result.checkpoints]
+    assert rounds == list(range(ck, T + 1, ck)) + ([T] if T % ck else [])
+    regret = [v for _, v in result.checkpoints]
+    assert all(math.isfinite(v) and v >= 0 for v in regret)
+    assert regret == sorted(regret)
+    # a float sum of T gaps of mu_star each can round past T * mu_star
+    # (sine, T = 53, arm 0 at gap 0.35: 18.55 > 18.549999999999997)
+    assert regret[-1] <= T * REWARD_FACTORIES[config.reward]().mu_star * (1 + 1e-12)
+    assert result.total_rounds <= T
+    if config.algorithm in ("qlae", "qlae_bv", "classical_zooming"):
+        assert result.total_rounds == T
+    again = run_single(config, 0)
+    assert (again.checkpoints, again.total_rounds, again.stages_completed) == \
+        (result.checkpoints, result.total_rounds, result.stages_completed)
+    if "audits" in reads(config):
+        audited = run_single(replace(config, audits=True), 0)
+        assert (audited.checkpoints, audited.total_rounds) == \
+            (result.checkpoints, result.total_rounds)
+        if config.qmc_mode == "contract" and not config.fault_injection:
+            assert audit_clean_event(audited.estimate_records).violations == 0
 
 
 def test_run_experiment_shapes():

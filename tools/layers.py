@@ -20,11 +20,12 @@ inputs, through no wrapper:
   (2000) seeded radii, each outside its ball's band so that every call
   moves the ball's box, on a cover whose COVER_BALLS (32) balls were
   opened before the clock starts;
-* µs per `_Cover.activate` call, 1-D and 2-D, on covers opened as for
-  the moves: "covered" calls on such a cover after one more activation,
-  whose radius-1 ball covers every candidate, so each call returns None;
-  "opening" calls, one on each of ACTIVATIONS (100) such covers, each of
-  which opens a ball;
+* µs per `_Cover.activate` call, 1-D and 2-D, one on each of
+  ACTIVATIONS (100) covers opened as for the moves.  "covered": each
+  cover had one more activation, whose radius-1 ball covers every
+  candidate, and then one ball halved, a shrinking move that uncovers
+  nothing, so each call returns None right after such a move, as most
+  calls of both zooming loops do; "opening": each call opens a ball;
 * µs per `RoundLedger.consume(1, g)` charge: T = 5e4 one-round charges at
   the default checkpoint interval;
 * ms per `maximal_packing` call, by d and eps: each call a seeded qlae
@@ -234,9 +235,14 @@ def cover_activations(reps: int) -> dict:
             cover.activate()
 
     def covered(dimension):
-        cover = _opened_cover(dimension)[0]
-        cover.activate()
-        return ([cover] * ACTIVATIONS,)
+        covers = []
+        for k in range(ACTIVATIONS):
+            cover, radii = _opened_cover(dimension)
+            cover.activate()
+            i = k % len(radii)
+            cover.set_radius(i, radii[i] / 2.0)  # radii[i] >= 1/n: the box shrinks
+            covers.append(cover)
+        return (covers,)
 
     out = {}
     for dimension in (1, 2):
