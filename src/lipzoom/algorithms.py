@@ -336,5 +336,4 @@ def run_classical_zooming(
                     t = opened
         ledger.consume(1, g)
 
-    counts[i], sums[i], index[i] = c, s, x
     return _finish(ledger, T, [], [])

@@ -83,7 +83,8 @@ class ActiveRegion:
     def __post_init__(self):
         if not self.radius > 0:
             raise GeometryError(f"radius must be positive, got {self.radius}")
-        # tuples all the way down: the packing memo hashes the region
+        # tuples all the way down: a region is immutable and hashable, and
+        # equal centres compare equal whether given as lists or tuples
         centers = tuple(map(tuple, self.centers))
         if any(len(c) != len(centers[0]) or not all(map(math.isfinite, c)) for c in centers):
             raise GeometryError("region centres must be finite and of one dimension")
@@ -124,8 +125,9 @@ def lattice(dimension: int, spacing: float) -> np.ndarray:
 def _cells_within(cells: list[int] | tuple[int, ...], w: int, n: int) -> tuple[slice, ...]:
     """The cells k with |k - j| <= w on every axis, j = `cells`, as one slice
     per axis of cells 0..n: max(0, j - w) to min(n, j + w) + 1, written
-    without the max/min calls, which double its cost per packing acceptance
-    and per cover move."""
+    without the max/min calls, which double its cost.  `maximal_packing`
+    calls it once per region centre, and in d >= 3 once per acceptance too;
+    `_Cover.set_radius` inlines the same clamps."""
     return tuple([slice(j - w if j > w else 0, j + w + 1 if j + w < n else n + 1)
                   for j in cells])
 
@@ -145,14 +147,6 @@ def _exclusion_width(eps: float, spacing: float) -> int:
     return math.ceil(min(eps, 2.0) / spacing) - 1  # any eps past the diameter excludes all
 
 
-# Entries of the packing memo.  Q-LAE re-packs its surviving region at
-# every stage, and across the trials of a cell most coarse stages pack a
-# (region, eps) that an earlier trial packed.  On the 12 quantum cells at
-# T = 6e5, 10 trials, 16 entries took the packing time from 36 to 30 ms
-# with peak RSS flat; 64 took it to 24 ms but added 0.45 MB of peak RSS.
-PACKING_MEMO = 16
-
-
 def maximal_packing(
     region: ActiveRegion,
     metric: Metric,
@@ -167,18 +161,6 @@ def maximal_packing(
     a packing, and by maximality an eps-covering of every lattice candidate
     inside the region.  Every region centre must be a lattice cell, with
     the metric's dimension; any other centre raises GeometryError.
-
-    The sweep is `_packing`, memoised over its last PACKING_MEMO distinct
-    arguments.  It is a pure function of frozen, hashable inputs, so a memo
-    hit is exactly a recomputation; each call returns a new list.
-    """
-    return list(_packing(region, metric, eps, spacing))
-
-
-@functools.lru_cache(maxsize=PACKING_MEMO)
-def _packing(region: ActiveRegion, metric: Metric, eps: float,
-             spacing: float) -> tuple[Point, ...]:
-    """The sweep of `maximal_packing`.
 
     No lattice array is built (see the module docstring): a cell is an
     index tuple into `_axis(spacing)`, and the sweep keeps one boolean per
@@ -201,7 +183,7 @@ def _packing(region: ActiveRegion, metric: Metric, eps: float,
             f"lattice spacing {spacing} too coarse for eps={eps}; need <= eps/4"
         )
     if not region.centers:
-        return ()
+        return []
     d = metric.dimension
     if len(region.centers[0]) != d:  # the region's centres share one length
         raise GeometryError(f"centre dimension mismatch: expected {d}, "
@@ -236,7 +218,7 @@ def _packing(region: ActiveRegion, metric: Metric, eps: float,
             accepted.append(tuple([coords[k] for k in idx]))
             eligible[_cells_within(idx, w, n)] = False
             i += 1
-    return tuple(accepted)
+    return accepted
 
 
 @functools.cache  # one entry per (n, d) a process uses

@@ -1,15 +1,13 @@
 """Metric, region, lattice and packing tests, including property-based checks."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipzoom import algorithms, geometry
+from lipzoom import geometry
 from lipzoom.geometry import (
-    PACKING_MEMO,
     ActiveRegion,
     GeometryError,
     Metric,
@@ -19,7 +17,6 @@ from lipzoom.geometry import (
     _exclusion_width,
     lattice,
     maximal_packing,
-    _packing,
 )
 from lipzoom.environment import twodim_model
 from lipzoom.harness import ExperimentConfig, run_single
@@ -515,39 +512,8 @@ def test_packing_builds_no_lattice_and_calls_no_pairwise(monkeypatch):
         assert maximal_packing(*case) == want
 
 
-# --- the packing memo ---
-
-def _memo_cases():
-    """Calls that differ in one argument each, with different packings."""
-    cells_1d, cells_2d = ((0.3125,), (0.71875,)), ((0.3125, 0.59375), (0.8125, 0.09375))
-    return [
-        (ActiveRegion.whole_space(1), Metric(1), 0.3, 1 / 16),
-        (ActiveRegion.whole_space(1), Metric(1), 0.3, 1 / 128),
-        (ActiveRegion.whole_space(1), Metric(1), 0.25, 1 / 16),
-        (ActiveRegion(cells_1d, 0.11), Metric(1), 0.125, 1 / 32),
-        (ActiveRegion(cells_1d, 0.11), Metric(1), 0.125, 1 / 64),
-        (ActiveRegion(cells_1d, 0.15), Metric(1), 0.125, 1 / 64),
-        (ActiveRegion(cells_2d, 0.2), Metric(2), 0.0625, 1 / 64),
-        (ActiveRegion(cells_2d, 0.2), Metric(2), 0.0625, 1 / 128),
-        (ActiveRegion.whole_space(2), Metric(2), 0.25, 1 / 16),
-    ]
-
-
-def test_packing_memo_hit_equals_a_recompute():
-    cases = _memo_cases()
-    assert len(cases) <= PACKING_MEMO
-    _packing.cache_clear()
-    first = [maximal_packing(*case) for case in cases]
-    assert len(set(map(tuple, first))) == len(cases)  # each argument matters
-    hits = [maximal_packing(*case) for case in cases]
-    assert _packing.cache_info().hits == len(cases)
-    for case, hit in zip(cases, hits):
-        _packing.cache_clear()
-        assert hit == maximal_packing(*case), case
-
-
-def test_packing_memo_returns_a_new_list_per_call():
-    case = _memo_cases()[-1]
+def test_packing_returns_a_new_list_per_call():
+    case = (ActiveRegion.whole_space(2), Metric(2), 0.25, 1 / 16)
     want = maximal_packing(*case)
     got = maximal_packing(*case)
     assert got is not want
@@ -555,34 +521,3 @@ def test_packing_memo_returns_a_new_list_per_call():
     got[0] = (9.0, 9.0)
     got.sort(reverse=True)
     assert maximal_packing(*case) == want
-
-
-def test_packing_memo_holds_a_bounded_share_of_a_run(monkeypatch):
-    # the memo keeps the packings and regions of the last PACKING_MEMO
-    # distinct calls: 20-40 traced bytes per point they hold, since a
-    # stage's region shares its points with the packing before it.  A memo
-    # that kept all of this run's calls would hold 3-5 times as much
-    calls = {}
-
-    def recorded(region, metric, eps, spacing):
-        arms = maximal_packing(region, metric, eps, spacing)
-        calls.pop((region, eps, spacing), None)  # latest last, as the memo orders them
-        calls[region, eps, spacing] = len(region.centers) + len(arms)
-        return arms
-
-    monkeypatch.setattr(algorithms, "maximal_packing", recorded)
-    config = ExperimentConfig(algorithm="qlae", reward="twodim", T=600_000, trials=10,
-                              master_seed=23)
-    _packing.cache_clear()
-    tracemalloc.start()
-    try:
-        for trial in range(config.trials):
-            run_single(config, trial)
-        held = tracemalloc.get_traced_memory()[0]
-        _packing.cache_clear()
-        held -= tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert len(calls) > 2 * PACKING_MEMO
-    points = sum(list(calls.values())[-PACKING_MEMO:])
-    assert 0 < held <= 64 * points, (held, points)

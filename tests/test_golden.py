@@ -1,5 +1,6 @@
-"""Golden output: the small sweep's CSVs, two deep qlae runs, two deep
-classical-baseline runs and two empirical-oracle runs are pinned byte for byte.
+"""Golden output: the small sweep's CSVs and SVG panels, two deep qlae runs,
+two deep classical-baseline runs and two empirical-oracle runs are pinned
+byte for byte.
 
 At T=5000 qlae/twodim stops at the eps=1/8 packing (81 points); at T=6·10^5
 it reaches the eps=1/64 packing (355 points), so the deep pins cover the
@@ -59,15 +60,41 @@ GOLDEN = {
 }
 
 
-def test_small_sweep_csvs_match_golden_digests(tmp_path):
-    assert cli_main(SWEEP_ARGS + ["--out", str(tmp_path)]) == 0
-    got = {
+# The sweep's six panel plots, one per (reward, noise).
+GOLDEN_SVG = {
+    "panel_sine_bernoulli.svg": "72de0387a18316b469e3d9b903ab5ffd75313195da59d6b8c3bec0aa443cec54",
+    "panel_sine_gaussian.svg": "817534359a41aba400f34df748dd7cfe8d8585084ea7e9ed008ce982f2316346",
+    "panel_triangle_bernoulli.svg": "8e59f09baf1e30f47e0a837f4119f0ff668a48945d41cb16ff58491f3b8fd8e9",
+    "panel_triangle_gaussian.svg": "3353bf56ca2f01d8832c499317ffefe83f7e9f3cd2d1e9636784eebe7846f7f2",
+    "panel_twodim_bernoulli.svg": "d4eb864f551eaaa13740f4df1ffedb59a80c1ebde4603ce8ea3c825d8687631b",
+    "panel_twodim_gaussian.svg": "60d948342aad587c59650b343292445066d65f50a2f90891f14d54d78a1bdb7a",
+}
+
+
+@pytest.fixture(scope="module")
+def small_sweep(tmp_path_factory):
+    """The directory of one small sweep, shared by its CSV and SVG checks."""
+    out = tmp_path_factory.mktemp("small_sweep")
+    assert cli_main(SWEEP_ARGS + ["--out", str(out)]) == 0
+    return out
+
+
+def _digests(directory, pattern):
+    return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(tmp_path.glob("*.csv"))
+        for p in sorted(directory.glob(pattern))
     }
+
+
+def test_small_sweep_csvs_match_golden_digests(small_sweep):
+    got = _digests(small_sweep, "*.csv")
     assert sorted(got) == sorted(GOLDEN)
     changed = sorted(name for name in GOLDEN if got[name] != GOLDEN[name])
     assert not changed, f"CSV bytes changed: {changed}"
+
+
+def test_small_sweep_svgs_match_golden_digests(small_sweep):
+    assert _digests(small_sweep, "*.svg") == GOLDEN_SVG
 
 
 DEEP_QLAE = ["--reward", "twodim", "--T", "600000", "--master-seed", "7"]
@@ -93,11 +120,7 @@ DEEP_AUDIT_STDOUT = (
 def test_deep_qlae_run_csvs_match_golden_digests(algorithm, noise, tmp_path):
     argv = ["run", "--algorithm", algorithm, "--noise", noise, "--trials", "1"]
     assert cli_main(argv + DEEP_QLAE + ["--out", str(tmp_path)]) == 0
-    got = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(tmp_path.glob("*.csv"))
-    }
-    assert got == DEEP_RUNS[algorithm, noise]
+    assert _digests(tmp_path, "*.csv") == DEEP_RUNS[algorithm, noise]
 
 
 def test_deep_qlae_audit_stdout_matches_golden(capsys):
@@ -127,11 +150,7 @@ DEEP_CLASSICAL_RUNS = {
 def test_deep_classical_run_csvs_match_golden_digests(reward, noise, tmp_path):
     argv = ["run", "--reward", reward, "--noise", noise] + DEEP_CLASSICAL
     assert cli_main(argv + ["--out", str(tmp_path)]) == 0
-    got = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(tmp_path.glob("*.csv"))
-    }
-    assert got == DEEP_CLASSICAL_RUNS[reward, noise]
+    assert _digests(tmp_path, "*.csv") == DEEP_CLASSICAL_RUNS[reward, noise]
 
 
 # The empirical oracle averages classical draws, one per query.  The qzooming_bv
@@ -156,11 +175,7 @@ def test_empirical_oracle_run_csvs_match_golden_digests(algorithm, reward, noise
     extra, digests = EMPIRICAL_RUNS[algorithm, reward, noise]
     argv = ["run", "--algorithm", algorithm, "--reward", reward, "--noise", noise]
     assert cli_main(argv + extra + EMPIRICAL + ["--out", str(tmp_path)]) == 0
-    got = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(tmp_path.glob("*.csv"))
-    }
-    assert got == digests
+    assert _digests(tmp_path, "*.csv") == digests
 
 
 # `lipzoom dim` prints the number of cells of side 2r/divisor that hold a

@@ -805,7 +805,7 @@ def test_layers_tool_times_every_layer(monkeypatch):
     sizes = {"qmc_estimate_us_per_call": 4, "zooming_us_per_stage": 4,
              "classical_us_per_round": 6, "cover_us_per_move": 2,
              "cover_us_per_activate": 4, "ledger_us_per_charge": 1,
-             "packing_ms_per_call": 17, "qmc_estimate_empirical_us_per_call": 8,
+             "packing_ms_per_call": 16, "qmc_estimate_empirical_us_per_call": 8,
              "dim_ms_per_fit": 3}
     for section, size in sizes.items():
         assert len(report[section]) == size

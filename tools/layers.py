@@ -31,9 +31,8 @@ inputs, through no wrapper:
 * ms per `maximal_packing` call, by d and eps: each call a seeded qlae
   run makes (triangle and twodim at T = 6e5, seed 23), recorded through
   `algorithms.maximal_packing` during that run and replayed with the same
-  arguments.  The packing memo is cleared before each repetition, so that
-  every call runs the sweep; one more entry, "memo hit", times a call on
-  the memo's last entry, the twodim run's deepest stage, with the memo kept;
+  arguments.  On a checkout that memoises packings, the memo is cleared
+  before each repetition, so that every call runs the sweep;
 * ms per `fit_zooming_dimension(model, 3)` for each of the three rewards,
   with the `_lattice_gaps` cache cleared before each call, so that every
   call builds its gap lattice;
@@ -267,7 +266,7 @@ def ledger_charges(reps: int) -> dict:
 
 
 def packings(reps: int) -> dict:
-    # a checkout without the packing memo has nothing to clear
+    # only an older checkout memoises packings, in `geometry._packing`
     clear = getattr(getattr(geometry, "_packing", None), "cache_clear", lambda: None)
 
     def cleared():
@@ -293,9 +292,6 @@ def packings(reps: int) -> dict:
         entry = _time(lambda: maximal_packing(*args), 1e3, reps, setup=cleared)
         key = f"d={args[1].dimension} eps=1/{round(1 / args[2])}"
         out[key] = {**entry, "arms": len(maximal_packing(*args))}
-    # the last call above left its arguments in the memo: every call is a hit
-    out["memo hit"] = {**_time(lambda: maximal_packing(*args), 1e3, reps),
-                       "arms": len(maximal_packing(*args))}
     return out
 
 
